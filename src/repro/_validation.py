@@ -7,6 +7,8 @@ raises an exception from :mod:`repro.exceptions` with a descriptive message.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable, Sequence
 
 from .exceptions import InvalidParameterError, InvalidSeedSetError
@@ -23,6 +25,24 @@ def require_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
     return value
+
+
+def require_positive_real(value: float, name: str) -> float:
+    """Return ``value`` as a float if it is a finite positive number, otherwise raise.
+
+    Booleans are rejected as in :func:`require_positive_int`, and so are NaN
+    and the infinities, which no size or rate can take.
+    """
+    message = f"{name} must be a finite positive number, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(message)
+    try:
+        as_float = float(value)
+    except OverflowError:  # an int too large for a float
+        raise InvalidParameterError(message) from None
+    if not (math.isfinite(as_float) and as_float > 0.0):
+        raise InvalidParameterError(message)
+    return as_float
 
 
 def require_rng_or_streams(count: int, rng: object, streams: object) -> None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Mapping
@@ -234,10 +235,7 @@ class GraphSpec(_SpecBase):
                 f"unknown on_duplicate policy {self.on_duplicate!r}; "
                 f"expected one of: {', '.join(DUPLICATE_POLICIES)}"
             )
-        if not isinstance(self.scale, (int, float)) or self.scale <= 0:
-            raise SpecValidationError(
-                f"GraphSpec.scale must be a positive number, got {self.scale!r}"
-            )
+        _require_positive_number(self.scale, "GraphSpec.scale")
         # Reject non-default settings that the chosen source would ignore:
         # a field in the document either takes effect or is an error.
         inapplicable = {
@@ -336,6 +334,17 @@ def _require_positive(value: Any, name: str) -> None:
         raise SpecValidationError(f"{name} must be a positive int, got {value!r}")
 
 
+def _require_positive_number(value: Any, name: str) -> None:
+    # JSON documents may carry NaN and Infinity; neither is a usable size.
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or (isinstance(value, float) and not math.isfinite(value))
+        or value <= 0
+    ):
+        raise SpecValidationError(f"{name} must be a finite positive number, got {value!r}")
+
+
 # --------------------------------------------------------------------------- #
 # experiment specs
 # --------------------------------------------------------------------------- #
@@ -356,10 +365,7 @@ class StatsSpec(_SpecBase):
                 f"unknown dataset {self.dataset!r}; expected 'all' or one of: "
                 f"{', '.join(list_datasets())}"
             )
-        if not isinstance(self.scale, (int, float)) or self.scale <= 0:
-            raise SpecValidationError(
-                f"StatsSpec.scale must be a positive number, got {self.scale!r}"
-            )
+        _require_positive_number(self.scale, "StatsSpec.scale")
 
 
 @dataclass(frozen=True)

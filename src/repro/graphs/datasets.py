@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..exceptions import InvalidParameterError, UnknownDatasetError
+from .._validation import require_positive_real
 from . import generators
 from .builder import graph_from_edge_list
 from .influence_graph import InfluenceGraph
@@ -41,9 +42,7 @@ class DatasetSpec:
 
     def build(self, *, scale: float = 1.0, seed: int = 0) -> InfluenceGraph:
         """Build the dataset graph at the given ``scale`` with the given ``seed``."""
-        if scale <= 0:
-            raise InvalidParameterError(f"scale must be positive, got {scale}")
-        graph = self.builder(scale, seed)
+        graph = self.builder(require_positive_real(scale, "scale"), seed)
         return graph.with_name(self.name)
 
 

@@ -32,6 +32,7 @@ from ..exceptions import InvalidParameterError
 from .._validation import (
     require_non_negative_int,
     require_positive_int,
+    require_positive_real,
     require_probability,
 )
 from .builder import GraphBuilder
@@ -64,11 +65,10 @@ def _orient_randomly(
 def _build(
     edges: list[tuple[int, int]], num_vertices: int, name: str
 ) -> InfluenceGraph:
-    builder = GraphBuilder(num_vertices, allow_duplicate_edges=True)
-    for u, v in edges:
-        if u != v:
-            builder.add_edge(u, v)
-    return builder.build(name=name)
+    # Self-loops are dropped; InfluenceGraph validates the endpoint ranges.
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return InfluenceGraph(num_vertices, pairs[:, 0], pairs[:, 1], name=name)
 
 
 # --------------------------------------------------------------------------- #
@@ -288,25 +288,30 @@ def directed_scale_free(
     voting and follower networks (Wiki-Vote, soc-Pokec) at configurable size.
     """
     n = require_positive_int(num_vertices, "num_vertices")
-    if average_out_degree <= 0:
-        raise InvalidParameterError(
-            f"average_out_degree must be positive, got {average_out_degree}"
-        )
+    mean_degree = require_positive_real(average_out_degree, "average_out_degree")
     bias = require_probability(hub_bias, "hub_bias", allow_zero=True)
     rng = np.random.default_rng(seed)
     # in_degree_plus_one acts as the preferential-attachment weight.
     weights = np.ones(n, dtype=np.float64)
     edges: list[tuple[int, int]] = []
     for source in range(n):
-        out_degree = int(rng.poisson(average_out_degree))
+        out_degree = int(rng.poisson(mean_degree))
         if out_degree == 0:
             continue
+        # The weights only change after this source's targets are drawn, so
+        # one CDF serves all its preferential draws.  It is the CDF that
+        # Generator.choice(n, p=weights / weights.sum()) builds, drawn with the
+        # same single random(): same stream, same edges (docs/DESIGN.md).
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        wanted = min(out_degree, n - 1)
+        max_attempts = 20 * out_degree + 50
         chosen: set[int] = set()
         attempts = 0
-        while len(chosen) < min(out_degree, n - 1) and attempts < 20 * out_degree + 50:
+        while len(chosen) < wanted and attempts < max_attempts:
             attempts += 1
             if rng.random() < bias:
-                target = int(rng.choice(n, p=weights / weights.sum()))
+                target = int(cdf.searchsorted(rng.random(), side="right"))
             else:
                 target = int(rng.integers(n))
             if target != source and target not in chosen:

@@ -248,6 +248,20 @@ class TestEagerValidation:
         with pytest.raises(SpecValidationError, match="jobs"):
             RunContext(jobs=0)
 
+    @pytest.mark.parametrize("bad", [0, -0.5, float("nan"), float("inf"), float("-inf"), True, "1"])
+    def test_bad_scale_is_named(self, bad):
+        with pytest.raises(SpecValidationError, match=rf"GraphSpec\.scale .*got {bad!r}$"):
+            GraphSpec(dataset="karate", scale=bad)
+        with pytest.raises(SpecValidationError, match=rf"StatsSpec\.scale .*got {bad!r}$"):
+            StatsSpec(dataset="karate", scale=bad)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_scale_rejected(self, tmp_path, literal):
+        path = tmp_path / "stats.json"
+        path.write_text(f'{{"kind": "stats", "dataset": "karate", "scale": {literal}}}')
+        with pytest.raises(SpecValidationError, match="StatsSpec.scale"):
+            load_spec(path)
+
     def test_sweep_grid_forms_are_exclusive(self):
         graph = GraphSpec(dataset="karate", probability="uc0.1")
         with pytest.raises(SpecValidationError, match="not both"):

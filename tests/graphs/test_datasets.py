@@ -112,11 +112,36 @@ class TestSyntheticProxies:
         assert load_dataset("ba_d", seed=5) == load_dataset("ba_d", seed=5)
 
     def test_invalid_scale(self):
-        with pytest.raises(InvalidParameterError):
-            load_dataset("ba_s", scale=0.0)
+        for bad in (0.0, -1, float("nan"), float("inf"), float("-inf"), True):
+            with pytest.raises(InvalidParameterError, match=rf"scale .*got {bad!r}$"):
+                load_dataset("ba_s", scale=bad)
 
     def test_graph_named_after_dataset(self):
         assert load_dataset("wiki_vote", scale=0.2).name == "wiki_vote"
+
+    @staticmethod
+    def _checksum(graph) -> tuple[int, int]:
+        sources, targets, _ = graph.edge_arrays()
+        n = graph.num_vertices
+        total = sum(
+            (i + 1) * (int(u) * n + int(v))
+            for i, (u, v) in enumerate(zip(sources, targets))
+        )
+        return len(sources), total % 1_000_000_007
+
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("wiki_vote", (34970, 220715648)),
+            ("com_youtube", (21134, 355228429)),
+            ("soc_pokec", (56752, 321620488)),
+            ("physicians", (1048, 874260719)),
+        ],
+    )
+    def test_directed_scale_free_proxies_pinned(self, name, pinned):
+        # Captured with the per-draw Generator.choice generator: building one
+        # preferential CDF per source must not change a single edge.
+        assert self._checksum(load_dataset(name)) == pinned
 
     def test_pokec_denser_than_youtube(self):
         youtube = load_dataset("com_youtube", scale=0.2)

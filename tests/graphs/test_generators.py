@@ -7,6 +7,8 @@ import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.graphs import generators
+from repro.graphs.builder import GraphBuilder
+from repro.graphs.influence_graph import InfluenceGraph
 
 
 class TestBarabasiAlbert:
@@ -119,12 +121,63 @@ class TestDirectedScaleFree:
         assert graph.num_edges / graph.num_vertices == pytest.approx(6.0, rel=0.25)
 
     def test_invalid_out_degree(self):
-        with pytest.raises(InvalidParameterError):
-            generators.directed_scale_free(50, 0.0)
+        for bad in (0.0, -2.0, float("nan"), float("inf"), float("-inf"), True, "3"):
+            with pytest.raises(
+                InvalidParameterError, match=rf"average_out_degree .*got {bad!r}$"
+            ):
+                generators.directed_scale_free(50, bad)
 
     def test_no_self_loops(self):
         graph = generators.directed_scale_free(100, 3.0, seed=2)
         assert all(edge.source != edge.target for edge in graph.edges())
+
+    @pytest.mark.parametrize("hub_bias", [0.0, 0.4, 0.85, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n, degree", [(40, 3.0), (120, 8.0), (6, 25.0)])
+    def test_matches_per_draw_choice_reference(self, n, degree, hub_bias, seed):
+        graph = generators.directed_scale_free(n, degree, seed=seed, hub_bias=hub_bias)
+        reference = _reference_directed_scale_free(n, degree, seed=seed, hub_bias=hub_bias)
+        for ours, theirs in zip(graph.edge_arrays(), reference.edge_arrays()):
+            assert np.array_equal(ours, theirs)
+        if n == 6:
+            # Degree 25 on 6 vertices: the n - 1 target cap binds.
+            assert graph.out_degrees().max() == n - 1
+
+
+def _reference_directed_scale_free(
+    n: int, average_out_degree: float, *, seed: int, hub_bias: float
+) -> InfluenceGraph:
+    """The per-draw ``rng.choice`` generator and edge-by-edge builder, kept verbatim.
+
+    ``directed_scale_free`` builds one preferential CDF per source instead of
+    letting ``Generator.choice`` rebuild it on every draw; this copy pins
+    that the two consume the stream identically and emit the same edges.
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.ones(n, dtype=np.float64)
+    edges: list[tuple[int, int]] = []
+    for source in range(n):
+        out_degree = int(rng.poisson(average_out_degree))
+        if out_degree == 0:
+            continue
+        chosen: set[int] = set()
+        attempts = 0
+        while len(chosen) < min(out_degree, n - 1) and attempts < 20 * out_degree + 50:
+            attempts += 1
+            if rng.random() < hub_bias:
+                target = int(rng.choice(n, p=weights / weights.sum()))
+            else:
+                target = int(rng.integers(n))
+            if target != source and target not in chosen:
+                chosen.add(target)
+        for target in sorted(chosen):
+            edges.append((source, target))
+            weights[target] += 1.0
+    builder = GraphBuilder(n, allow_duplicate_edges=True)
+    for u, v in edges:
+        if u != v:
+            builder.add_edge(u, v)
+    return builder.build()
 
 
 class TestCoreWhisker:
