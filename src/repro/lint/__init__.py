@@ -27,12 +27,11 @@ CTX001    seam kwarg (rng/jobs/telemetry/...) dropped between layers
 EXP001    lazy ``_EXPORTS`` entry or ``__all__`` name that cannot resolve
 ========  ==============================================================
 
-Findings are silenced line-by-line with ``# repro-lint: allow[RULE-ID]``
-or file-wide with ``# repro-lint: file-allow[RULE-ID]`` in the module
-docstring block; unused suppressions are themselves reported (``SUP001``).
-Third-party rules plug in via :func:`register_rule`, mirroring
-:func:`repro.diffusion.models.register_model` — per-module checks subclass
-:class:`LintRule`, whole-program checks subclass :class:`ProjectRule`.
+Findings are silenced line-by-line with ``# repro-lint: allow[RULE-ID]``;
+unused suppressions are themselves reported (``SUP001``).  The rule set is
+fixed: per-module checks subclass :class:`LintRule`, whole-program checks
+subclass :class:`ProjectRule`, and :mod:`repro.lint.rules` registers each
+built-in rule once.
 
 This package is deliberately stdlib-only (no numpy) so
 ``python -m repro.lint`` runs in a bare interpreter.
@@ -40,8 +39,7 @@ This package is deliberately stdlib-only (no numpy) so
 
 from __future__ import annotations
 
-from .cache import DEFAULT_CACHE_DIR, LintCache
-from .config import DEFAULT_SEAMS, LintConfig, load_config
+from .config import LintConfig, load_config
 from .errors import LintError
 from .findings import SEVERITIES, Finding
 from .project import ModuleSummary, ProjectAnalysis, summarize_module
@@ -53,7 +51,6 @@ from .registry import (
     ProjectRule,
     available_rules,
     get_rule,
-    register_rule,
 )
 from .reporters import JSON_REPORT_VERSION, parse_report, render_json, render_text
 from .suppressions import Suppression, collect_suppressions
@@ -73,15 +70,12 @@ from .cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 __all__ = [
     "BUILTIN_PROJECT_RULE_IDS",
     "BUILTIN_RULE_IDS",
-    "DEFAULT_CACHE_DIR",
-    "DEFAULT_SEAMS",
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
     "EXIT_USAGE",
     "FRAMEWORK_RULE_IDS",
     "Finding",
     "JSON_REPORT_VERSION",
-    "LintCache",
     "LintConfig",
     "LintError",
     "LintRule",
@@ -101,7 +95,6 @@ __all__ = [
     "load_config",
     "main",
     "parse_report",
-    "register_rule",
     "render_json",
     "render_text",
     "run_lint",

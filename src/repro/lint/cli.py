@@ -7,10 +7,9 @@ Reached two ways with identical behaviour:
   in a bare interpreter before any heavy dependency is installed.
 
 Configuration comes from the nearest ``pyproject.toml``'s
-``[tool.repro-lint]`` table (``select``, ``exclude``, ``layers``,
-``seams``); CLI flags always win.  ``--graph imports`` dumps the module
-import graph instead of linting, and ``--cache``/``--cache-dir`` enable the
-content-hash result cache so warm re-runs skip unchanged files.
+``[tool.repro-lint]`` table (its one key, ``layers``, declares the IMP001
+layer DAG).  ``--graph imports`` dumps the module import graph as JSON
+instead of linting.
 
 Exit-code contract (stable, tested):
 
@@ -26,10 +25,9 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .cache import DEFAULT_CACHE_DIR
 from .config import LintConfig, load_config
 from .errors import LintError
-from .project import render_import_graph_dot, render_import_graph_json
+from .project import render_import_graph_json
 from .registry import FRAMEWORK_RULE_IDS, ProjectRule, available_rules, get_rule
 from .reporters import render_json, render_text
 from .walker import analyze_paths, run_lint
@@ -65,24 +63,18 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         "--rules",
         action="append",
         metavar="ID[,ID...]",
-        help=(
-            "run only these rule ids (repeatable, comma-separated); "
-            "overrides the config's select list"
-        ),
+        help="run only these rule ids (repeatable, comma-separated)",
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "dot"),
+        choices=("text", "json"),
         default=None,
-        help=(
-            "report format (default: text; for --graph: json or dot, "
-            "default json)"
-        ),
+        help="report format (default: text; --graph writes json)",
     )
     parser.add_argument(
         "--graph",
         choices=("imports",),
-        help="dump the module import graph instead of linting",
+        help="dump the module import graph as JSON instead of linting",
     )
     parser.add_argument(
         "--config",
@@ -96,19 +88,6 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         "--no-config",
         action="store_true",
         help="ignore pyproject.toml and run with built-in defaults",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help=(
-            "enable the content-hash result cache "
-            f"(default directory: {DEFAULT_CACHE_DIR}/)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="cache directory (implies --cache)",
     )
     parser.add_argument(
         "--list-rules",
@@ -170,36 +149,23 @@ def main(
         _list_rules(out)
         return EXIT_CLEAN
     paths = args.paths or _default_paths()
-    cache_dir = args.cache_dir if args.cache_dir else (
-        DEFAULT_CACHE_DIR if args.cache else None
-    )
     try:
         config = _resolve_config(args, paths)
         if args.graph is not None:
-            graph_format = args.format or "json"
-            if graph_format == "text":
-                raise LintError(
-                    "--graph supports --format json or dot, not text"
-                )
-            analysis = analyze_paths(paths, config=config, cache_dir=cache_dir)
-            if graph_format == "dot":
-                out.write(render_import_graph_dot(analysis))
-            else:
-                out.write(render_import_graph_json(analysis))
+            if args.format == "text":
+                raise LintError("--graph writes --format json only, not text")
+            analysis = analyze_paths(paths, config=config)
+            out.write(render_import_graph_json(analysis))
             return EXIT_CLEAN
-        report_format = args.format or "text"
-        if report_format == "dot":
-            raise LintError("--format dot requires --graph imports")
         run = run_lint(
             paths,
             rules=_selected_rules(args.rules),
             config=config,
-            cache_dir=cache_dir,
         )
     except LintError as error:
         err.write(f"{prog}: error: {error}\n")
         return EXIT_USAGE
-    if report_format == "json":
+    if args.format == "json":
         out.write(render_json(run.findings, stats=run.stats))
     else:
         out.write(render_text(run.findings))

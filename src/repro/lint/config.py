@@ -1,21 +1,12 @@
 """``[tool.repro-lint]`` configuration from ``pyproject.toml``.
 
-The linter reads four keys, all optional, via stdlib :mod:`tomllib`:
+The linter reads one optional key via stdlib :mod:`tomllib`:
 
-``select``
-    Rule ids to run by default.  The CLI's ``--rules`` flag always wins.
-``exclude``
-    Posix path fragments; collected files containing any fragment are
-    skipped (the lint-fixture carve-out still applies: fixture paths are
-    never excluded).
 ``layers``
     The declared import-layer DAG for the IMP001 rule: a table mapping a
     module prefix (the layer) to the list of import prefixes modules under
     it may use.  Stdlib imports and intra-layer imports are always allowed;
     an empty list therefore means *stdlib only*.
-``seams``
-    Parameter names the CTX001 seam-threading rule tracks; defaults to the
-    :class:`~repro.context.RunContext` knobs plus ``rng``.
 
 Unknown keys — and values of the wrong shape — are **usage errors**
 (:class:`~repro.lint.errors.LintError`, CLI exit code 2), so a typo in the
@@ -32,32 +23,17 @@ from typing import Any, Mapping
 
 from .errors import LintError
 
-__all__ = ["DEFAULT_SEAMS", "LintConfig", "find_pyproject", "load_config"]
+__all__ = ["LintConfig", "find_pyproject", "load_config"]
 
-#: Seam parameters tracked by CTX001 when the config does not override them:
-#: the cross-cutting execution knobs every layer threads through.
-DEFAULT_SEAMS: tuple[str, ...] = (
-    "batch_mode",
-    "context",
-    "executor",
-    "jobs",
-    "model",
-    "rng",
-    "telemetry",
-)
-
-_KNOWN_KEYS = frozenset({"select", "exclude", "layers", "seams"})
+_KNOWN_KEYS = frozenset({"layers"})
 
 
 @dataclass
 class LintConfig:
     """Resolved linter configuration (defaults when no pyproject is found)."""
 
-    select: tuple[str, ...] | None = None
-    exclude: tuple[str, ...] = ()
     #: Layer prefix -> allowed import prefixes (stdlib always implied).
     layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    seams: tuple[str, ...] = DEFAULT_SEAMS
     #: Path of the pyproject.toml the values came from, if any.
     source: str | None = None
 
@@ -94,12 +70,6 @@ def _parse_table(table: Mapping[str, Any], source: Path) -> LintConfig:
             f"{', '.join(unknown)} (known: {', '.join(sorted(_KNOWN_KEYS))})"
         )
     config = LintConfig(source=source.as_posix())
-    if "select" in table:
-        config.select = _string_tuple(table["select"], "select", source)
-    if "exclude" in table:
-        config.exclude = _string_tuple(table["exclude"], "exclude", source)
-    if "seams" in table:
-        config.seams = _string_tuple(table["seams"], "seams", source)
     if "layers" in table:
         layers = table["layers"]
         if not isinstance(layers, Mapping):

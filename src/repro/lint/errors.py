@@ -1,6 +1,6 @@
 """Shared linter exception types.
 
-Lives in its own module so the config loader, walker, cache, and CLI can
+Lives in its own module so the config loader, walker, and CLI can
 all raise :class:`LintError` without import cycles.
 """
 

@@ -4,8 +4,8 @@ The per-module rules (:class:`~repro.lint.registry.LintRule`) see one parsed
 file at a time and therefore cannot check *cross-file* contracts — a seam
 kwarg dropped between layers, a layering violation, a lazy export pointing
 at a symbol that no longer exists.  This module parses every collected file
-once into a :class:`ModuleSummary` — a JSON-serializable digest of exactly
-the facts the project rules need — and assembles the summaries into a
+once into a :class:`ModuleSummary` — a plain-data digest of exactly the
+facts the project rules need — and assembles the summaries into a
 :class:`ProjectAnalysis`:
 
 * a **module import graph** (imports resolved to absolute dotted module
@@ -15,11 +15,6 @@ the facts the project rules need — and assembles the summaries into a
   name → submodule mapping of PEP 562 packages;
 * a conservative **intra-package call graph** keyed by qualified names,
   following import aliases and one-hop re-export chains.
-
-Summaries are deliberately plain data (:meth:`ModuleSummary.to_dict` /
-:meth:`ModuleSummary.from_dict` round-trip through JSON) so the content-hash
-cache (:mod:`repro.lint.cache`) can persist them: a warm re-run rebuilds the
-whole-program view without re-parsing unchanged files.
 
 Everything here is best-effort static analysis in the house style of
 :mod:`repro.lint.astutil`: when a construct cannot be resolved the analysis
@@ -33,7 +28,7 @@ import ast
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .astutil import dotted_name, iter_assigned_names
 
@@ -48,13 +43,9 @@ __all__ = [
     "ProjectAnalysis",
     "is_stdlib_module",
     "module_name_for_path",
-    "render_import_graph_dot",
     "render_import_graph_json",
     "summarize_module",
 ]
-
-#: Bumped whenever the summary shape changes; part of the cache key.
-SUMMARY_VERSION = 1
 
 #: Maximum re-export hops followed when resolving a qualified callee.
 _MAX_RESOLUTION_HOPS = 8
@@ -98,25 +89,6 @@ class ImportRecord:
     column: int
     is_from: bool
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "target": self.target,
-            "names": list(self.names),
-            "line": self.line,
-            "column": self.column,
-            "is_from": self.is_from,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ImportRecord":
-        return cls(
-            target=str(data["target"]),
-            names=tuple(data["names"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            is_from=bool(data["is_from"]),
-        )
-
 
 @dataclass
 class CallSite:
@@ -131,29 +103,6 @@ class CallSite:
     has_star_args: bool
     keywords: tuple[str, ...]
     has_star_kwargs: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "column": self.column,
-            "num_positional": self.num_positional,
-            "has_star_args": self.has_star_args,
-            "keywords": list(self.keywords),
-            "has_star_kwargs": self.has_star_kwargs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            callee=str(data["callee"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            num_positional=int(data["num_positional"]),
-            has_star_args=bool(data["has_star_args"]),
-            keywords=tuple(data["keywords"]),
-            has_star_kwargs=bool(data["has_star_kwargs"]),
-        )
 
 
 @dataclass
@@ -176,35 +125,10 @@ class FunctionInfo:
         """Every named parameter (positional and keyword-only)."""
         return self.positional + self.keyword_only
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "positional": list(self.positional),
-            "keyword_only": list(self.keyword_only),
-            "has_vararg": self.has_vararg,
-            "has_kwargs": self.has_kwargs,
-            "is_method": self.is_method,
-            "calls": [call.to_dict() for call in self.calls],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),
-            positional=tuple(data["positional"]),
-            keyword_only=tuple(data["keyword_only"]),
-            has_vararg=bool(data["has_vararg"]),
-            has_kwargs=bool(data["has_kwargs"]),
-            is_method=bool(data["is_method"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
-    """JSON-serializable digest of one module for the project rules."""
+    """Plain-data digest of one module for the project rules."""
 
     name: str
     path: str
@@ -229,65 +153,6 @@ class ModuleSummary:
         if self.is_package:
             return self.name
         return self.name.rpartition(".")[0]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "is_package": self.is_package,
-            "imports": [record.to_dict() for record in self.imports],
-            "aliases": dict(sorted(self.aliases.items())),
-            "symbols": sorted(self.symbols),
-            "functions": {
-                qualname: info.to_dict()
-                for qualname, info in sorted(self.functions.items())
-            },
-            "dunder_all": (
-                None
-                if self.dunder_all is None
-                else [[name, line] for name, line in self.dunder_all]
-            ),
-            "exports": (
-                None
-                if self.exports is None
-                else {
-                    name: [submodule, line]
-                    for name, (submodule, line) in sorted(self.exports.items())
-                }
-            ),
-            "defines_getattr": self.defines_getattr,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModuleSummary":
-        dunder_all = data["dunder_all"]
-        exports = data["exports"]
-        return cls(
-            name=str(data["name"]),
-            path=str(data["path"]),
-            is_package=bool(data["is_package"]),
-            imports=[ImportRecord.from_dict(r) for r in data["imports"]],
-            aliases=dict(data["aliases"]),
-            symbols=set(data["symbols"]),
-            functions={
-                qualname: FunctionInfo.from_dict(info)
-                for qualname, info in data["functions"].items()
-            },
-            dunder_all=(
-                None
-                if dunder_all is None
-                else [(str(name), int(line)) for name, line in dunder_all]
-            ),
-            exports=(
-                None
-                if exports is None
-                else {
-                    str(name): (str(submodule), int(line))
-                    for name, (submodule, line) in exports.items()
-                }
-            ),
-            defines_getattr=bool(data["defines_getattr"]),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -597,17 +462,6 @@ class ProjectAnalysis:
         )
         self.config: LintConfig = config if config is not None else LintConfig()
 
-    @classmethod
-    def from_summaries(
-        cls,
-        summaries: Iterator[ModuleSummary] | list[ModuleSummary],
-        *,
-        config: "LintConfig | None" = None,
-    ) -> "ProjectAnalysis":
-        return cls(
-            {summary.name: summary for summary in summaries}, config=config
-        )
-
     # ------------------------------------------------------------------ #
     # import graph
     # ------------------------------------------------------------------ #
@@ -742,15 +596,3 @@ def render_import_graph_json(analysis: ProjectAnalysis) -> str:
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
-
-def render_import_graph_dot(analysis: ProjectAnalysis) -> str:
-    """Graphviz rendering of the first-party module import graph."""
-    lines = ["digraph imports {", "  rankdir=LR;", "  node [shape=box];"]
-    edges = analysis.first_party_edges()
-    for name in analysis.modules:
-        lines.append(f'  "{name}";')
-    for name, targets in sorted(edges.items()):
-        for target in targets:
-            lines.append(f'  "{name}" -> "{target}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

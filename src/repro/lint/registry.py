@@ -1,10 +1,8 @@
-"""Rule registry: plug-in point for static contract checks.
+"""Rule registry: the fixed set of static contract checks.
 
-Mirrors the diffusion-model registry (:func:`repro.diffusion.models.register_model`):
-rules are instances registered by their ``rule_id``, the built-in ids can
-never be replaced, and third-party rules plug in with
-:func:`register_rule` — ``repro lint --rules`` then selects them by id like
-any shipped rule.
+Rules are instances keyed by their ``rule_id``.  The set is closed: the
+built-in rules of :mod:`repro.lint.rules` are the only entries, and
+``repro lint --rules`` selects among them by id.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Iterator
 
-from .findings import SEVERITIES, Finding
+from .findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .project import ProjectAnalysis
@@ -26,15 +24,14 @@ __all__ = [
     "ProjectRule",
     "available_rules",
     "get_rule",
-    "register_rule",
 ]
 
-#: Ids of the shipped per-module AST rules; never replaceable.
+#: Ids of the shipped per-module AST rules.
 BUILTIN_RULE_IDS: frozenset[str] = frozenset(
     {"RNG001", "RNG002", "ORD001", "PKL001", "TEL001", "SPEC001", "TME001"}
 )
 
-#: Ids of the shipped whole-program rules; never replaceable either.
+#: Ids of the shipped whole-program rules.
 BUILTIN_PROJECT_RULE_IDS: frozenset[str] = frozenset(
     {"IMP001", "CTX001", "EXP001"}
 )
@@ -94,8 +91,8 @@ class ProjectRule(abc.ABC):
     :class:`~repro.lint.project.ProjectAnalysis` — import graph, symbol
     tables, call graph — and yields findings anchored to the file each
     violation lives in.  Registration, selection (``--rules``), suppression
-    (inline ``allow[...]`` and ``file-allow[...]``), and the exit-code
-    contract are identical to per-module rules.
+    (inline ``allow[...]``), and the exit-code contract are identical to
+    per-module rules.
     """
 
     #: Unique rule id (e.g. ``IMP001``); also the suppression token.
@@ -134,48 +131,8 @@ class ProjectRule(abc.ABC):
         )
 
 
+#: Rule id -> rule instance; filled once by :mod:`repro.lint.rules` on import.
 _REGISTRY: dict[str, "LintRule | ProjectRule"] = {}
-
-
-def register_rule(
-    rule: "LintRule | ProjectRule", *, overwrite: bool = False
-) -> "LintRule | ProjectRule":
-    """Register ``rule`` under its ``rule_id`` and return it.
-
-    Third-party checks plug in here exactly like diffusion models plug into
-    :func:`~repro.diffusion.models.register_model`: subclass
-    :class:`LintRule` (per-module) or :class:`ProjectRule` (whole-program),
-    give it a unique id, and register an instance.  ``overwrite`` permits
-    re-registering a third-party id; the built-in rule ids can never be
-    replaced.
-    """
-    if not isinstance(rule, (LintRule, ProjectRule)):
-        raise TypeError(
-            "register_rule expects a LintRule or ProjectRule instance, "
-            f"got {type(rule).__name__}"
-        )
-    if not rule.rule_id:
-        raise ValueError("lint rules must define a non-empty rule_id")
-    if rule.rule_id in FRAMEWORK_RULE_IDS:
-        raise ValueError(
-            f"rule id {rule.rule_id!r} is reserved for framework findings"
-        )
-    if rule.severity not in SEVERITIES:
-        raise ValueError(
-            f"rule {rule.rule_id}: unknown severity {rule.severity!r}"
-        )
-    if rule.rule_id in _REGISTRY:
-        if rule.rule_id in BUILTIN_RULE_IDS | BUILTIN_PROJECT_RULE_IDS:
-            raise ValueError(
-                f"the built-in lint rule {rule.rule_id!r} cannot be replaced"
-            )
-        if not overwrite:
-            raise ValueError(
-                f"lint rule {rule.rule_id!r} is already registered "
-                "(pass overwrite=True to replace it)"
-            )
-    _REGISTRY[rule.rule_id] = rule
-    return rule
 
 
 def available_rules() -> tuple[str, ...]:

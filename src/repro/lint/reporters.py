@@ -44,7 +44,7 @@ def render_json(
 ) -> str:
     """Versioned JSON report with per-rule counts.
 
-    ``stats`` (run statistics: file counts, cache hits/misses) is embedded
+    ``stats`` (run statistics: the linted file count) is embedded
     under a ``"stats"`` key when provided; :func:`parse_report` ignores it,
     so the findings round-trip is unaffected.
     """

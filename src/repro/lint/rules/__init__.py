@@ -1,12 +1,13 @@
-"""Built-in lint rules; importing this package registers all of them.
+"""Built-in lint rules; importing this package fills the rule registry.
 
-Each module calls :func:`repro.lint.registry.register_rule` at import time,
-so the imports below are load-bearing — they populate the registry that
-``repro lint`` and :func:`repro.lint.lint_paths` draw from.
+The registry (:mod:`repro.lint.registry`) is fixed: exactly the rules
+instantiated below, keyed by id, are what ``repro lint`` and
+:func:`repro.lint.lint_paths` draw from.
 """
 
 from __future__ import annotations
 
+from ..registry import _REGISTRY
 from . import exports, layering, ordering, pickling, rng, seams, specs, telemetry, timeapi
 from .exports import ExportIntegrityRule
 from .layering import ImportLayeringRule
@@ -17,6 +18,22 @@ from .seams import SeamThreadingRule
 from .specs import SpecCoverageRule
 from .telemetry import CounterNamingRule
 from .timeapi import WallClockRule
+
+_REGISTRY.update(
+    (rule.rule_id, rule)
+    for rule in (
+        AmbientRandomnessRule(),
+        GeneratorThreadingRule(),
+        IterationOrderRule(),
+        PicklableWorkerRule(),
+        CounterNamingRule(),
+        SpecCoverageRule(),
+        WallClockRule(),
+        ImportLayeringRule(),
+        SeamThreadingRule(),
+        ExportIntegrityRule(),
+    )
+)
 
 __all__ = [
     "AmbientRandomnessRule",

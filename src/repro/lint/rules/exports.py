@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..registry import ProjectRule, register_rule
+from ..registry import ProjectRule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..project import ProjectAnalysis
@@ -78,6 +78,3 @@ class ExportIntegrityRule(ProjectRule):
                         f"__all__ names {name!r}, which the module neither "
                         "defines nor imports",
                     )
-
-
-register_rule(ExportIntegrityRule())

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
 from ..project import is_stdlib_module
-from ..registry import ProjectRule, register_rule
+from ..registry import ProjectRule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..project import ProjectAnalysis
@@ -84,6 +84,3 @@ class ImportLayeringRule(ProjectRule):
                 if best is None or len(layer) > len(best):
                     best = layer
         return best
-
-
-register_rule(ImportLayeringRule())

@@ -27,7 +27,7 @@ from typing import Iterator
 
 from ..astutil import SetTypeTracker, call_name
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["IterationOrderRule"]
@@ -173,6 +173,3 @@ class _ModuleTracker:
         ):
             return self.is_set_typed(node.left) or self.is_set_typed(node.right)
         return False
-
-
-register_rule(IterationOrderRule())

@@ -15,7 +15,7 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["PicklableWorkerRule"]
@@ -132,6 +132,3 @@ class PicklableWorkerRule(LintRule):
         return frozenset(nested)
     # Note: methods of classes defined at module level are *not* nested —
     # ast.walk from a FunctionDef only reaches defs inside that function.
-
-
-register_rule(PicklableWorkerRule())

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from ..astutil import call_name
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["AmbientRandomnessRule", "GeneratorThreadingRule"]
@@ -186,7 +186,3 @@ class GeneratorThreadingRule(LintRule):
                 return False
             current = parent
         return False
-
-
-register_rule(AmbientRandomnessRule())
-register_rule(GeneratorThreadingRule())

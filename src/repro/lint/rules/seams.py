@@ -2,8 +2,8 @@
 
 The recurring cross-file bug class in this codebase: a function accepts one
 of the cross-cutting seam parameters (``rng``, ``jobs``, ``executor``,
-``model``, ``telemetry``, ``batch_mode``, ``context`` — configurable via
-``[tool.repro-lint] seams``) and calls a callee that *also* accepts it, but
+``model``, ``telemetry``, ``batch_mode``, ``context`` — the :data:`SEAMS`
+constant) and calls a callee that *also* accepts it, but
 silently drops it — the callee falls back to its default and one layer of
 the stack runs unseeded / serial / unobserved.  PRs 3, 7, and 8 each fixed
 hand-found instances; this rule finds them statically.
@@ -16,8 +16,7 @@ are resolved through the project call graph
 calls to statically known project functions are judged.
 
 Deliberate drops — a callee that must *not* inherit the caller's seam — are
-suppressed inline with a reason, or per-file via
-``# repro-lint: file-allow[CTX001] reason`` in the module docstring block.
+suppressed inline with a reason (``# repro-lint: allow[CTX001] reason``).
 """
 
 from __future__ import annotations
@@ -25,12 +24,24 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..registry import ProjectRule, register_rule
+from ..registry import ProjectRule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..project import CallSite, FunctionInfo, ProjectAnalysis
 
-__all__ = ["SeamThreadingRule"]
+__all__ = ["SEAMS", "SeamThreadingRule"]
+
+#: Seam parameters CTX001 tracks: the cross-cutting execution knobs every
+#: layer threads through.
+SEAMS: tuple[str, ...] = (
+    "batch_mode",
+    "context",
+    "executor",
+    "jobs",
+    "model",
+    "rng",
+    "telemetry",
+)
 
 
 class SeamThreadingRule(ProjectRule):
@@ -43,14 +54,11 @@ class SeamThreadingRule(ProjectRule):
     )
 
     def check(self, project: "ProjectAnalysis") -> Iterator[Finding]:
-        seams = project.config.seams
-        if not seams:
-            return
         for summary in project.modules.values():
             for info in sorted(
                 summary.functions.values(), key=lambda f: f.line
             ):
-                held = [s for s in seams if s in info.parameters]
+                held = [s for s in SEAMS if s in info.parameters]
                 if not held:
                     continue
                 for call in info.calls:
@@ -85,6 +93,3 @@ class SeamThreadingRule(ProjectRule):
         if seam in positional and positional.index(seam) < call.num_positional:
             return False  # covered positionally
         return True
-
-
-register_rule(SeamThreadingRule())

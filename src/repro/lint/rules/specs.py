@@ -22,7 +22,7 @@ import ast
 from typing import Iterator
 
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["SpecCoverageRule"]
@@ -249,6 +249,3 @@ class SpecCoverageRule(LintRule):
             elif target.id == "_tuple_fields":
                 metadata["_tuple_fields"] = _string_elements(value)
         return metadata
-
-
-register_rule(SpecCoverageRule())

@@ -26,7 +26,7 @@ from typing import Iterator
 
 from ..astutil import call_name
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["CounterNamingRule"]
@@ -126,6 +126,3 @@ class CounterNamingRule(LintRule):
                 if name in _CLOCK_CALLS:
                     return True
         return False
-
-
-register_rule(CounterNamingRule())

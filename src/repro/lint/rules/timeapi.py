@@ -17,7 +17,7 @@ from typing import Iterator
 
 from ..astutil import call_name
 from ..findings import Finding
-from ..registry import LintRule, register_rule
+from ..registry import LintRule
 from ..walker import SourceModule
 
 __all__ = ["WallClockRule"]
@@ -69,6 +69,3 @@ class WallClockRule(LintRule):
                     "observability layer; route timing through repro.obs "
                     "or drop it",
                 )
-
-
-register_rule(WallClockRule())

@@ -1,25 +1,17 @@
-"""Suppression comments: line-scoped ``allow`` and file-scoped ``file-allow``.
+"""Suppression comments: line-scoped ``allow[...]``.
 
-Two forms, both carrying a mandatory human reason after the bracket:
-
-* ``# repro-lint: allow[RULE-ID] reason`` silences the named rule(s) on the
-  line it is written on (matching the finding's reported line); when the
-  comment is a standalone line it applies to the next code line instead, so
-  long reasons need not fight the line-length limit;
-* ``# repro-lint: file-allow[RULE-ID] reason`` silences the named rule(s)
-  for the whole file, and is only honoured inside the module docstring
-  block — the comment lines before the first real statement — so file-wide
-  waivers stay visible at the top of the file.
+``# repro-lint: allow[RULE-ID] reason`` silences the named rule(s) on the
+line it is written on (matching the finding's reported line); when the
+comment is a standalone line it applies to the next code line instead, so
+long reasons need not fight the line-length limit.
 
 The id list is comma-separated (``allow[RNG001, TME001]``) and everything
 after the closing bracket is the reason — the self-clean gate expects every
 in-tree suppression to say *why* the contract does not apply at that site.
 
-Suppression hygiene is itself checked: an entry whose rule never fired (on
-that line, or anywhere in the file for ``file-allow``), that names an id
-the run does not know, or a ``file-allow`` placed below the docstring block
-is reported as ``SUP001``, so stale suppressions cannot hide future
-regressions.
+Suppression hygiene is itself checked: an entry whose rule never fired on
+its line, or that names an id the run does not know, is reported as
+``SUP001``, so stale suppressions cannot hide future regressions.
 """
 
 from __future__ import annotations
@@ -29,38 +21,20 @@ import re
 import tokenize
 from dataclasses import dataclass
 
-__all__ = ["SCOPE_FILE", "SCOPE_LINE", "Suppression", "collect_suppressions"]
+__all__ = ["Suppression", "collect_suppressions"]
 
-_ALLOW_PATTERN = re.compile(r"repro-lint:\s*(file-)?allow\[([^\]]*)\]")
-
-SCOPE_LINE = "line"
-SCOPE_FILE = "file"
+_ALLOW_PATTERN = re.compile(r"repro-lint:\s*allow\[([^\]]*)\]")
 
 
 @dataclass
 class Suppression:
-    """One ``allow[...]``/``file-allow[...]`` entry pinned to its comment."""
+    """One ``allow[...]`` entry pinned to the line it covers."""
 
     line: int
     column: int
     rule_id: str
-    scope: str = SCOPE_LINE
     #: Set by the walker when a finding of ``rule_id`` is silenced by this.
     used: bool = False
-
-    def to_record(self) -> list:
-        """Compact JSON shape for the result cache."""
-        return [self.line, self.column, self.rule_id, self.scope]
-
-    @classmethod
-    def from_record(cls, record: list) -> "Suppression":
-        line, column, rule_id, scope = record
-        return cls(
-            line=int(line),
-            column=int(column),
-            rule_id=str(rule_id),
-            scope=str(scope),
-        )
 
 
 def collect_suppressions(text: str) -> list[Suppression]:
@@ -68,18 +42,15 @@ def collect_suppressions(text: str) -> list[Suppression]:
 
     Comments are located with :mod:`tokenize` (never matched inside string
     literals).  Unparseable or empty ``allow[...]`` bodies yield entries
-    with an empty ``rule_id`` so the hygiene check can report them.  Scope
-    validity (``file-allow`` must sit in the docstring block) is judged by
-    the walker, which knows where the block ends.
+    with an empty ``rule_id`` so the hygiene check can report them.
 
-    A line-scoped ``allow`` in a trailing comment pins to its own line; in a
+    An ``allow`` in a trailing comment pins to its own line; in a
     standalone comment (nothing but the comment on the line) it pins to the
     next line holding code, so a block of standalone comments above a call
-    covers that call.  ``file-allow`` always keeps the comment's own line —
-    the walker validates its docstring-block placement against it.
+    covers that call.
     """
     suppressions: list[Suppression] = []
-    #: Line-scoped entries from standalone comments, waiting for the next
+    #: Entries from standalone comments, waiting for the next
     #: code token to tell them which line they cover.
     pending: list[Suppression] = []
     code_lines: set[int] = set()
@@ -109,16 +80,13 @@ def collect_suppressions(text: str) -> list[Suppression]:
             match = _ALLOW_PATTERN.search(token.string)
             if match is None:
                 continue
-            scope = SCOPE_FILE if match.group(1) else SCOPE_LINE
             line, column = token.start
             standalone = line not in code_lines
-            ids = [part.strip() for part in match.group(2).split(",")]
+            ids = [part.strip() for part in match.group(1).split(",")]
             ids = [part for part in ids if part] or [""]
             for rule_id in ids:
-                entry = Suppression(
-                    line=line, column=column, rule_id=rule_id, scope=scope
-                )
-                if scope == SCOPE_LINE and standalone:
+                entry = Suppression(line=line, column=column, rule_id=rule_id)
+                if standalone:
                     pending.append(entry)
                 else:
                     suppressions.append(entry)

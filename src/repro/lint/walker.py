@@ -4,17 +4,14 @@
 
 1. expands files and directories into a sorted list of ``*.py`` modules
    (directory walks are explicitly sorted — the linter obeys its own
-   ordering rule), minus the config's ``exclude`` fragments;
-2. loads each module — from the content-hash cache when enabled and
-   unchanged, else by parsing — yielding per-module rule findings *and* a
+   ordering rule);
+2. parses each module, yielding per-module rule findings *and* a
    :class:`~repro.lint.project.ModuleSummary` for the whole-program view;
 3. assembles the summaries into a
    :class:`~repro.lint.project.ProjectAnalysis` and runs the selected
-   :class:`~repro.lint.registry.ProjectRule` checks over it (changed files
-   were re-parsed; their dependents are re-checked automatically because
-   the cross-file rules always see every summary);
-4. silences findings covered by inline ``allow[...]`` and file-level
-   ``file-allow[...]`` comments and reports suppression hygiene.
+   :class:`~repro.lint.registry.ProjectRule` checks over it;
+4. silences findings covered by inline ``allow[...]`` comments and reports
+   suppression hygiene.
 
 The result is a deterministic, sorted list of findings plus run statistics.
 :func:`lint_paths` is the findings-only wrapper the original API shipped.
@@ -29,13 +26,12 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .astutil import collect_import_aliases, parent_map
-from .cache import LintCache
 from .config import LintConfig, load_config
 from .errors import LintError
 from .findings import Finding
 from .project import ModuleSummary, ProjectAnalysis, module_name_for_path, summarize_module
 from .registry import LintRule, ProjectRule, available_rules, get_rule
-from .suppressions import SCOPE_FILE, Suppression, collect_suppressions
+from .suppressions import Suppression, collect_suppressions
 
 __all__ = [
     "LintError",
@@ -43,7 +39,6 @@ __all__ = [
     "SourceModule",
     "analyze_paths",
     "collect_files",
-    "lint_module",
     "lint_paths",
     "run_lint",
 ]
@@ -55,13 +50,12 @@ _SKIPPED_DIRS: frozenset[str] = frozenset(
         ".git",
         ".hypothesis",
         ".mypy_cache",
-        ".repro-lint-cache",
         ".ruff_cache",
         "node_modules",
     }
 )
 
-#: Paths containing this fragment are *never* rule-exempt (nor excludable):
+#: Paths containing this fragment are *never* rule-exempt:
 #: the lint test fixtures intentionally violate every contract and must keep
 #: firing even though they live under ``tests/``.
 _FIXTURE_FRAGMENT = "lint/fixtures"
@@ -145,11 +139,15 @@ def collect_files(paths: Sequence[str | Path]) -> list[Path]:
 def resolve_rules(
     rule_ids: Sequence[str] | None,
 ) -> list[LintRule | ProjectRule]:
-    """Selected rule instances; ``None`` selects every registered rule."""
+    """Selected rule instances; ``None`` selects every registered rule.
+
+    A repeated id selects its rule once (first-seen order), so it cannot
+    double that rule's findings.
+    """
     if rule_ids is None:
         selected = available_rules()
     else:
-        selected = tuple(rule_ids)
+        selected = tuple(dict.fromkeys(rule_ids))
         if not selected:
             raise LintError("--rules selected no rules")
     rules: list[LintRule | ProjectRule] = []
@@ -169,72 +167,34 @@ def _apply_suppressions(
     suppressions: list[Suppression],
     selected_ids: set[str],
     display_path: str,
-    header_end: int | None,
 ) -> list[Finding]:
-    """Silence suppressed findings; report suppression hygiene (SUP001).
-
-    ``header_end`` is the line of the first statement after the module
-    docstring (``None`` when the file has no such statement): ``file-allow``
-    entries at or below it are misplaced and never honoured.
-    """
+    """Silence suppressed findings; report suppression hygiene (SUP001)."""
     by_line: dict[tuple[int, str], list[Suppression]] = {}
-    by_file: dict[str, list[Suppression]] = {}
-    misplaced: list[Suppression] = []
     for suppression in suppressions:
-        if suppression.scope == SCOPE_FILE:
-            if header_end is not None and suppression.line >= header_end:
-                misplaced.append(suppression)
-            else:
-                by_file.setdefault(suppression.rule_id, []).append(suppression)
-        else:
-            by_line.setdefault(
-                (suppression.line, suppression.rule_id), []
-            ).append(suppression)
+        by_line.setdefault(
+            (suppression.line, suppression.rule_id), []
+        ).append(suppression)
     kept: list[Finding] = []
     for finding in findings:
         matches = by_line.get((finding.line, finding.rule))
-        if not matches:
-            matches = by_file.get(finding.rule)
         if matches:
             for suppression in matches:
                 suppression.used = True
         else:
             kept.append(finding)
     known_ids = set(available_rules())
-    misplaced_ids = {id(suppression) for suppression in misplaced}
-    for suppression in misplaced:
-        kept.append(
-            Finding(
-                path=display_path,
-                line=suppression.line,
-                column=suppression.column,
-                rule="SUP001",
-                message=(
-                    f"file-allow[{suppression.rule_id or '<empty>'}] must "
-                    "appear in the module docstring block (before line "
-                    f"{header_end})"
-                ),
-                severity="warning",
-            )
-        )
     for suppression in suppressions:
-        if suppression.used or id(suppression) in misplaced_ids:
+        if suppression.used:
             continue
-        token = "file-allow" if suppression.scope == SCOPE_FILE else "allow"
         if suppression.rule_id not in known_ids:
             message = (
                 f"suppression names unknown rule "
                 f"{suppression.rule_id or '<empty>'!r}"
             )
         elif suppression.rule_id in selected_ids:
-            where = (
-                "in this file"
-                if suppression.scope == SCOPE_FILE
-                else "on this line"
-            )
             message = (
-                f"unused suppression: {token}[{suppression.rule_id}] "
-                f"did not fire {where}"
+                f"unused suppression: allow[{suppression.rule_id}] "
+                "did not fire on this line"
             )
         else:
             # The suppressed rule was deselected this run; its suppression
@@ -254,24 +214,8 @@ def _apply_suppressions(
 
 
 # --------------------------------------------------------------------------- #
-# module loading (parse or cache)
+# module loading
 # --------------------------------------------------------------------------- #
-def _docstring_header_end(tree: ast.Module) -> int | None:
-    """Line of the first statement after the module docstring, if any."""
-    body = tree.body
-    index = 0
-    if (
-        body
-        and isinstance(body[0], ast.Expr)
-        and isinstance(body[0].value, ast.Constant)
-        and isinstance(body[0].value.value, str)
-    ):
-        index = 1
-    if index >= len(body):
-        return None
-    return body[index].lineno
-
-
 def _parse_error_finding(display: str, error: SyntaxError) -> Finding:
     line = int(error.lineno or 1)
     # SyntaxError offsets are 1-based; findings use 0-based columns like
@@ -293,120 +237,52 @@ def _parse_error_finding(display: str, error: SyntaxError) -> Finding:
 class _LoadedModule:
     """Everything one run needs from one source file."""
 
-    path: Path
     display_path: str
     summary: ModuleSummary | None
     suppressions: list[Suppression]
-    header_end: int | None
     findings: list[Finding]
     parse_failed: bool
-    from_cache: bool
 
 
 def _load_module(
     path: Path,
     module_rules: Sequence[LintRule],
-    cache: LintCache | None,
 ) -> _LoadedModule:
     display = path.as_posix()
     try:
-        content = path.read_bytes()
-    except OSError as error:
-        raise LintError(f"cannot read {path}: {error}") from None
-    ruleset_key = ",".join(sorted(rule.rule_id for rule in module_rules))
-    cache_key = ""
-    entry: dict[str, Any] | None = None
-    if cache is not None:
-        cache_key = cache.key(path, content)
-        entry = cache.load(cache_key)
-        if entry is not None and ruleset_key in entry.get("findings", {}):
-            cache.hits += 1
-            summary_data = entry.get("summary")
-            return _LoadedModule(
-                path=path,
-                display_path=display,
-                summary=(
-                    None
-                    if summary_data is None
-                    else ModuleSummary.from_dict(summary_data)
-                ),
-                suppressions=[
-                    Suppression.from_record(record)
-                    for record in entry.get("suppressions", [])
-                ],
-                header_end=entry.get("header_end"),
-                findings=[
-                    Finding.from_dict(record)
-                    for record in entry["findings"][ruleset_key]
-                ],
-                parse_failed=bool(entry.get("parse_failed")),
-                from_cache=True,
-            )
-        cache.misses += 1
-    try:
-        text = content.decode("utf-8")
-    except UnicodeDecodeError as error:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as error:
         raise LintError(f"cannot read {path}: {error}") from None
     try:
         tree = ast.parse(text, filename=str(path))
     except SyntaxError as error:
-        loaded = _LoadedModule(
-            path=path,
+        return _LoadedModule(
             display_path=display,
             summary=None,
             suppressions=[],
-            header_end=None,
             findings=[_parse_error_finding(display, error)],
             parse_failed=True,
-            from_cache=False,
         )
-    else:
-        module = SourceModule(
-            path=path, display_path=display, text=text, tree=tree
-        )
-        findings: list[Finding] = []
-        for rule in module_rules:
-            if module.matches_fragment(rule.exempt_fragments):
-                continue
-            findings.extend(rule.check(module))
-        loaded = _LoadedModule(
-            path=path,
+    module = SourceModule(
+        path=path, display_path=display, text=text, tree=tree
+    )
+    findings: list[Finding] = []
+    for rule in module_rules:
+        if module.matches_fragment(rule.exempt_fragments):
+            continue
+        findings.extend(rule.check(module))
+    return _LoadedModule(
+        display_path=display,
+        summary=summarize_module(
+            tree,
+            module_name=module_name_for_path(path),
             display_path=display,
-            summary=summarize_module(
-                tree,
-                module_name=module_name_for_path(path),
-                display_path=display,
-                is_package=path.stem == "__init__",
-            ),
-            suppressions=collect_suppressions(text),
-            header_end=_docstring_header_end(tree),
-            findings=sorted(findings),
-            parse_failed=False,
-            from_cache=False,
-        )
-    if cache is not None:
-        findings_by_ruleset = dict((entry or {}).get("findings", {}))
-        findings_by_ruleset[ruleset_key] = [
-            finding.to_dict() for finding in loaded.findings
-        ]
-        cache.store(
-            cache_key,
-            {
-                "summary": (
-                    None
-                    if loaded.summary is None
-                    else loaded.summary.to_dict()
-                ),
-                "suppressions": [
-                    suppression.to_record()
-                    for suppression in loaded.suppressions
-                ],
-                "header_end": loaded.header_end,
-                "parse_failed": loaded.parse_failed,
-                "findings": findings_by_ruleset,
-            },
-        )
-    return loaded
+            is_package=path.stem == "__init__",
+        ),
+        suppressions=collect_suppressions(text),
+        findings=sorted(findings),
+        parse_failed=False,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -421,32 +297,11 @@ class LintRun:
     analysis: ProjectAnalysis
 
 
-def _collect_run_files(
-    paths: Sequence[str | Path], config: LintConfig
-) -> list[Path]:
-    """Collected files minus the config's ``exclude`` fragments.
-
-    Fixture paths are never excluded — same carve-out as rule exemptions.
-    """
-    files = collect_files(paths)
-    if not config.exclude:
-        return files
-    kept = []
-    for path in files:
-        posix = path.as_posix()
-        if _FIXTURE_FRAGMENT in posix or not any(
-            fragment in posix for fragment in config.exclude
-        ):
-            kept.append(path)
-    return kept
-
-
 def run_lint(
     paths: Sequence[str | Path],
     *,
     rules: Sequence[str] | None = None,
     config: LintConfig | None = None,
-    cache_dir: str | Path | None = None,
 ) -> LintRun:
     """Lint files/packages: per-module rules, whole-program rules, stats.
 
@@ -456,30 +311,23 @@ def run_lint(
         Files or directories; directories are walked recursively in sorted
         order collecting ``*.py`` modules.
     rules:
-        Rule ids to run; ``None`` falls back to the config's ``select`` and
-        then to every registered rule.  Unknown ids raise
-        :class:`LintError` (the CLI's usage-error exit code 2).
+        Rule ids to run; ``None`` runs every registered rule.  Unknown ids
+        raise :class:`LintError` (the CLI's usage-error exit code 2).
     config:
         A resolved :class:`~repro.lint.config.LintConfig`; ``None`` loads
         the nearest ``pyproject.toml`` above the first path.
-    cache_dir:
-        Enables the content-hash result cache at the given directory.
     """
     if config is None:
         anchor = Path(paths[0]) if paths else Path.cwd()
         config = load_config(anchor)
-    rule_ids: Sequence[str] | None = rules
-    if rule_ids is None and config.select is not None:
-        rule_ids = config.select
-    selected = resolve_rules(rule_ids)
+    selected = resolve_rules(rules)
     module_rules = [rule for rule in selected if isinstance(rule, LintRule)]
     project_rules = [
         rule for rule in selected if isinstance(rule, ProjectRule)
     ]
     selected_ids = {rule.rule_id for rule in selected}
-    files = _collect_run_files(paths, config)
-    cache = LintCache(cache_dir) if cache_dir is not None else None
-    loaded = [_load_module(path, module_rules, cache) for path in files]
+    files = collect_files(paths)
+    loaded = [_load_module(path, module_rules) for path in files]
 
     summaries: dict[str, ModuleSummary] = {}
     for module in loaded:
@@ -507,16 +355,9 @@ def run_lint(
                 module.suppressions,
                 selected_ids,
                 module.display_path,
-                module.header_end,
             )
         )
-    stats: dict[str, Any] = {
-        "files": len(files),
-        "parsed": sum(1 for module in loaded if not module.from_cache),
-        "cache_enabled": cache is not None,
-        "cache_hits": cache.hits if cache is not None else 0,
-        "cache_misses": cache.misses if cache is not None else 0,
-    }
+    stats: dict[str, Any] = {"files": len(files)}
     return LintRun(findings=sorted(findings), stats=stats, analysis=analysis)
 
 
@@ -524,63 +365,21 @@ def analyze_paths(
     paths: Sequence[str | Path],
     *,
     config: LintConfig | None = None,
-    cache_dir: str | Path | None = None,
 ) -> ProjectAnalysis:
     """Build the whole-program view without running any rules.
 
-    Backs ``repro lint --graph imports``; shares the walker, config
-    discovery, and cache with :func:`run_lint`.
+    Backs ``repro lint --graph imports``; shares the walker and config
+    discovery with :func:`run_lint`.
     """
     if config is None:
         anchor = Path(paths[0]) if paths else Path.cwd()
         config = load_config(anchor)
-    files = _collect_run_files(paths, config)
-    cache = LintCache(cache_dir) if cache_dir is not None else None
     summaries: dict[str, ModuleSummary] = {}
-    for path in files:
-        module = _load_module(path, [], cache)
+    for path in collect_files(paths):
+        module = _load_module(path, [])
         if module.summary is not None:
             summaries.setdefault(module.summary.name, module.summary)
     return ProjectAnalysis(summaries, config=config)
-
-
-def lint_module(
-    path: Path,
-    rules: Sequence[LintRule | ProjectRule],
-    *,
-    display_path: str | None = None,
-) -> list[Finding]:
-    """Lint one file with per-module ``rules``; returns sorted findings.
-
-    Whole-program rules in ``rules`` are ignored — they need the assembled
-    project view that only :func:`run_lint` builds.
-    """
-    module_rules = [rule for rule in rules if isinstance(rule, LintRule)]
-    loaded = _load_module(path, module_rules, None)
-    if display_path is not None:
-        loaded.findings = [
-            Finding(
-                path=display_path,
-                line=finding.line,
-                column=finding.column,
-                rule=finding.rule,
-                message=finding.message,
-                severity=finding.severity,
-            )
-            for finding in loaded.findings
-        ]
-        loaded.display_path = display_path
-    if loaded.parse_failed:
-        return loaded.findings
-    return sorted(
-        _apply_suppressions(
-            loaded.findings,
-            loaded.suppressions,
-            {rule.rule_id for rule in module_rules},
-            loaded.display_path,
-            loaded.header_end,
-        )
-    )
 
 
 def lint_paths(
@@ -588,9 +387,6 @@ def lint_paths(
     *,
     rules: Sequence[str] | None = None,
     config: LintConfig | None = None,
-    cache_dir: str | Path | None = None,
 ) -> list[Finding]:
     """Findings-only wrapper around :func:`run_lint` (the original API)."""
-    return run_lint(
-        paths, rules=rules, config=config, cache_dir=cache_dir
-    ).findings
+    return run_lint(paths, rules=rules, config=config).findings

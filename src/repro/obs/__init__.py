@@ -8,7 +8,6 @@ conventions, :mod:`repro.obs.trace` for the JSONL trace schema, and the
 from .io import atomic_write_json, atomic_write_text
 from .telemetry import (
     NULL_TELEMETRY,
-    CounterCost,
     NullTelemetry,
     Telemetry,
     TelemetrySnapshot,
@@ -26,7 +25,6 @@ from .trace import (
 )
 
 __all__ = [
-    "CounterCost",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "TRACE_SCHEMA_VERSION",

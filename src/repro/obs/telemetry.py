@@ -44,10 +44,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from ..diffusion.costs import CostReport, TraversalCost
+from ..diffusion.costs import CostReport
 
 __all__ = [
-    "CounterCost",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "Telemetry",
@@ -266,17 +265,6 @@ class Telemetry:
         self.incr(f"{sample_key}.vertices", report.sample_size.vertices)
         self.incr(f"{sample_key}.edges", report.sample_size.edges)
 
-    def cost(self, prefix: str = "traversal") -> "CounterCost":
-        """A ``TraversalCost``-compatible accumulator writing these counters."""
-        return CounterCost(self, prefix)
-
-    def traversal_view(self, prefix: str = "traversal") -> TraversalCost:
-        """The legacy :class:`TraversalCost` type as a view over the counters."""
-        return TraversalCost(
-            int(self._counters.get(f"{prefix}.vertices", 0)),
-            int(self._counters.get(f"{prefix}.edges", 0)),
-        )
-
     # ------------------------------------------------------------------ #
     # snapshot / merge (the worker exchange format)
     # ------------------------------------------------------------------ #
@@ -375,61 +363,6 @@ class Telemetry:
         )
 
 
-class CounterCost:
-    """A :class:`~repro.diffusion.costs.TraversalCost`-compatible accumulator
-    whose writes land on telemetry counters.
-
-    This is the "TraversalCost as counters" bridge: any kernel accepting a
-    ``cost=`` accumulator (``sample_rr_set``, ``simulate_cascade``,
-    ``reachable_set``, ...) can be driven by a ``CounterCost`` instead of a
-    plain ``TraversalCost`` and produces byte-identical results while the
-    totals accumulate as ``<prefix>.vertices`` / ``<prefix>.edges`` counters
-    (read back as the legacy type via :meth:`Telemetry.traversal_view`).
-    """
-
-    __slots__ = ("_telemetry", "_vertices_key", "_edges_key")
-
-    def __init__(self, telemetry: Telemetry, prefix: str = "traversal") -> None:
-        self._telemetry = telemetry
-        self._vertices_key = f"{prefix}.vertices"
-        self._edges_key = f"{prefix}.edges"
-
-    def add_vertices(self, count: int = 1) -> None:
-        """Record that ``count`` vertices were examined."""
-        self._telemetry.incr(self._vertices_key, int(count))
-
-    def add_edges(self, count: int = 1) -> None:
-        """Record that ``count`` edges were examined."""
-        self._telemetry.incr(self._edges_key, int(count))
-
-    def merge(self, other: TraversalCost) -> None:
-        """Accumulate a plain counter pair (duck-typed like ``TraversalCost``)."""
-        self.add_vertices(other.vertices)
-        self.add_edges(other.edges)
-
-    @property
-    def vertices(self) -> int:
-        """Vertices examined so far (read back from the counter)."""
-        return int(self._telemetry.counters.get(self._vertices_key, 0))
-
-    @property
-    def edges(self) -> int:
-        """Edges examined so far (read back from the counter)."""
-        return int(self._telemetry.counters.get(self._edges_key, 0))
-
-    @property
-    def total(self) -> int:
-        """Vertices plus edges (the paper's combined cost)."""
-        return self.vertices + self.edges
-
-    def snapshot(self) -> TraversalCost:
-        """An independent legacy-typed copy of the current counts."""
-        return TraversalCost(self.vertices, self.edges)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CounterCost(vertices={self.vertices}, edges={self.edges})"
-
-
 class _NullSpan:
     """Shared no-op span guard (one instance for the whole process)."""
 
@@ -478,13 +411,6 @@ class NullTelemetry:
 
     def record_cost(self, report: CostReport, **kwargs: Any) -> None:
         pass
-
-    def cost(self, prefix: str = "traversal") -> TraversalCost:
-        # A throwaway accumulator: writes are absorbed, nothing is recorded.
-        return TraversalCost()
-
-    def traversal_view(self, prefix: str = "traversal") -> TraversalCost:
-        return TraversalCost()
 
     @property
     def counters(self) -> Mapping[str, int | float]:

@@ -8,16 +8,17 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    DEFAULT_SEAMS,
     EXIT_CLEAN,
     EXIT_USAGE,
     LintError,
     load_config,
-    run_lint,
 )
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Declares the bare module ``clocky`` a stdlib-only layer.
+_STDLIB_ONLY_CLOCKY = '[tool.repro-lint.layers]\nclocky = []\n'
 
 
 def _write_pyproject(tmp_path: Path, body: str) -> Path:
@@ -29,47 +30,45 @@ def _write_pyproject(tmp_path: Path, body: str) -> Path:
 class TestLoadConfig:
     def test_defaults_without_pyproject(self, tmp_path):
         config = load_config(tmp_path)
-        assert config.select is None
-        assert config.exclude == ()
         assert config.layers == {}
-        assert config.seams == DEFAULT_SEAMS
         assert config.source is None
 
     def test_parses_all_known_keys(self, tmp_path):
         _write_pyproject(
             tmp_path,
-            '[tool.repro-lint]\n'
-            'select = ["RNG001"]\n'
-            'exclude = ["vendored"]\n'
-            'seams = ["rng"]\n'
             '[tool.repro-lint.layers]\n'
             '"pkg.lint" = []\n'
             '"pkg.obs" = ["pkg.lint"]\n',
         )
         config = load_config(tmp_path)
-        assert config.select == ("RNG001",)
-        assert config.exclude == ("vendored",)
-        assert config.seams == ("rng",)
         assert config.layers == {"pkg.lint": (), "pkg.obs": ("pkg.lint",)}
         assert config.source is not None
 
     def test_discovery_walks_upward(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nseams = ["rng"]\n')
+        _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
         nested = tmp_path / "deep" / "deeper"
         nested.mkdir(parents=True)
-        assert load_config(nested).seams == ("rng",)
+        assert load_config(nested).layers == {"clocky": ()}
 
     def test_pyproject_without_table_gives_defaults(self, tmp_path):
         _write_pyproject(tmp_path, '[tool.other]\nx = 1\n')
-        assert load_config(tmp_path).seams == DEFAULT_SEAMS
+        assert load_config(tmp_path).layers == {}
 
     def test_unknown_key_is_usage_error(self, tmp_path):
         _write_pyproject(tmp_path, '[tool.repro-lint]\nselct = ["RNG001"]\n')
         with pytest.raises(LintError, match="unknown .* selct"):
             load_config(tmp_path)
 
+    def test_removed_keys_are_usage_errors(self, tmp_path):
+        for key in ("select", "exclude", "seams"):
+            _write_pyproject(tmp_path, f'[tool.repro-lint]\n{key} = ["rng"]\n')
+            with pytest.raises(LintError, match=f"unknown .* {key}"):
+                load_config(tmp_path)
+
     def test_bad_value_shape_is_usage_error(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nselect = "RNG001"\n')
+        _write_pyproject(
+            tmp_path, '[tool.repro-lint.layers]\n"pkg.lint" = "stdlib"\n'
+        )
         with pytest.raises(LintError, match="list of strings"):
             load_config(tmp_path)
 
@@ -85,59 +84,28 @@ class TestLoadConfig:
             load_config(explicit=tmp_path / "nope.toml")
 
 
-class TestPrecedence:
-    def test_config_select_narrows_default_rules(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nselect = ["RNG001"]\n')
-        target = tmp_path / "clocky.py"
-        target.write_text("import time\nt = time.time()\n", encoding="utf-8")
-        # TME001 deselected by config: the wall-clock read sails through.
-        assert run_lint([target]).findings == []
-
-    def test_cli_rules_flag_beats_config_select(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nselect = ["RNG001"]\n')
-        target = tmp_path / "clocky.py"
-        target.write_text("import time\nt = time.time()\n", encoding="utf-8")
-        findings = run_lint([target], rules=["TME001"]).findings
-        assert [f.rule for f in findings] == ["TME001"]
-
-    def test_config_exclude_skips_fragment(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nexclude = ["vendored"]\n')
-        vendored = tmp_path / "vendored"
-        vendored.mkdir()
-        (vendored / "clocky.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
-        )
-        (tmp_path / "own.py").write_text(
-            "import time\nt = time.time()\n", encoding="utf-8"
-        )
-        findings = run_lint([tmp_path]).findings
-        assert [Path(f.path).name for f in findings] == ["own.py"]
-
-
 class TestCliConfigFlags:
     def _violation(self, tmp_path: Path) -> Path:
+        # Clean under no config; an IMP001 finding once ``clocky`` is a
+        # stdlib-only layer.
         target = tmp_path / "clocky.py"
-        target.write_text("import time\nt = time.time()\n", encoding="utf-8")
+        target.write_text("import numpy\n", encoding="utf-8")
         return target
 
     def test_no_config_ignores_pyproject(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.repro-lint]\nselect = ["RNG001"]\n')
+        _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
         target = self._violation(tmp_path)
         out = io.StringIO()
-        assert main([str(target)], stdout=out) == EXIT_CLEAN
-        assert main(["--no-config", str(target)], stdout=out) == 1
+        assert main([str(target)], stdout=out) == 1
+        assert main(["--no-config", str(target)], stdout=out) == EXIT_CLEAN
 
     def test_explicit_config_flag(self, tmp_path):
-        pyproject = _write_pyproject(
-            tmp_path, '[tool.repro-lint]\nselect = ["RNG001"]\n'
-        )
+        pyproject = _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
         elsewhere = tmp_path / "elsewhere"
         elsewhere.mkdir()
         target = self._violation(elsewhere)
         out = io.StringIO()
-        assert main(
-            ["--config", str(pyproject), str(target)], stdout=out
-        ) == EXIT_CLEAN
+        assert main(["--config", str(pyproject), str(target)], stdout=out) == 1
 
     def test_missing_explicit_config_exits_two(self, tmp_path):
         target = self._violation(tmp_path)

@@ -7,82 +7,29 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
+    BUILTIN_PROJECT_RULE_IDS,
     BUILTIN_RULE_IDS,
     LintError,
-    LintRule,
     available_rules,
     collect_files,
     collect_suppressions,
     get_rule,
     lint_paths,
-    register_rule,
 )
-from repro.lint.registry import _REGISTRY
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
-class _StubRule(LintRule):
-    rule_id = "XTEST01"
-    summary = "test stub"
-
-    def check(self, module):
-        yield self.finding(module, (1, 0), "stub finding")
 
 
 class TestRegistry:
     def test_builtin_rules_all_registered(self):
         assert BUILTIN_RULE_IDS <= set(available_rules())
 
-    def test_rejects_non_rule_instances(self):
-        with pytest.raises(TypeError, match="LintRule or ProjectRule instance"):
-            register_rule(object())  # type: ignore[arg-type]
-
-    def test_rejects_empty_rule_id(self):
-        class Nameless(_StubRule):
-            rule_id = ""
-
-        with pytest.raises(ValueError, match="non-empty rule_id"):
-            register_rule(Nameless())
-
-    def test_rejects_framework_ids(self):
-        class Reserved(_StubRule):
-            rule_id = "SUP001"
-
-        with pytest.raises(ValueError, match="reserved"):
-            register_rule(Reserved())
-
-    def test_builtin_rules_cannot_be_replaced(self):
-        class Impostor(_StubRule):
-            rule_id = "RNG001"
-
-        with pytest.raises(ValueError, match="cannot be replaced"):
-            register_rule(Impostor(), overwrite=True)
-
-    def test_rejects_unknown_severity(self):
-        class Odd(_StubRule):
-            severity = "fatal"
-
-        with pytest.raises(ValueError, match="unknown severity"):
-            register_rule(Odd())
+    def test_registry_holds_exactly_the_builtin_rules(self):
+        assert set(available_rules()) == BUILTIN_RULE_IDS | BUILTIN_PROJECT_RULE_IDS
 
     def test_unknown_rule_lookup_names_available(self):
         with pytest.raises(KeyError, match="RNG001"):
             get_rule("NOPE999")
-
-    def test_third_party_registration_and_selection(self, tmp_path):
-        target = tmp_path / "anything.py"
-        target.write_text("x = 1\n", encoding="utf-8")
-        try:
-            register_rule(_StubRule())
-            # Duplicate registration needs the explicit overwrite flag.
-            with pytest.raises(ValueError, match="overwrite=True"):
-                register_rule(_StubRule())
-            register_rule(_StubRule(), overwrite=True)
-            findings = lint_paths([target], rules=["XTEST01"])
-            assert [finding.rule for finding in findings] == ["XTEST01"]
-        finally:
-            _REGISTRY.pop("XTEST01", None)
 
 
 class TestSuppressions:
@@ -163,37 +110,6 @@ class TestWalker:
     def test_findings_sorted_by_location(self):
         findings = lint_paths([FIXTURES / "rng001_violation.py"])
         assert findings == sorted(findings)
-
-
-class TestFileAllow:
-    def test_violation_fixture_fires_twice(self):
-        findings = lint_paths([FIXTURES / "fileallow_violation.py"], rules=["TME001"])
-        assert [finding.rule for finding in findings] == ["TME001", "TME001"]
-
-    def test_docstring_block_file_allow_silences_whole_file(self):
-        findings = lint_paths([FIXTURES / "fileallow_suppressed.py"], rules=["TME001"])
-        assert findings == []
-
-    def test_clean_fixture_stays_clean(self):
-        findings = lint_paths([FIXTURES / "fileallow_clean.py"], rules=["TME001"])
-        assert findings == []
-
-    def test_misplaced_file_allow_is_flagged_and_ignored(self):
-        findings = lint_paths([FIXTURES / "fileallow_misplaced.py"], rules=["TME001"])
-        assert [finding.rule for finding in findings] == ["SUP001", "TME001"]
-        assert "docstring block" in findings[0].message
-
-    def test_unused_file_allow_is_flagged(self, tmp_path):
-        target = tmp_path / "unused.py"
-        target.write_text(
-            '"""Docstring."""\n'
-            "# repro-lint: file-allow[TME001] nothing here reads the clock\n"
-            "value = 1\n",
-            encoding="utf-8",
-        )
-        findings = lint_paths([target])
-        assert [finding.rule for finding in findings] == ["SUP001"]
-        assert "did not fire in this file" in findings[0].message
 
 
 class TestStandaloneAllow:

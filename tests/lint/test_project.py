@@ -11,7 +11,6 @@ from repro.lint import LintConfig, ModuleSummary, analyze_paths, run_lint, summa
 from repro.lint.project import (
     ProjectAnalysis,
     module_name_for_path,
-    render_import_graph_dot,
     render_import_graph_json,
 )
 
@@ -101,14 +100,6 @@ class TestSummaries:
         assert [call.callee for call in method.calls] == ["helper"]
         assert "rng" in method.calls[0].keywords
 
-    def test_summary_round_trips_through_json(self):
-        summary = _summary(
-            "pkg.mod",
-            "import os\n\n\ndef run(jobs=None):\n    return os.cpu_count()\n",
-        )
-        rebuilt = ModuleSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
-        assert rebuilt == summary
-
 
 class TestImportGraph:
     def test_from_import_refined_to_project_submodule(self):
@@ -134,13 +125,6 @@ class TestImportGraph:
         walker = document["modules"]["repro.lint.walker"]
         assert "repro.lint.project" in walker["imports"]
         assert all(not m.startswith("repro.") for m in walker["external"])
-
-    def test_graph_dot_is_well_formed(self):
-        analysis = analyze_paths([SRC / "lint"], config=LintConfig())
-        dot = render_import_graph_dot(analysis)
-        assert dot.startswith("digraph imports {")
-        assert dot.rstrip().endswith("}")
-        assert '"repro.lint.walker" -> "repro.lint.project"' in dot
 
 
 class TestCallGraph:
@@ -190,15 +174,9 @@ class TestCallGraph:
 
 
 class TestPerformance:
-    def test_whole_program_pass_budget(self, tmp_path):
-        cache_dir = tmp_path / "cache"
+    def test_whole_program_pass_budget(self):
         started = time.perf_counter()
-        cold = run_lint([SRC], cache_dir=cache_dir)
+        cold = run_lint([SRC])
         cold_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = run_lint([SRC], cache_dir=cache_dir)
-        warm_elapsed = time.perf_counter() - started
-        assert cold.findings == [] and warm.findings == []
+        assert cold.findings == []
         assert cold_elapsed < 5.0, f"cold pass took {cold_elapsed:.2f}s"
-        assert warm_elapsed < 1.0, f"warm pass took {warm_elapsed:.2f}s"
-        assert warm.stats["cache_hits"] == warm.stats["files"]

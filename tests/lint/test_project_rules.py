@@ -85,11 +85,6 @@ class TestSeamThreading:
         assert "'telemetry'" in finding.message
         assert "miniseam.core.emit" in finding.message
 
-    def test_seam_set_is_configurable(self):
-        config = LintConfig(seams=("rng",))
-        # telemetry is no longer a tracked seam: the drop is invisible.
-        assert _findings("seam_drop/miniseam", config=config) == []
-
     def _one_file_findings(self, caller_body: str):
         sources = {
             "pkg.core": "def emit(values, *, telemetry=None):\n    return values\n",
