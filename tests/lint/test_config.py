@@ -125,3 +125,21 @@ class TestCliConfigFlags:
         code = main([str(target)], stdout=io.StringIO(), stderr=err)
         assert code == EXIT_USAGE
         assert "bogus" in err.getvalue()
+
+    @pytest.mark.parametrize("key", ["select", "exclude", "seams"])
+    def test_removed_config_key_exits_two(self, tmp_path, key):
+        _write_pyproject(tmp_path, f'[tool.repro-lint]\n{key} = ["RNG001"]\n')
+        target = self._violation(tmp_path)
+        err = io.StringIO()
+        code = main([str(target)], stdout=io.StringIO(), stderr=err)
+        assert code == EXIT_USAGE
+        assert key in err.getvalue()
+        assert "known: layers" in err.getvalue()
+
+
+class TestRepoConfig:
+    def test_repo_pyproject_declares_only_layers(self):
+        config = load_config(REPO_ROOT)
+        assert config.source == (REPO_ROOT / "pyproject.toml").as_posix()
+        assert config.layers["repro.lint"] == ()
+        assert all(isinstance(allowed, tuple) for allowed in config.layers.values())

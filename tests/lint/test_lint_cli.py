@@ -52,6 +52,22 @@ class TestExitCodes:
         assert main(["--format", "xml", str(FIXTURES)]) == EXIT_USAGE
         capsys.readouterr()  # swallow argparse's stderr output
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--format", "dot"], ["--cache"], ["--cache-dir", "lint-cache"]],
+        ids=["format-dot", "cache", "cache-dir"],
+    )
+    def test_removed_options_exit_two(self, capsys, flags):
+        assert main([*flags, str(FIXTURES / "tme001_clean.py")]) == EXIT_USAGE
+        assert flags[0] in capsys.readouterr().err
+
+    def test_help_lists_only_text_and_json_formats(self, capsys):
+        assert main(["--help"]) == EXIT_CLEAN
+        help_text = capsys.readouterr().out
+        assert "{text,json}" in help_text
+        assert "--cache" not in help_text
+        assert "dot" not in help_text
+
 
 class TestSelectionAndFormats:
     def test_rules_selection_comma_and_repeat(self):
@@ -66,6 +82,23 @@ class TestSelectionAndFormats:
         _, twice, _ = run_cli("--rules", "TME001,TME001", "--rules", "TME001", target)
         assert twice == once
         assert once.count("TME001 ") == 2
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--rules", " TME001 , TME001 "],
+            ["--rules", "TME001,RNG001,TME001"],
+            ["--rules", "RNG001", "--rules", "TME001,RNG001", "--rules", "TME001"],
+        ],
+        ids=["spaced", "interleaved", "across-flags"],
+    )
+    def test_repeated_ids_report_each_finding_once(self, selection):
+        target = str(FIXTURES / "tme001_violation.py")
+        code, out, _ = run_cli("--format", "json", *selection, target)
+        assert code == EXIT_FINDINGS
+        findings = parse_report(out)
+        assert [finding.rule for finding in findings] == ["TME001", "TME001"]
+        assert len(set(findings)) == 2
 
     def test_json_format_round_trips(self):
         code, out, _ = run_cli("--format", "json", str(FIXTURES / "tme001_violation.py"))

@@ -9,15 +9,22 @@ import pytest
 from repro.lint import (
     BUILTIN_PROJECT_RULE_IDS,
     BUILTIN_RULE_IDS,
+    FRAMEWORK_RULE_IDS,
+    SEVERITIES,
     LintError,
+    LintRule,
+    ProjectRule,
     available_rules,
     collect_files,
     collect_suppressions,
     get_rule,
     lint_paths,
 )
+from repro.lint.walker import resolve_rules
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+ALL_RULE_IDS = sorted(BUILTIN_RULE_IDS | BUILTIN_PROJECT_RULE_IDS)
 
 
 class TestRegistry:
@@ -30,6 +37,36 @@ class TestRegistry:
     def test_unknown_rule_lookup_names_available(self):
         with pytest.raises(KeyError, match="RNG001"):
             get_rule("NOPE999")
+
+    @pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
+    def test_rule_is_well_formed_under_its_own_id(self, rule_id):
+        rule = get_rule(rule_id)
+        assert rule.rule_id == rule_id
+        assert rule.summary
+        assert rule.severity in SEVERITIES
+        kind = ProjectRule if rule_id in BUILTIN_PROJECT_RULE_IDS else LintRule
+        assert isinstance(rule, kind)
+
+    @pytest.mark.parametrize("rule_id", FRAMEWORK_RULE_IDS)
+    def test_framework_ids_are_not_selectable(self, rule_id):
+        assert rule_id not in available_rules()
+        with pytest.raises(LintError, match=rule_id):
+            lint_paths([FIXTURES / "tme001_clean.py"], rules=[rule_id])
+
+
+class TestResolveRules:
+    def test_none_selects_every_rule_in_id_order(self):
+        assert [rule.rule_id for rule in resolve_rules(None)] == ALL_RULE_IDS
+
+    def test_repeated_ids_keep_first_seen_order(self):
+        selected = resolve_rules(["TME001", "RNG001", "TME001", "CTX001", "RNG001"])
+        assert [rule.rule_id for rule in selected] == ["TME001", "RNG001", "CTX001"]
+
+    def test_repeated_id_does_not_double_findings(self):
+        target = FIXTURES / "tme001_violation.py"
+        once = lint_paths([target], rules=["TME001"])
+        assert len(once) == 2
+        assert lint_paths([target], rules=["TME001", "TME001", "TME001"]) == once
 
 
 class TestSuppressions:
@@ -74,6 +111,34 @@ class TestSuppressions:
         )
         # TME001 not selected: its suppression cannot be judged, no SUP001.
         assert lint_paths([target], rules=["RNG001"]) == []
+
+    def test_empty_allow_body_reported_as_unknown(self, tmp_path):
+        target = tmp_path / "empty.py"
+        target.write_text("value = 1  # repro-lint: allow[] why\n", encoding="utf-8")
+        findings = lint_paths([target])
+        assert [(f.rule, f.line) for f in findings] == [("SUP001", 1)]
+        assert "'<empty>'" in findings[0].message
+
+    def test_only_the_unused_id_of_a_list_is_reported(self, tmp_path):
+        target = tmp_path / "partial.py"
+        target.write_text(
+            "import time\n"
+            "t = time.time()  # repro-lint: allow[TME001, ORD001] one applies\n",
+            encoding="utf-8",
+        )
+        findings = lint_paths([target])
+        assert [(f.rule, f.line) for f in findings] == [("SUP001", 2)]
+        assert "allow[ORD001]" in findings[0].message
+
+    def test_trailing_standalone_allow_is_reported_unused(self, tmp_path):
+        target = tmp_path / "trailing.py"
+        target.write_text(
+            "value = 1\n# repro-lint: allow[TME001] nothing follows\n",
+            encoding="utf-8",
+        )
+        findings = lint_paths([target])
+        assert [(f.rule, f.line) for f in findings] == [("SUP001", 2)]
+        assert "unused suppression" in findings[0].message
 
 
 class TestWalker:

@@ -126,6 +126,16 @@ class TestImportGraph:
         assert "repro.lint.project" in walker["imports"]
         assert all(not m.startswith("repro.") for m in walker["external"])
 
+    def test_graph_json_edges_are_closed_and_sorted(self):
+        analysis = analyze_paths([SRC / "lint"], config=LintConfig())
+        modules = json.loads(render_import_graph_json(analysis))["modules"]
+        for name, entry in modules.items():
+            assert set(entry["imports"]) <= set(modules), name
+            assert name not in entry["imports"], name
+            assert entry["imports"] == sorted(entry["imports"]), name
+            assert entry["external"] == sorted(entry["external"]), name
+            assert entry["path"].endswith(".py"), name
+
 
 class TestCallGraph:
     def test_resolves_cross_module_function(self):

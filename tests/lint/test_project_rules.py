@@ -10,6 +10,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.lint import (
     BUILTIN_PROJECT_RULE_IDS,
     LintConfig,
@@ -19,6 +21,7 @@ from repro.lint import (
     summarize_module,
 )
 from repro.lint.project import ProjectAnalysis
+from repro.lint.rules.seams import SEAMS
 
 PROJECTS = Path(__file__).resolve().parent / "fixtures" / "projects"
 
@@ -85,9 +88,9 @@ class TestSeamThreading:
         assert "'telemetry'" in finding.message
         assert "miniseam.core.emit" in finding.message
 
-    def _one_file_findings(self, caller_body: str):
+    def _one_file_findings(self, caller_body: str, *, seam: str = "telemetry"):
         sources = {
-            "pkg.core": "def emit(values, *, telemetry=None):\n    return values\n",
+            "pkg.core": f"def emit(values, *, {seam}=None):\n    return values\n",
             "pkg.driver": "from pkg.core import emit\n" + caller_body,
         }
         summaries = {
@@ -120,6 +123,22 @@ class TestSeamThreading:
     def test_caller_without_seam_is_ignored(self):
         findings = self._one_file_findings(
             "def run(values):\n    return emit(values)\n"
+        )
+        assert findings == []
+
+    @pytest.mark.parametrize("seam", SEAMS)
+    def test_every_tracked_seam_drop_is_flagged(self, seam):
+        findings = self._one_file_findings(
+            f"def run(values, *, {seam}=None):\n    return emit(values)\n",
+            seam=seam,
+        )
+        assert [(f.path, f.line) for f in findings] == [("pkg/driver.py", 3)]
+        assert f"accepts seam {seam!r}" in findings[0].message
+
+    def test_untracked_parameter_drop_is_not_a_seam(self):
+        assert "seed" not in SEAMS
+        findings = self._one_file_findings(
+            "def run(values, *, seed=None):\n    return emit(values)\n"
         )
         assert findings == []
 

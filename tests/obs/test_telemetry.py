@@ -7,6 +7,9 @@ import pickle
 import pytest
 
 from repro.diffusion.costs import CostReport, SampleSize, TraversalCost
+from repro.diffusion.random_source import RandomSource
+from repro.diffusion.reverse import sample_rr_set
+from repro.graphs.generators import path
 from repro.obs import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -148,6 +151,40 @@ class TestCostBridge:
             "sample.vertices": 7,
             "sample.edges": 3,
         }
+
+    def test_record_cost_accumulates_under_custom_keys(self):
+        tel = Telemetry()
+        tel.record_cost(CostReport(TraversalCost(2, 5), SampleSize()), traversal_key="rr")
+        tel.record_cost(
+            CostReport(TraversalCost(3, 1), SampleSize(4, 6)),
+            traversal_key="rr",
+            sample_key="pool",
+        )
+        assert tel.counters == {
+            "rr.vertices": 5,
+            "rr.edges": 6,
+            "sample.vertices": 0,
+            "sample.edges": 0,
+            "pool.vertices": 4,
+            "pool.edges": 6,
+        }
+
+    def test_record_cost_matches_a_real_kernel_ledger(self):
+        graph = path(6)
+        cost, size = TraversalCost(), SampleSize()
+        sample_rr_set(graph, RandomSource(5), cost=cost, sample_size=size)
+        assert cost.total > 0
+        tel = Telemetry()
+        tel.record_cost(CostReport(traversal=cost, sample_size=size))
+        assert tel.counters["traversal.vertices"] == cost.vertices
+        assert tel.counters["traversal.edges"] == cost.edges
+        assert tel.counters["sample.vertices"] == size.vertices
+        assert tel.counters["sample.edges"] == size.edges
+
+    def test_null_telemetry_ignores_record_cost(self):
+        tel = NullTelemetry()
+        tel.record_cost(CostReport(TraversalCost(1, 1), SampleSize()), traversal_key="rr")
+        assert tel.counters == {}
 
 
 class TestSnapshotMerge:
