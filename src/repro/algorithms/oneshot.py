@@ -42,8 +42,8 @@ class OneshotEstimator(InfluenceEstimator):
     batch_mode:
         ``"bitparallel"`` runs each Estimate's simulations 64 worlds per
         machine word (opt-in fast path with its own draw-order contract —
-        see :mod:`repro.diffusion.bitparallel`); the default ``None`` defers
-        to the ``REPRO_BITPARALLEL`` environment variable, then ``"scalar"``.
+        see :mod:`repro.diffusion.bitparallel`); the default ``None`` means
+        ``"scalar"``.
     """
 
     approach = "oneshot"

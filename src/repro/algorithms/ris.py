@@ -58,8 +58,6 @@ class RISEstimator(InfluenceEstimator):
         self._executor = executor
         from ..diffusion.bitparallel import resolve_batch_mode
 
-        # Resolved eagerly so a REPRO_BITPARALLEL change between construction
-        # and build cannot split one estimator across two draw contracts.
         self._batch_mode = resolve_batch_mode(batch_mode)
 
     @property

@@ -297,8 +297,7 @@ class EstimatorSpec(_SpecBase):
     ``batch_mode`` opts the approaches with a bit-parallel fast path
     (Oneshot, RIS) into the 64-worlds-per-word kernels
     (:mod:`repro.diffusion.bitparallel`); ``None`` (the default) defers to
-    ``context.batch_mode`` and then the ``REPRO_BITPARALLEL`` environment
-    variable, keeping the golden scalar stream.
+    ``context.batch_mode`` and then the golden scalar stream.
     """
 
     approach: str = "ris"

@@ -115,8 +115,7 @@ def _add_batch_mode_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "simulation batching: 'scalar' is the golden per-simulation "
             "stream (default), 'bitparallel' packs 64 simulated worlds per "
-            "machine word (faster, different draw-order contract); omitting "
-            "the flag defers to the REPRO_BITPARALLEL environment variable"
+            "machine word (faster, different draw-order contract)"
         ),
     )
 

@@ -90,8 +90,7 @@ class RunContext:
         Simulation batching strategy (the CLI's ``--batch-mode``):
         ``"scalar"`` for the golden per-simulation kernels, ``"bitparallel"``
         for the opt-in 64-worlds-per-word fast path (different draw-order
-        contract; see :mod:`repro.diffusion.bitparallel`).  ``None`` defers
-        to the ``REPRO_BITPARALLEL`` environment variable and then to
+        contract; see :mod:`repro.diffusion.bitparallel`).  ``None`` means
         ``"scalar"``.
     """
 

@@ -32,7 +32,7 @@ distribution), but the two paths consume the PRNG differently: scalar
 kernels flip coins lazily for *examined* edges only, while bit-parallel
 words pre-sample every edge of the graph per world.  The scalar path stays
 the default for reproduction runs; this fast path is opt-in via
-``batch_mode="bitparallel"`` or the :data:`ENV_VAR` environment variable.
+``batch_mode="bitparallel"``.
 
 Portability: per-word population counts use :func:`numpy.bitwise_count`
 where available (numpy >= 2.0) and fall back to a 16-bit lookup table on the
@@ -41,8 +41,6 @@ against each other.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -66,9 +64,6 @@ BITPARALLEL = "bitparallel"
 #: Accepted ``batch_mode`` values, in precedence order of the docs.
 BATCH_MODES: tuple[str, ...] = (SCALAR, BITPARALLEL)
 
-#: Environment variable consulted when ``batch_mode`` is left unset.
-ENV_VAR = "REPRO_BITPARALLEL"
-
 #: True when this numpy ships the native ``bitwise_count`` ufunc (>= 2.0).
 HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -86,25 +81,20 @@ def require_batch_mode(value: str) -> str:
 
 
 def resolve_batch_mode(batch_mode: str | None) -> str:
-    """Normalise a ``batch_mode`` argument against the environment.
+    """Normalise a ``batch_mode`` argument: ``None`` means the scalar default."""
+    return SCALAR if batch_mode is None else require_batch_mode(batch_mode)
 
-    An explicit value wins; ``None`` consults :data:`ENV_VAR` (truthy values
-    ``1/true/yes/on/bitparallel`` opt into the fast path, falsy values and an
-    unset variable keep the golden scalar default).  Resolution happens at
-    the sampling seams, so flipping the environment variable switches every
-    batched entry point without touching call sites.
+
+def record_counters(telemetry, count: int) -> None:
+    """Record the deterministic bit-parallel counters for ``count`` lanes.
+
+    Incremented at the dispatch seam — before any serial-vs-chunked split —
+    so ``bitparallel.words`` / ``bitparallel.lanes_used`` are identical for
+    every ``jobs`` value, per the deterministic-counter naming convention.
     """
-    if batch_mode is not None:
-        return require_batch_mode(batch_mode)
-    env = os.environ.get(ENV_VAR, "").strip().lower()
-    if env in ("1", "true", "yes", "on", BITPARALLEL):
-        return BITPARALLEL
-    if env in ("", "0", "false", "no", "off", SCALAR):
-        return SCALAR
-    raise InvalidParameterError(
-        f"unrecognised {ENV_VAR} value {env!r}; expected a boolean-like value "
-        f"or one of: {', '.join(BATCH_MODES)}"
-    )
+    if telemetry is not None and telemetry.enabled:
+        telemetry.incr("bitparallel.words", len(word_spans(count)))
+        telemetry.incr("bitparallel.lanes_used", count)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,9 +19,12 @@ model-specific sampling primitives are swappable.
 All primitives return the *shared* result types (:class:`CascadeResult`,
 :class:`Snapshot`, :class:`RRSet`), so downstream consumers — reachability,
 ``RRSetCollection``, the estimators, the oracle — are model-agnostic.  The
-plural samplers (:meth:`DiffusionModel.sample_rr_sets`,
-:meth:`DiffusionModel.sample_snapshots`) integrate with :mod:`repro.runtime`
-under the same split-stream contract as the IC-specific entry points: task
+plural samplers (:meth:`DiffusionModel.simulate_cascades`,
+:meth:`~DiffusionModel.simulate_spread`, :meth:`~DiffusionModel.sample_rr_sets`,
+:meth:`~DiffusionModel.sample_snapshots`) are the only place that dispatches
+on ``batch_mode`` and ``jobs``/``executor``; models override only the scalar
+kernel hooks, and the module-level IC functions of the same names are
+one-call shorthands for :data:`INDEPENDENT_CASCADE`.  Under ``jobs`` task
 ``i`` draws from a child stream of ``(rng, i)``, so any ``jobs`` value is
 bit-identical.
 
@@ -35,6 +38,7 @@ for the architectural rationale.
 from __future__ import annotations
 
 import abc
+from functools import partial
 
 import numpy as np
 
@@ -59,16 +63,10 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
     return rng.generator if isinstance(rng, RandomSource) else rng
 
 
-def _record_bitparallel(telemetry, count: int) -> None:
-    """Record the deterministic bit-parallel counters for ``count`` lanes.
-
-    Incremented at the dispatch seam — before any serial-vs-chunked split —
-    so ``bitparallel.words`` / ``bitparallel.lanes_used`` are identical for
-    every ``jobs`` value, per the deterministic-counter naming convention.
-    """
-    if telemetry is not None and telemetry.enabled:
-        telemetry.incr("bitparallel.words", len(_bp.word_spans(count)))
-        telemetry.incr("bitparallel.lanes_used", count)
+def _sources(count: int, rng, streams):
+    """Validate the ``rng``/``streams`` contract; one source per task, in order."""
+    require_rng_or_streams(count, rng, streams)
+    return [rng] * count if streams is None else streams
 
 
 class DiffusionModel(abc.ABC):
@@ -175,7 +173,40 @@ class DiffusionModel(abc.ABC):
         require_rng_or_streams(count, rng, None)
 
     # ------------------------------------------------------------------ #
-    # plural conveniences (shared implementations, runtime-integrated)
+    # scalar kernel hooks (models with a batched kernel override these)
+    # ------------------------------------------------------------------ #
+    def _scalar_cascades(
+        self, graph: InfluenceGraph, seeds, sources, *, cost: TraversalCost | None = None
+    ) -> list[CascadeResult]:
+        """Scalar kernel hook: one forward cascade per entry of ``sources``.
+
+        ``sources`` holds one random source per cascade, in order (one object
+        repeated for a single shared stream).  The default loops over
+        :meth:`simulate_cascade`; IC overrides it with a batched kernel that
+        amortizes per-call overhead without changing a single draw.
+        """
+        return [self.simulate_cascade(graph, seeds, source, cost=cost) for source in sources]
+
+    def _scalar_rr_sets(
+        self,
+        graph: InfluenceGraph,
+        sources,
+        *,
+        cost: TraversalCost | None = None,
+        sample_size: SampleSize | None = None,
+    ) -> list[RRSet]:
+        """Scalar kernel hook: one RR set per entry of ``sources``.
+
+        Same contract as :meth:`_scalar_cascades`; IC overrides it with a
+        batched kernel that reuses scratch buffers across the whole batch.
+        """
+        return [
+            self.sample_rr_set(graph, source, cost=cost, sample_size=sample_size)
+            for source in sources
+        ]
+
+    # ------------------------------------------------------------------ #
+    # plural samplers: the one batch_mode and jobs/executor dispatch
     # ------------------------------------------------------------------ #
     def simulate_cascades(
         self,
@@ -193,15 +224,11 @@ class DiffusionModel(abc.ABC):
         Pass either ``rng`` (all cascades draw sequentially from one stream —
         byte-identical to ``count`` :meth:`simulate_cascade` calls) or
         ``streams`` (one independent source per cascade, the form the
-        parallel runtime's chunk workers use).  The default implementation
-        loops; models with a batched kernel (IC) override it to amortize
-        per-call overhead without changing a single draw.
+        parallel runtime's chunk workers use).
 
-        ``batch_mode="bitparallel"`` (or the ``REPRO_BITPARALLEL``
-        environment variable with the default ``None``) opts into the
-        64-worlds-per-word kernel: same cascade distribution and costs,
-        different draw-order contract (see
-        :mod:`repro.diffusion.bitparallel`), results listing activated
+        ``batch_mode="bitparallel"`` opts into the 64-worlds-per-word kernel:
+        same cascade distribution and costs, different draw-order contract
+        (see :mod:`repro.diffusion.bitparallel`), results listing activated
         vertices in ascending id rather than activation order.
         """
         if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
@@ -211,14 +238,12 @@ class DiffusionModel(abc.ABC):
                 seeds,
                 count,
                 _as_generator(rng),
-                lambda lanes, generator: self.forward_live_words(graph, lanes, generator),
+                partial(self.forward_live_words, graph),
                 cost=cost,
             )
-        require_rng_or_streams(count, rng, streams)
-        sources = [rng] * count if streams is None else streams
-        return [
-            self.simulate_cascade(graph, seeds, source, cost=cost) for source in sources
-        ]
+        return self._scalar_cascades(
+            graph, seeds, _sources(count, rng, streams), cost=cost
+        )
 
     def simulate_spread(
         self,
@@ -243,11 +268,13 @@ class DiffusionModel(abc.ABC):
                 seeds,
                 num_simulations,
                 _as_generator(rng),
-                lambda lanes, generator: self.forward_live_words(graph, lanes, generator),
+                partial(self.forward_live_words, graph),
                 cost=cost,
             )
             return float(counts.sum()) / num_simulations
-        results = self.simulate_cascades(graph, seeds, num_simulations, rng, cost=cost)
+        results = self._scalar_cascades(
+            graph, seeds, _sources(num_simulations, rng, None), cost=cost
+        )
         return sum(result.num_activated for result in results) / num_simulations
 
     def sample_snapshots(
@@ -263,8 +290,7 @@ class DiffusionModel(abc.ABC):
     ) -> list[Snapshot]:
         """Draw ``count`` independent snapshots.
 
-        Same contract as :func:`repro.diffusion.snapshots.sample_snapshots`:
-        the default is the historical sequential single-stream draw, while
+        The default is the historical sequential single-stream draw, while
         ``jobs``/``executor`` opts into the runtime's split-stream seeding
         (snapshot ``i`` from a child stream of ``(rng, i)``; bit-identical
         for any worker count).  ``telemetry`` (optional) records a
@@ -312,15 +338,16 @@ class DiffusionModel(abc.ABC):
     ) -> list[RRSet]:
         """Generate ``count`` independent RR sets.
 
-        Same contract as :func:`repro.diffusion.reverse.sample_rr_sets`
-        (sequential single stream by default, split-stream with
-        ``jobs``/``executor``); cost accumulators are merged in chunk order,
-        keeping totals exact.  ``streams`` (one source per set, mutually
-        exclusive with ``jobs``/``executor``) is the runtime chunk workers'
-        form: set ``i`` draws only from ``streams[i]``, letting batched
-        kernels reuse scratch buffers across a whole chunk.  ``telemetry``
-        (optional) records an ``rr.sets`` counter and the runtime dispatch
-        metrics.
+        With ``jobs=None`` and ``executor=None`` (the default), all sets are
+        drawn sequentially from ``rng``'s single stream.  Passing ``jobs`` or
+        an executor switches to the runtime's split-stream contract: set
+        ``i`` is drawn from a child stream of ``(rng, i)``, so the collection
+        is bit-identical for any worker count (``rng`` must then be an
+        ``int``, ``SeedSequence``, or ``RandomSource``); cost accumulators
+        are merged in chunk order, keeping totals exact.  ``streams`` (one
+        source per set, mutually exclusive with ``jobs``/``executor``) draws
+        set ``i`` only from ``streams[i]``.  ``telemetry`` (optional) records
+        an ``rr.sets`` counter and the runtime dispatch metrics.
 
         ``batch_mode="bitparallel"`` generates the sets 64 worlds per word
         (own draw-order contract, see :mod:`repro.diffusion.bitparallel`);
@@ -332,68 +359,48 @@ class DiffusionModel(abc.ABC):
             raise InvalidParameterError(
                 "streams is mutually exclusive with jobs/executor"
             )
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
+        bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
+        if bitparallel:
             self._require_bitparallel_rng(count, rng, streams)
-            if telemetry is not None and telemetry.enabled:
-                telemetry.incr("rr.sets", count)
-            _record_bitparallel(telemetry, count)
-            if jobs is None and executor is None:
-                from ..obs import as_telemetry
-
-                with as_telemetry(telemetry).span("bitparallel.kernel"):
-                    return _bp.batched_rr_sets(
-                        graph,
-                        count,
-                        _as_generator(rng),
-                        lambda lanes, generator: self.reverse_live_words(
-                            graph, lanes, generator
-                        ),
-                        cost=cost,
-                        sample_size=sample_size,
-                    )
-
-            from ..runtime.engine import run_seeded_tasks
-
-            rr_sets: list[RRSet] = []
-            for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
-                _model_rr_word_chunk_worker,
-                len(_bp.word_spans(count)),
-                rng,
-                jobs=jobs,
-                executor=executor,
-                payload=(self, graph, count),
-                telemetry=telemetry,
-            ):
-                rr_sets.extend(chunk_sets)
-                if cost is not None:
-                    cost.merge(chunk_cost)
-                if sample_size is not None:
-                    sample_size.merge(chunk_size)
-            return rr_sets
-        require_rng_or_streams(count, rng, streams)
+        else:
+            sources = _sources(count, rng, streams)
         if telemetry is not None and telemetry.enabled:
             telemetry.incr("rr.sets", count)
-        if streams is not None:
-            return [
-                self.sample_rr_set(graph, source, cost=cost, sample_size=sample_size)
-                for source in streams
-            ]
+        if bitparallel:
+            _bp.record_counters(telemetry, count)
         if jobs is None and executor is None:
-            return [
-                self.sample_rr_set(graph, rng, cost=cost, sample_size=sample_size)
-                for _ in range(count)
-            ]
+            if not bitparallel:
+                return self._scalar_rr_sets(
+                    graph, sources, cost=cost, sample_size=sample_size
+                )
+            from ..obs import as_telemetry
+
+            with as_telemetry(telemetry).span("bitparallel.kernel"):
+                return _bp.batched_rr_sets(
+                    graph,
+                    count,
+                    _as_generator(rng),
+                    partial(self.reverse_live_words, graph),
+                    cost=cost,
+                    sample_size=sample_size,
+                )
 
         from ..runtime.engine import run_seeded_tasks
 
+        if bitparallel:
+            worker = _model_rr_word_chunk_worker
+            task_count = len(_bp.word_spans(count))
+            payload = (self, graph, count)
+        else:
+            worker, task_count, payload = _model_rr_chunk_worker, count, (self, graph)
         rr_sets: list[RRSet] = []
         for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
-            _model_rr_chunk_worker,
-            count,
+            worker,
+            task_count,
             rng,
             jobs=jobs,
             executor=executor,
-            payload=(self, graph),
+            payload=payload,
             telemetry=telemetry,
         ):
             rr_sets.extend(chunk_sets)
@@ -432,8 +439,8 @@ def _model_rr_chunk_worker(
 ) -> tuple[list[RRSet], TraversalCost, SampleSize]:
     """Sample model RR sets for task indices ``start..stop-1`` (one per index).
 
-    Each index derives its own child stream; the streams form of
-    :meth:`DiffusionModel.sample_rr_sets` lets batched kernels (IC) reuse
+    Each index derives its own child stream; the scalar hook
+    :meth:`DiffusionModel._scalar_rr_sets` lets batched kernels (IC) reuse
     scratch buffers across the whole chunk instead of allocating two
     O(num_vertices) arrays per RR set.
     """
@@ -442,13 +449,11 @@ def _model_rr_chunk_worker(
     model, graph = payload
     chunk_cost = TraversalCost()
     chunk_size = SampleSize()
-    rr_sets = model.sample_rr_sets(
+    rr_sets = model._scalar_rr_sets(
         graph,
-        stop - start,
+        [child_generator(root_key, index) for index in range(start, stop)],
         cost=chunk_cost,
         sample_size=chunk_size,
-        streams=[child_generator(root_key, index) for index in range(start, stop)],
-        batch_mode=_bp.SCALAR,
     )
     return rr_sets, chunk_cost, chunk_size
 
@@ -480,7 +485,7 @@ def _model_rr_word_chunk_worker(
                 graph,
                 lanes,
                 child_generator(root_key, word_index),
-                lambda n, generator: model.reverse_live_words(graph, n, generator),
+                partial(model.reverse_live_words, graph),
                 cost=chunk_cost,
                 sample_size=chunk_size,
             )
@@ -502,20 +507,14 @@ class IndependentCascade(DiffusionModel):
     def simulate_cascade(self, graph, seeds, rng, *, cost=None):
         return _ic_cascade.simulate_cascade(graph, seeds, rng, cost=cost)
 
-    def simulate_cascades(
-        self, graph, seeds, count, rng=None, *, cost=None, streams=None, batch_mode=None
-    ):
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            return super().simulate_cascades(
-                graph, seeds, count, rng, cost=cost, streams=streams,
-                batch_mode=_bp.BITPARALLEL,
-            )
-        # Batched kernel entry: identical draws, amortized per-call overhead
+    def _scalar_cascades(self, graph, seeds, sources, *, cost=None):
+        # Batched kernel: identical draws, amortized per-call overhead
         # (one seed normalization, one CSR unpack, reused scratch buffers).
-        # repro-lint: allow[CTX001] batch_mode was consumed by the dispatch
-        # above; this branch is the already-resolved sequential path.
-        return _ic_cascade.simulate_cascades(
-            graph, seeds, count, rng, cost=cost, streams=streams
+        return _ic_cascade._simulate_cascades_batch(graph, seeds, sources, cost=cost)
+
+    def _scalar_rr_sets(self, graph, sources, *, cost=None, sample_size=None):
+        return _ic_reverse._sample_rr_sets_batch(
+            graph, sources, cost=cost, sample_size=sample_size
         )
 
     def forward_live_words(self, graph, num_lanes, generator):
@@ -532,46 +531,6 @@ class IndependentCascade(DiffusionModel):
     def sample_rr_set(self, graph, rng, *, target=None, cost=None, sample_size=None):
         return _ic_reverse.sample_rr_set(
             graph, rng, target=target, cost=cost, sample_size=sample_size
-        )
-
-    def sample_rr_sets(
-        self,
-        graph,
-        count,
-        rng=None,
-        *,
-        cost=None,
-        sample_size=None,
-        jobs=None,
-        executor=None,
-        streams=None,
-        telemetry=None,
-        batch_mode=None,
-    ):
-        if (
-            jobs is None
-            and executor is None
-            and _bp.resolve_batch_mode(batch_mode) == _bp.SCALAR
-        ):
-            # Batched kernel (single stream or one stream per set):
-            # byte-identical to the base class's per-set loop, with buffer
-            # reuse across the whole batch.
-            if telemetry is not None and telemetry.enabled:
-                telemetry.incr("rr.sets", count)
-            return _ic_reverse._sample_rr_sets_batch(
-                graph, count, rng, cost=cost, sample_size=sample_size, streams=streams
-            )
-        return super().sample_rr_sets(
-            graph,
-            count,
-            rng,
-            cost=cost,
-            sample_size=sample_size,
-            jobs=jobs,
-            executor=executor,
-            streams=streams,
-            telemetry=telemetry,
-            batch_mode=batch_mode,
         )
 
     def exact_spread(self, graph, seeds):

@@ -23,10 +23,11 @@ of vertices) is what RIS stores, so sample size accumulates vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .._validation import require_positive_int, require_rng_or_streams, require_vertex
+from .._validation import require_vertex
 from ..graphs.influence_graph import InfluenceGraph
 from .costs import SampleSize, TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
@@ -183,18 +184,6 @@ def sample_rr_sets(
     :meth:`repro.diffusion.models.DiffusionModel.sample_rr_sets` — and this
     function is the IC shorthand for it.
     """
-    require_positive_int(count, "count")
-    from .bitparallel import SCALAR, resolve_batch_mode
-
-    if (
-        jobs is None
-        and executor is None
-        and resolve_batch_mode(batch_mode) == SCALAR
-    ):
-        if telemetry is not None and telemetry.enabled:
-            telemetry.incr("rr.sets", count)
-        return _sample_rr_sets_batch(graph, count, rng, cost=cost, sample_size=sample_size)
-
     from .models import INDEPENDENT_CASCADE
 
     return INDEPENDENT_CASCADE.sample_rr_sets(
@@ -212,40 +201,29 @@ def sample_rr_sets(
 
 def _sample_rr_sets_batch(
     graph: InfluenceGraph,
-    count: int,
-    rng: RandomSource | np.random.Generator | None = None,
+    sources: Sequence[RandomSource | np.random.Generator],
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
-    streams=None,
 ) -> list[RRSet]:
-    """Batched RR-set generation with reused scratch buffers.
+    """Batched RR-set generation, one set per source, with reused scratch buffers.
 
-    With ``rng``, byte-identical to ``count`` :func:`sample_rr_set` calls on
-    the same stream; with ``streams`` (one source per set — the runtime chunk
-    workers' form), byte-identical to one :func:`sample_rr_set` call per
-    source.  Either way the batch amortizes per-call overhead: one CSR
-    unpack, and shared visited/scratch arrays — the visited array is never
-    cleared, each RR set marks it with a fresh stamp value.
+    Byte-identical to one :func:`sample_rr_set` call per source (one shared
+    stream repeated, or one stream per set — the runtime chunk workers'
+    form).  The batch amortizes per-call overhead: one CSR unpack, and
+    shared visited/scratch arrays — the visited array is never cleared, each
+    RR set marks it with a fresh stamp value.
     """
-    require_rng_or_streams(count, rng, streams)
     if graph.num_vertices == 0:
         raise ValueError("cannot sample an RR set from an empty graph")
-    if streams is None:
-        generator = rng.generator if isinstance(rng, RandomSource) else rng
-        generators = (generator for _ in range(count))
-    else:
-        generators = (
-            source.generator if isinstance(source, RandomSource) else source
-            for source in streams
-        )
     in_csr = graph.in_csr
     num_vertices = graph.num_vertices
     visited_stamp = np.zeros(num_vertices, dtype=np.int64)
     slot = np.empty(num_vertices, dtype=np.int64)
     rr_sets: list[RRSet] = []
     total_size = 0
-    for stamp, generator in enumerate(generators, start=1):
+    for stamp, source in enumerate(sources, start=1):
+        generator = source.generator if isinstance(source, RandomSource) else source
         chosen_target = int(generator.integers(num_vertices))
         rr_set = _rr_kernel(in_csr, chosen_target, generator, visited_stamp, stamp, slot, cost)
         total_size += rr_set.size

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .._validation import normalize_seed_set, require_positive_int
+from .._validation import normalize_seed_set
 from ..graphs.influence_graph import InfluenceGraph
 from .costs import SampleSize, TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
@@ -129,12 +129,6 @@ def sample_snapshots(
     :meth:`repro.diffusion.models.DiffusionModel.sample_snapshots` — and
     this function is the IC shorthand for it.
     """
-    require_positive_int(count, "count")
-    if jobs is None and executor is None:
-        if telemetry is not None and telemetry.enabled:
-            telemetry.incr("snapshot.samples", count)
-        return [sample_snapshot(graph, rng, sample_size=sample_size) for _ in range(count)]
-
     from .models import INDEPENDENT_CASCADE
 
     return INDEPENDENT_CASCADE.sample_snapshots(

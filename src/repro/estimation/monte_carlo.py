@@ -73,10 +73,7 @@ def _cascade_chunk_worker(
     """Activation totals for simulation indices ``start..stop-1``.
 
     Returns integer ``(sum, sum of squares)`` so the parent-side reduction is
-    exact regardless of chunk boundaries.  ``batch_mode`` is pinned to
-    ``"scalar"``: the scalar split-stream contract is per *simulation*, and a
-    ``REPRO_BITPARALLEL`` environment variable leaking into worker processes
-    must not change it (the bit-parallel path has its own word worker below).
+    exact regardless of chunk boundaries.
     """
     from ..runtime.seeding import child_generator
 
@@ -86,7 +83,6 @@ def _cascade_chunk_worker(
         seed_set,
         stop - start,
         streams=[child_generator(root_key, index) for index in range(start, stop)],
-        batch_mode="scalar",
     )
     total = 0
     total_squared = 0
@@ -165,6 +161,7 @@ def monte_carlo_spread(
     from ..diffusion.bitparallel import (
         BITPARALLEL,
         batched_cascade_counts,
+        record_counters,
         resolve_batch_mode,
         word_spans,
     )
@@ -175,11 +172,8 @@ def monte_carlo_spread(
     diffusion.validate(graph)
     bitparallel = resolve_batch_mode(batch_mode) == BITPARALLEL
     tel.incr("mc.simulations", num_simulations)
-    if bitparallel and tel.enabled:
-        # Recorded at the dispatch seam, before the serial-vs-chunked split,
-        # so these counters are deterministic across every jobs value.
-        tel.incr("bitparallel.words", len(word_spans(num_simulations)))
-        tel.incr("bitparallel.lanes_used", num_simulations)
+    if bitparallel:
+        record_counters(tel, num_simulations)
     with tel.span("mc.spread"):
         if jobs is None and executor is None:
             source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
@@ -202,11 +196,9 @@ def monte_carlo_spread(
             else:
                 # One batched call (identical stream consumption to the
                 # historical per-simulation loop; the batch only amortizes
-                # per-call overhead).  batch_mode is pinned so an explicit
-                # "scalar" request beats a set REPRO_BITPARALLEL variable.
+                # per-call overhead).
                 for result in diffusion.simulate_cascades(
-                    graph, seed_set, num_simulations, source.generator,
-                    batch_mode="scalar",
+                    graph, seed_set, num_simulations, source.generator
                 ):
                     total += result.num_activated
                     total_squared += result.num_activated * result.num_activated

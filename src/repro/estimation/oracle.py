@@ -73,7 +73,7 @@ class RRPoolOracle:
         ``"bitparallel"`` generates the pool 64 worlds per machine word (the
         opt-in fast path with its own draw-order contract — a *different*
         pool than the scalar stream, but the same RR-set distribution); the
-        default defers to ``REPRO_BITPARALLEL`` and then ``"scalar"``.
+        default ``None`` means ``"scalar"``.
 
     Notes
     -----

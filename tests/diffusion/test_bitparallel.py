@@ -12,9 +12,10 @@ Four layers of protection:
   *different* from the scalar stream, so on probabilistic graphs we check
   distribution, not bytes: the bit-parallel Monte Carlo mean must fall
   inside a generous confidence interval of the scalar estimate.
-* **Seam behaviour** — ``batch_mode`` resolution (explicit > env > scalar),
-  the split-stream jobs contract (any worker count bit-identical), stream
-  injection rejection, and spec/context validation.
+* **Seam behaviour** — ``batch_mode`` resolution (explicit, else scalar;
+  the environment is never consulted), the split-stream jobs contract (any
+  worker count bit-identical), stream injection rejection, and spec/context
+  validation.
 """
 
 from __future__ import annotations
@@ -141,35 +142,89 @@ class TestBatchModeResolution:
         with pytest.raises(InvalidParameterError):
             bp.require_batch_mode("vectorized")
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "1")
-        assert bp.resolve_batch_mode("scalar") == "scalar"
-        monkeypatch.setenv(bp.ENV_VAR, "0")
-        assert bp.resolve_batch_mode("bitparallel") == "bitparallel"
-
-    @pytest.mark.parametrize("value", ["1", "true", "YES", "on", "bitparallel"])
-    def test_env_truthy(self, monkeypatch, value):
-        monkeypatch.setenv(bp.ENV_VAR, value)
-        assert bp.resolve_batch_mode(None) == "bitparallel"
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "No", "off", "scalar"])
-    def test_env_falsy(self, monkeypatch, value):
-        monkeypatch.setenv(bp.ENV_VAR, value)
+    def test_default_is_scalar(self):
         assert bp.resolve_batch_mode(None) == "scalar"
 
-    def test_env_invalid_raises(self, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "fast")
-        with pytest.raises(InvalidParameterError, match="REPRO_BITPARALLEL"):
-            bp.resolve_batch_mode(None)
 
-    def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv(bp.ENV_VAR, raising=False)
-        assert bp.resolve_batch_mode(None) == "scalar"
+class TestEnvironmentIgnored:
+    """A ``REPRO_BITPARALLEL`` variable in the environment changes no result.
 
-    def test_env_opt_in_reaches_kernels(self, karate_certain, monkeypatch):
-        monkeypatch.setenv(bp.ENV_VAR, "1")
-        spread = simulate_spread(karate_certain, (0,), 3, np.random.default_rng(0))
-        assert spread == float(karate_certain.num_vertices)
+    Each case runs the same call with the variable unset and set to ``1``;
+    only an explicit ``batch_mode`` may select the bit-parallel engine.
+    """
+
+    ENV = "REPRO_BITPARALLEL"
+
+    @pytest.fixture(scope="class")
+    def karate_uc(self, karate):
+        return assign_probabilities(karate, "uc0.1")
+
+    def _assert_env_ignored(self, monkeypatch, call):
+        monkeypatch.delenv(self.ENV, raising=False)
+        plain = call()
+        monkeypatch.setenv(self.ENV, "1")
+        assert call() == plain
+
+    @staticmethod
+    def _mode(batch_mode):
+        return {} if batch_mode is None else {"batch_mode": batch_mode}
+
+    @pytest.mark.parametrize("batch_mode", [None, "scalar"])
+    @pytest.mark.parametrize("model", [INDEPENDENT_CASCADE, LINEAR_THRESHOLD])
+    def test_model_simulate_spread(self, monkeypatch, karate_uc, karate_iwc, model, batch_mode):
+        graph = karate_uc if model is INDEPENDENT_CASCADE else karate_iwc
+        self._assert_env_ignored(monkeypatch, lambda: model.simulate_spread(
+            graph, (0, 33), 70, np.random.default_rng(1), **self._mode(batch_mode)
+        ))
+
+    @pytest.mark.parametrize("batch_mode", [None, "scalar"])
+    @pytest.mark.parametrize("model", [INDEPENDENT_CASCADE, LINEAR_THRESHOLD])
+    def test_model_simulate_cascades(self, monkeypatch, karate_uc, karate_iwc, model, batch_mode):
+        graph = karate_uc if model is INDEPENDENT_CASCADE else karate_iwc
+        self._assert_env_ignored(monkeypatch, lambda: model.simulate_cascades(
+            graph, (0, 33), 70, np.random.default_rng(1), **self._mode(batch_mode)
+        ))
+
+    @pytest.mark.parametrize("batch_mode", [None, "scalar"])
+    def test_public_samplers(self, monkeypatch, karate_uc, batch_mode):
+        import repro
+
+        mode = self._mode(batch_mode)
+        self._assert_env_ignored(monkeypatch, lambda: repro.simulate_spread(
+            karate_uc, (0, 33), 70, np.random.default_rng(1), **mode
+        ))
+        self._assert_env_ignored(monkeypatch, lambda: repro.simulate_cascades(
+            karate_uc, (0, 33), 70, np.random.default_rng(1), **mode
+        ))
+        self._assert_env_ignored(monkeypatch, lambda: repro.sample_rr_sets(
+            karate_uc, 150, np.random.default_rng(2), **mode
+        ))
+
+    @pytest.mark.parametrize("batch_mode", [None, "scalar"])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_monte_carlo_spread(self, monkeypatch, karate_uc, jobs, batch_mode):
+        self._assert_env_ignored(monkeypatch, lambda: monte_carlo_spread(
+            karate_uc, (0, 33), 130, seed=3, jobs=jobs, **self._mode(batch_mode)
+        ))
+
+    def test_rr_pool_oracle(self, monkeypatch, karate_uc):
+        from repro.estimation.oracle import RRPoolOracle
+
+        self._assert_env_ignored(monkeypatch, lambda: RRPoolOracle(
+            karate_uc, 500, seed=4
+        ).single_vertex_spreads().tolist())
+
+    @pytest.mark.parametrize("approach", ["oneshot", "ris"])
+    def test_greedy_maximize(self, monkeypatch, karate_uc, approach):
+        from repro.algorithms import OneshotEstimator, RISEstimator, greedy_maximize
+
+        estimator_type = OneshotEstimator if approach == "oneshot" else RISEstimator
+
+        def run():
+            result = greedy_maximize(karate_uc, 2, estimator_type(64), seed=0)
+            return result.seeds, result.estimates
+
+        self._assert_env_ignored(monkeypatch, run)
 
 
 # --------------------------------------------------------------------------- #

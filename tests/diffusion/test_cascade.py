@@ -109,6 +109,11 @@ class TestStochasticBehaviour:
     def test_invalid_simulation_count(self, star_graph):
         with pytest.raises(InvalidParameterError):
             simulate_spread(star_graph, (0,), 0, RandomSource(0))
+        # The bit-parallel path validates up front too, naming the bad value.
+        with pytest.raises(InvalidParameterError, match="-3"):
+            simulate_spread(star_graph, (0,), -3, RandomSource(0), batch_mode="bitparallel")
+        with pytest.raises(InvalidParameterError, match="rng"):
+            simulate_spread(star_graph, (0,), 4, None, batch_mode="bitparallel")
 
     def test_monotone_in_seed_set_on_average(self, karate_uc01):
         small = simulate_spread(karate_uc01, (0,), 600, RandomSource(1))
