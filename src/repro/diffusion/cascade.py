@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -171,7 +171,7 @@ def simulate_cascades(
 def _simulate_cascades_batch(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
-    sources: Sequence[RandomSource | np.random.Generator],
+    sources: Iterable[RandomSource | np.random.Generator],
     *,
     cost: TraversalCost | None = None,
 ) -> list[CascadeResult]:

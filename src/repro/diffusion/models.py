@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import abc
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -64,9 +65,8 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
 
 
 def _sources(count: int, rng, streams):
-    """Validate the ``rng``/``streams`` contract; one source per task, in order."""
-    require_rng_or_streams(count, rng, streams)
-    return [rng] * count if streams is None else streams
+    """One source per task, in order: ``rng`` repeated, or ``streams`` as given."""
+    return repeat(rng, count) if streams is None else streams
 
 
 class DiffusionModel(abc.ABC):
@@ -241,6 +241,7 @@ class DiffusionModel(abc.ABC):
                 partial(self.forward_live_words, graph),
                 cost=cost,
             )
+        require_rng_or_streams(count, rng, streams)
         return self._scalar_cascades(
             graph, seeds, _sources(count, rng, streams), cost=cost
         )
@@ -272,6 +273,7 @@ class DiffusionModel(abc.ABC):
                 cost=cost,
             )
             return float(counts.sum()) / num_simulations
+        require_rng_or_streams(num_simulations, rng, None)
         results = self._scalar_cascades(
             graph, seeds, _sources(num_simulations, rng, None), cost=cost
         )
@@ -362,16 +364,15 @@ class DiffusionModel(abc.ABC):
         bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
         if bitparallel:
             self._require_bitparallel_rng(count, rng, streams)
+            _bp.record_counters(telemetry, count)
         else:
-            sources = _sources(count, rng, streams)
+            require_rng_or_streams(count, rng, streams)
         if telemetry is not None and telemetry.enabled:
             telemetry.incr("rr.sets", count)
-        if bitparallel:
-            _bp.record_counters(telemetry, count)
         if jobs is None and executor is None:
             if not bitparallel:
                 return self._scalar_rr_sets(
-                    graph, sources, cost=cost, sample_size=sample_size
+                    graph, _sources(count, rng, streams), cost=cost, sample_size=sample_size
                 )
             from ..obs import as_telemetry
 
@@ -387,12 +388,11 @@ class DiffusionModel(abc.ABC):
 
         from ..runtime.engine import run_seeded_tasks
 
-        if bitparallel:
-            worker = _model_rr_word_chunk_worker
-            task_count = len(_bp.word_spans(count))
-            payload = (self, graph, count)
-        else:
-            worker, task_count, payload = _model_rr_chunk_worker, count, (self, graph)
+        worker, task_count, payload = (
+            (_model_rr_word_chunk_worker, len(_bp.word_spans(count)), (self, graph, count))
+            if bitparallel
+            else (_model_rr_chunk_worker, count, (self, graph))
+        )
         rr_sets: list[RRSet] = []
         for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
             worker,

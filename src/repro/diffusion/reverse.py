@@ -23,7 +23,7 @@ of vertices) is what RIS stores, so sample size accumulates vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def sample_rr_sets(
 
 def _sample_rr_sets_batch(
     graph: InfluenceGraph,
-    sources: Sequence[RandomSource | np.random.Generator],
+    sources: Iterable[RandomSource | np.random.Generator],
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
