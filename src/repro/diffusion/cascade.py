@@ -171,13 +171,13 @@ def simulate_cascades(
 def _simulate_cascades_batch(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
-    sources: Iterable[RandomSource | np.random.Generator],
+    generators: Iterable[np.random.Generator],
     *,
     cost: TraversalCost | None = None,
 ) -> list[CascadeResult]:
-    """Batched IC cascades, one per source, with reused scratch buffers.
+    """Batched IC cascades, one per generator, with reused scratch buffers.
 
-    Byte-identical to one :func:`simulate_cascade` call per source — the
+    Byte-identical to one :func:`simulate_cascade` call per generator — the
     batch only amortizes per-call overhead (one seed normalization, one CSR
     unpack, reused activation/scratch buffers; the ``active`` mask is reset
     by clearing only the activated entries, so small cascades on large graphs
@@ -188,8 +188,7 @@ def _simulate_cascades_batch(
     active = np.zeros(graph.num_vertices, dtype=bool)
     slot = np.empty(graph.num_vertices, dtype=np.int64)
     results: list[CascadeResult] = []
-    for source in sources:
-        generator = source.generator if isinstance(source, RandomSource) else source
+    for generator in generators:
         result = _cascade_kernel(out_csr, seed_tuple, generator, active, slot, cost)
         active[list(result.activated)] = False
         results.append(result)

@@ -64,9 +64,9 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
     return rng.generator if isinstance(rng, RandomSource) else rng
 
 
-def _sources(count: int, rng, streams):
-    """One source per task, in order: ``rng`` repeated, or ``streams`` as given."""
-    return repeat(rng, count) if streams is None else streams
+def _generators(count: int, rng, streams):
+    """One generator per task, in order: ``rng``'s repeated, or one per stream."""
+    return repeat(_as_generator(rng), count) if streams is None else map(_as_generator, streams)
 
 
 class DiffusionModel(abc.ABC):
@@ -176,33 +176,36 @@ class DiffusionModel(abc.ABC):
     # scalar kernel hooks (models with a batched kernel override these)
     # ------------------------------------------------------------------ #
     def _scalar_cascades(
-        self, graph: InfluenceGraph, seeds, sources, *, cost: TraversalCost | None = None
+        self, graph: InfluenceGraph, seeds, generators, *, cost: TraversalCost | None = None
     ) -> list[CascadeResult]:
-        """Scalar kernel hook: one forward cascade per entry of ``sources``.
+        """Scalar kernel hook: one forward cascade per entry of ``generators``.
 
-        ``sources`` holds one random source per cascade, in order (one object
-        repeated for a single shared stream).  The default loops over
+        ``generators`` yields one numpy generator per cascade, in order (one
+        object repeated for a single shared stream).  The default loops over
         :meth:`simulate_cascade`; IC overrides it with a batched kernel that
         amortizes per-call overhead without changing a single draw.
         """
-        return [self.simulate_cascade(graph, seeds, source, cost=cost) for source in sources]
+        return [
+            self.simulate_cascade(graph, seeds, generator, cost=cost)
+            for generator in generators
+        ]
 
     def _scalar_rr_sets(
         self,
         graph: InfluenceGraph,
-        sources,
+        generators,
         *,
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
     ) -> list[RRSet]:
-        """Scalar kernel hook: one RR set per entry of ``sources``.
+        """Scalar kernel hook: one RR set per entry of ``generators``.
 
         Same contract as :meth:`_scalar_cascades`; IC overrides it with a
         batched kernel that reuses scratch buffers across the whole batch.
         """
         return [
-            self.sample_rr_set(graph, source, cost=cost, sample_size=sample_size)
-            for source in sources
+            self.sample_rr_set(graph, generator, cost=cost, sample_size=sample_size)
+            for generator in generators
         ]
 
     # ------------------------------------------------------------------ #
@@ -243,7 +246,7 @@ class DiffusionModel(abc.ABC):
             )
         require_rng_or_streams(count, rng, streams)
         return self._scalar_cascades(
-            graph, seeds, _sources(count, rng, streams), cost=cost
+            graph, seeds, _generators(count, rng, streams), cost=cost
         )
 
     def simulate_spread(
@@ -275,7 +278,7 @@ class DiffusionModel(abc.ABC):
             return float(counts.sum()) / num_simulations
         require_rng_or_streams(num_simulations, rng, None)
         results = self._scalar_cascades(
-            graph, seeds, _sources(num_simulations, rng, None), cost=cost
+            graph, seeds, _generators(num_simulations, rng, None), cost=cost
         )
         return sum(result.num_activated for result in results) / num_simulations
 
@@ -372,7 +375,7 @@ class DiffusionModel(abc.ABC):
         if jobs is None and executor is None:
             if not bitparallel:
                 return self._scalar_rr_sets(
-                    graph, _sources(count, rng, streams), cost=cost, sample_size=sample_size
+                    graph, _generators(count, rng, streams), cost=cost, sample_size=sample_size
                 )
             from ..obs import as_telemetry
 
@@ -507,14 +510,14 @@ class IndependentCascade(DiffusionModel):
     def simulate_cascade(self, graph, seeds, rng, *, cost=None):
         return _ic_cascade.simulate_cascade(graph, seeds, rng, cost=cost)
 
-    def _scalar_cascades(self, graph, seeds, sources, *, cost=None):
+    def _scalar_cascades(self, graph, seeds, generators, *, cost=None):
         # Batched kernel: identical draws, amortized per-call overhead
         # (one seed normalization, one CSR unpack, reused scratch buffers).
-        return _ic_cascade._simulate_cascades_batch(graph, seeds, sources, cost=cost)
+        return _ic_cascade._simulate_cascades_batch(graph, seeds, generators, cost=cost)
 
-    def _scalar_rr_sets(self, graph, sources, *, cost=None, sample_size=None):
+    def _scalar_rr_sets(self, graph, generators, *, cost=None, sample_size=None):
         return _ic_reverse._sample_rr_sets_batch(
-            graph, sources, cost=cost, sample_size=sample_size
+            graph, generators, cost=cost, sample_size=sample_size
         )
 
     def forward_live_words(self, graph, num_lanes, generator):

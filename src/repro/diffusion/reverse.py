@@ -201,14 +201,14 @@ def sample_rr_sets(
 
 def _sample_rr_sets_batch(
     graph: InfluenceGraph,
-    sources: Iterable[RandomSource | np.random.Generator],
+    generators: Iterable[np.random.Generator],
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
 ) -> list[RRSet]:
-    """Batched RR-set generation, one set per source, with reused scratch buffers.
+    """Batched RR-set generation, one set per generator, with reused scratch buffers.
 
-    Byte-identical to one :func:`sample_rr_set` call per source (one shared
+    Byte-identical to one :func:`sample_rr_set` call per generator (one shared
     stream repeated, or one stream per set — the runtime chunk workers'
     form).  The batch amortizes per-call overhead: one CSR unpack, and
     shared visited/scratch arrays — the visited array is never cleared, each
@@ -222,8 +222,7 @@ def _sample_rr_sets_batch(
     slot = np.empty(num_vertices, dtype=np.int64)
     rr_sets: list[RRSet] = []
     total_size = 0
-    for stamp, source in enumerate(sources, start=1):
-        generator = source.generator if isinstance(source, RandomSource) else source
+    for stamp, generator in enumerate(generators, start=1):
         chosen_target = int(generator.integers(num_vertices))
         rr_set = _rr_kernel(in_csr, chosen_target, generator, visited_stamp, stamp, slot, cost)
         total_size += rr_set.size
