@@ -45,21 +45,6 @@ def require_positive_real(value: float, name: str) -> float:
     return as_float
 
 
-def require_rng_or_streams(count: int, rng: object, streams: object) -> None:
-    """Validate the batch-sampling contract shared by every batched sampler.
-
-    ``count`` must be a positive integer, and exactly one of ``rng`` (a
-    single shared stream) or ``streams`` (one source per task, of length
-    ``count``) must be provided.  One definition for the model layer and the
-    kernels alike, so the contract cannot drift between them.
-    """
-    require_positive_int(count, "count")
-    if (rng is None) == (streams is None):
-        raise InvalidParameterError("provide exactly one of rng or streams")
-    if streams is not None and len(streams) != count:
-        raise InvalidParameterError(f"streams must have length {count}, got {len(streams)}")
-
-
 def require_non_negative_int(value: int, name: str) -> int:
     """Return ``value`` if it is a non-negative integer, otherwise raise."""
     if isinstance(value, bool) or not isinstance(value, (int,)):

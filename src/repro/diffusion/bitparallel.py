@@ -42,6 +42,8 @@ against each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .._validation import normalize_seed_set, require_positive_int
@@ -482,22 +484,23 @@ def batched_cascade_counts(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
     count: int,
-    generator: np.random.Generator,
+    generators: Iterable[np.random.Generator],
     live_words_fn,
     *,
     cost: TraversalCost | None = None,
 ) -> np.ndarray:
     """Per-simulation activated counts for ``count`` bit-parallel cascades.
 
-    ``live_words_fn(num_lanes, generator)`` samples one word batch of live
-    edges in forward-CSR order (the model hook).  Words are drawn and run
-    sequentially on ``generator`` per the draw-order contract; the returned
-    ``int64`` array has one activated-vertex count per simulation, without
-    materialising per-world activation lists.
+    ``generators`` yields one generator per word (one object repeated for a
+    single shared stream) and ``live_words_fn(num_lanes, generator)`` samples
+    one word batch of live edges in forward-CSR order (the model hook).
+    Words are drawn and run in order per the draw-order contract; the
+    returned ``int64`` array has one activated-vertex count per simulation,
+    without materialising per-world activation lists.
     """
     seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
     counts = np.empty(count, dtype=np.int64)
-    for start, lanes in word_spans(count):
+    for (start, lanes), generator in zip(word_spans(count), generators):
         words = live_words_fn(lanes, generator)
         active = forward_cascade_masks(graph, seed_tuple, words, lanes, cost=cost)
         counts[start : start + lanes] = lane_counts(active, lanes)
@@ -508,13 +511,14 @@ def batched_cascade_results(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
     count: int,
-    generator: np.random.Generator,
+    generators: Iterable[np.random.Generator],
     live_words_fn,
     *,
     cost: TraversalCost | None = None,
 ) -> list[CascadeResult]:
     """``count`` bit-parallel cascades materialised as :class:`CascadeResult`.
 
+    Same word and generator contract as :func:`batched_cascade_counts`.
     Unlike the scalar kernels, per-world activation *order* is not tracked —
     each result lists its activated vertices in ascending vertex id (the
     activated **set**, totals, and costs follow the per-world convention
@@ -523,7 +527,7 @@ def batched_cascade_results(
     """
     seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
     results: list[CascadeResult] = []
-    for _, lanes in word_spans(count):
+    for (_, lanes), generator in zip(word_spans(count), generators):
         words = live_words_fn(lanes, generator)
         active = forward_cascade_masks(graph, seed_tuple, words, lanes, cost=cost)
         bits = unpack_lanes(active, lanes)
@@ -538,7 +542,7 @@ def batched_cascade_results(
 def batched_rr_sets(
     graph: InfluenceGraph,
     count: int,
-    generator: np.random.Generator,
+    generators: Iterable[np.random.Generator],
     reverse_words_fn,
     *,
     cost: TraversalCost | None = None,
@@ -546,9 +550,10 @@ def batched_rr_sets(
 ) -> list[RRSet]:
     """``count`` bit-parallel RR sets (shared :class:`RRSet` type).
 
-    Each word draws its lane targets first (``generator.integers(n,
-    size=lanes)``), then its live words via ``reverse_words_fn(num_lanes,
-    generator)`` — one word batch of reverse-CSR live edges (the model
+    ``generators`` yields one generator per word, as in
+    :func:`batched_cascade_counts`.  Each word draws its lane targets first
+    (``generator.integers(n, size=lanes)``), then its live words via
+    ``reverse_words_fn(num_lanes, generator)`` — one word batch of reverse-CSR live edges (the model
     hook).  Lane ``w``'s RR set is the vertices whose membership word has bit
     ``w`` set; weights count the per-world examined in-edges, matching the
     scalar convention.
@@ -557,7 +562,7 @@ def batched_rr_sets(
         raise ValueError("cannot sample an RR set from an empty graph")
     rr_sets: list[RRSet] = []
     total_size = 0
-    for _, lanes in word_spans(count):
+    for (_, lanes), generator in zip(word_spans(count), generators):
         targets = generator.integers(graph.num_vertices, size=lanes).astype(np.int64)
         words = reverse_words_fn(lanes, generator)
         membership, weights = reverse_rr_masks(graph, targets, words, lanes, cost=cost)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -144,27 +144,25 @@ def simulate_cascades(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
     count: int,
-    rng: RandomSource | np.random.Generator | None = None,
+    rng: RandomSource | np.random.Generator,
     *,
     cost: TraversalCost | None = None,
-    streams: Sequence[RandomSource | np.random.Generator] | None = None,
     batch_mode: str | None = None,
 ) -> list[CascadeResult]:
     """Run ``count`` forward IC cascades from ``seeds`` in one batched call.
 
     The IC shorthand for
-    :meth:`repro.diffusion.models.DiffusionModel.simulate_cascades`.  With
-    ``rng``, byte-identical to calling :func:`simulate_cascade` ``count``
-    times on the same stream; ``streams`` (one independent source per
-    cascade, in order) is the parallel runtime chunk workers' form.
-    ``batch_mode="bitparallel"`` opts into the 64-worlds-per-word mask kernel
-    (own draw-order contract — see :mod:`repro.diffusion.bitparallel` — and
-    activated vertices listed in ascending id, not activation order).
+    :meth:`repro.diffusion.models.DiffusionModel.simulate_cascades`:
+    byte-identical to calling :func:`simulate_cascade` ``count`` times on the
+    same stream.  ``batch_mode="bitparallel"`` opts into the
+    64-worlds-per-word mask kernel (own draw-order contract — see
+    :mod:`repro.diffusion.bitparallel` — and activated vertices listed in
+    ascending id, not activation order).
     """
     from .models import INDEPENDENT_CASCADE
 
     return INDEPENDENT_CASCADE.simulate_cascades(
-        graph, seeds, count, rng, cost=cost, streams=streams, batch_mode=batch_mode
+        graph, seeds, count, rng, cost=cost, batch_mode=batch_mode
     )
 
 

@@ -21,12 +21,16 @@ All primitives return the *shared* result types (:class:`CascadeResult`,
 ``RRSetCollection``, the estimators, the oracle — are model-agnostic.  The
 plural samplers (:meth:`DiffusionModel.simulate_cascades`,
 :meth:`~DiffusionModel.simulate_spread`, :meth:`~DiffusionModel.sample_rr_sets`,
-:meth:`~DiffusionModel.sample_snapshots`) are the only place that dispatches
-on ``batch_mode`` and ``jobs``/``executor``; models override only the scalar
-kernel hooks, and the module-level IC functions of the same names are
-one-call shorthands for :data:`INDEPENDENT_CASCADE`.  Under ``jobs`` task
-``i`` draws from a child stream of ``(rng, i)``, so any ``jobs`` value is
-bit-identical.
+:meth:`~DiffusionModel.sample_snapshots`) and
+:func:`~repro.estimation.monte_carlo.monte_carlo_spread` pick a batch kernel
+by ``batch_mode`` and hand it to one seeded dispatch,
+:meth:`DiffusionModel._run_seeded`: serially every task unit (one sample, or
+one 64-lane bit-parallel word) draws from ``rng``'s one stream, and under
+``jobs``/``executor`` the one chunk worker, :func:`_seeded_chunk_worker`,
+gives unit ``i`` the child stream of ``(rng, i)``, so any ``jobs`` value is
+bit-identical.  Models override only the scalar kernel hooks, and the
+module-level IC functions of the same names are one-call shorthands for
+:data:`INDEPENDENT_CASCADE`.
 
 Models are stateless singletons registered by name (``"ic"``, ``"lt"``);
 :func:`register_model` admits third-party models, and :func:`resolve_model`
@@ -43,7 +47,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .._validation import require_positive_int, require_rng_or_streams
+from .._validation import require_positive_int
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from . import bitparallel as _bp
@@ -57,16 +61,6 @@ from .costs import SampleSize, TraversalCost
 from .random_source import RandomSource
 from .reverse import RRSet
 from .snapshots import Snapshot
-
-
-def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generator:
-    """Normalise a random source to its underlying generator."""
-    return rng.generator if isinstance(rng, RandomSource) else rng
-
-
-def _generators(count: int, rng, streams):
-    """One generator per task, in order: ``rng``'s repeated, or one per stream."""
-    return repeat(_as_generator(rng), count) if streams is None else map(_as_generator, streams)
 
 
 class DiffusionModel(abc.ABC):
@@ -158,20 +152,6 @@ class DiffusionModel(abc.ABC):
             f"diffusion model {self.name!r} does not support batch_mode='bitparallel'"
         )
 
-    def _require_bitparallel_rng(self, count, rng, streams):
-        """Shared guard for the bit-parallel plural paths.
-
-        The bit-parallel unit of work is the 64-world word, so per-simulation
-        ``streams`` cannot apply; a single ``rng`` is required.
-        """
-        if streams is not None:
-            raise InvalidParameterError(
-                "streams is incompatible with batch_mode='bitparallel': the "
-                "bit-parallel unit is the 64-world word, not the single "
-                "simulation (use jobs/executor for parallel word chunks)"
-            )
-        require_rng_or_streams(count, rng, None)
-
     # ------------------------------------------------------------------ #
     # scalar kernel hooks (models with a batched kernel override these)
     # ------------------------------------------------------------------ #
@@ -209,44 +189,133 @@ class DiffusionModel(abc.ABC):
         ]
 
     # ------------------------------------------------------------------ #
-    # plural samplers: the one batch_mode and jobs/executor dispatch
+    # batch kernels: ``(bitparallel, count, generators, cost, sample_size)``,
+    # one generator per task unit (a sample, or a 64-lane bit-parallel word)
+    # ------------------------------------------------------------------ #
+    def _cascade_kernel(self, graph, seeds, bitparallel, count, generators, cost, sample_size):
+        if bitparallel:
+            return _bp.batched_cascade_results(
+                graph, seeds, count, generators, partial(self.forward_live_words, graph), cost=cost
+            )
+        return self._scalar_cascades(graph, seeds, generators, cost=cost)
+
+    def _count_kernel(self, graph, seeds, bitparallel, count, generators, cost, sample_size):
+        if bitparallel:
+            return _bp.batched_cascade_counts(
+                graph, seeds, count, generators, partial(self.forward_live_words, graph), cost=cost
+            ).tolist()
+        return [
+            result.num_activated
+            for result in self._scalar_cascades(graph, seeds, generators, cost=cost)
+        ]
+
+    def _rr_kernel(self, graph, bitparallel, count, generators, cost, sample_size):
+        if bitparallel:
+            return _bp.batched_rr_sets(
+                graph,
+                count,
+                generators,
+                partial(self.reverse_live_words, graph),
+                cost=cost,
+                sample_size=sample_size,
+            )
+        return self._scalar_rr_sets(graph, generators, cost=cost, sample_size=sample_size)
+
+    def _snapshot_kernel(self, graph, bitparallel, count, generators, cost, sample_size):
+        return [
+            self.sample_snapshot(graph, generator, sample_size=sample_size)
+            for generator in generators
+        ]
+
+    def _run_seeded(
+        self,
+        kernel,
+        count: int,
+        rng,
+        batch_mode: str | None = None,
+        *,
+        counter: str | None = None,
+        cost: TraversalCost | None = None,
+        sample_size: SampleSize | None = None,
+        jobs: int | None = None,
+        executor: "Executor | None" = None,
+        telemetry=None,
+    ) -> list:
+        """The one seeded dispatch behind every plural sampler and Monte-Carlo.
+
+        Validates ``count`` and ``rng`` and records the deterministic
+        counters (``counter`` and the bit-parallel ones) before any work.
+        Serially the kernel's task units all draw from ``rng``'s one stream.
+        Under ``jobs``/``executor`` unit ``i`` draws from the child stream of
+        ``(rng, i)`` in :func:`_seeded_chunk_worker`, and chunk results and
+        accumulators merge in chunk order, so any worker count is
+        bit-identical.
+        """
+        bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
+        require_positive_int(count, "count")
+        if rng is None:
+            raise InvalidParameterError(
+                "rng must be a RandomSource or a numpy Generator (or, under "
+                "jobs/executor, an int or SeedSequence seed root), got None"
+            )
+        if bitparallel:
+            _bp.record_counters(telemetry, count)
+        if counter is not None and telemetry is not None and telemetry.enabled:
+            telemetry.incr(counter, count)
+        tasks = len(_bp.word_spans(count)) if bitparallel else count
+        if jobs is None and executor is None:
+            generator = rng.generator if isinstance(rng, RandomSource) else rng
+            generators = repeat(generator, tasks)
+            if not bitparallel:
+                return kernel(False, count, generators, cost, sample_size)
+            from ..obs import as_telemetry
+
+            with as_telemetry(telemetry).span("bitparallel.kernel"):
+                return kernel(True, count, generators, cost, sample_size)
+
+        from ..runtime.engine import run_seeded_tasks
+
+        results: list = []
+        for chunk, chunk_cost, chunk_size in run_seeded_tasks(
+            _seeded_chunk_worker,
+            tasks,
+            rng,
+            jobs=jobs,
+            executor=executor,
+            payload=(kernel, count, bitparallel),
+            telemetry=telemetry,
+        ):
+            results.extend(chunk)
+            if cost is not None:
+                cost.merge(chunk_cost)
+            if sample_size is not None:
+                sample_size.merge(chunk_size)
+        return results
+
+    # ------------------------------------------------------------------ #
+    # plural samplers
     # ------------------------------------------------------------------ #
     def simulate_cascades(
         self,
         graph: InfluenceGraph,
         seeds,
         count: int,
-        rng: RandomSource | np.random.Generator | None = None,
+        rng: RandomSource | np.random.Generator,
         *,
         cost: TraversalCost | None = None,
-        streams=None,
         batch_mode: str | None = None,
     ) -> list[CascadeResult]:
         """Run ``count`` forward cascades in one batched call.
 
-        Pass either ``rng`` (all cascades draw sequentially from one stream —
-        byte-identical to ``count`` :meth:`simulate_cascade` calls) or
-        ``streams`` (one independent source per cascade, the form the
-        parallel runtime's chunk workers use).
-
+        All cascades draw sequentially from ``rng``'s one stream —
+        byte-identical to ``count`` :meth:`simulate_cascade` calls.
         ``batch_mode="bitparallel"`` opts into the 64-worlds-per-word kernel:
         same cascade distribution and costs, different draw-order contract
         (see :mod:`repro.diffusion.bitparallel`), results listing activated
         vertices in ascending id rather than activation order.
         """
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            self._require_bitparallel_rng(count, rng, streams)
-            return _bp.batched_cascade_results(
-                graph,
-                seeds,
-                count,
-                _as_generator(rng),
-                partial(self.forward_live_words, graph),
-                cost=cost,
-            )
-        require_rng_or_streams(count, rng, streams)
-        return self._scalar_cascades(
-            graph, seeds, _generators(count, rng, streams), cost=cost
+        return self._run_seeded(
+            partial(self._cascade_kernel, graph, seeds), count, rng, batch_mode, cost=cost
         )
 
     def simulate_spread(
@@ -265,22 +334,21 @@ class DiffusionModel(abc.ABC):
         come straight from the mask kernel's popcounts — no per-cascade
         result objects are materialised.
         """
-        if _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL:
-            self._require_bitparallel_rng(num_simulations, rng, None)
-            counts = _bp.batched_cascade_counts(
-                graph,
-                seeds,
-                num_simulations,
-                _as_generator(rng),
-                partial(self.forward_live_words, graph),
-                cost=cost,
-            )
-            return float(counts.sum()) / num_simulations
-        require_rng_or_streams(num_simulations, rng, None)
-        results = self._scalar_cascades(
-            graph, seeds, _generators(num_simulations, rng, None), cost=cost
+        counts = self._activation_counts(
+            graph, seeds, num_simulations, rng, batch_mode, cost=cost
         )
-        return sum(result.num_activated for result in results) / num_simulations
+        return sum(counts) / num_simulations
+
+    def _activation_counts(self, graph, seeds, count, rng, batch_mode, **dispatch) -> list[int]:
+        """Activated-vertex counts of ``count`` forward cascades, in order.
+
+        What :meth:`simulate_spread` averages and
+        :func:`~repro.estimation.monte_carlo.monte_carlo_spread` reduces to a
+        mean and standard deviation; ``dispatch`` goes to :meth:`_run_seeded`.
+        """
+        return self._run_seeded(
+            partial(self._count_kernel, graph, seeds), count, rng, batch_mode, **dispatch
+        )
 
     def sample_snapshots(
         self,
@@ -301,43 +369,27 @@ class DiffusionModel(abc.ABC):
         for any worker count).  ``telemetry`` (optional) records a
         ``snapshot.samples`` counter and the runtime dispatch metrics.
         """
-        require_positive_int(count, "count")
-        if telemetry is not None and telemetry.enabled:
-            telemetry.incr("snapshot.samples", count)
-        if jobs is None and executor is None:
-            return [
-                self.sample_snapshot(graph, rng, sample_size=sample_size)
-                for _ in range(count)
-            ]
-
-        from ..runtime.engine import run_seeded_tasks
-
-        snapshots: list[Snapshot] = []
-        for chunk_snapshots, chunk_size in run_seeded_tasks(
-            _model_snapshot_chunk_worker,
+        return self._run_seeded(
+            partial(self._snapshot_kernel, graph),
             count,
             rng,
+            counter="snapshot.samples",
+            sample_size=sample_size,
             jobs=jobs,
             executor=executor,
-            payload=(self, graph),
             telemetry=telemetry,
-        ):
-            snapshots.extend(chunk_snapshots)
-            if sample_size is not None:
-                sample_size.merge(chunk_size)
-        return snapshots
+        )
 
     def sample_rr_sets(
         self,
         graph: InfluenceGraph,
         count: int,
-        rng: RandomSource | np.random.Generator | None = None,
+        rng: RandomSource | np.random.Generator,
         *,
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
         executor: "Executor | None" = None,
-        streams=None,
         telemetry=None,
         batch_mode: str | None = None,
     ) -> list[RRSet]:
@@ -349,10 +401,9 @@ class DiffusionModel(abc.ABC):
         ``i`` is drawn from a child stream of ``(rng, i)``, so the collection
         is bit-identical for any worker count (``rng`` must then be an
         ``int``, ``SeedSequence``, or ``RandomSource``); cost accumulators
-        are merged in chunk order, keeping totals exact.  ``streams`` (one
-        source per set, mutually exclusive with ``jobs``/``executor``) draws
-        set ``i`` only from ``streams[i]``.  ``telemetry`` (optional) records
-        an ``rr.sets`` counter and the runtime dispatch metrics.
+        are merged in chunk order, keeping totals exact.  ``telemetry``
+        (optional) records an ``rr.sets`` counter and the runtime dispatch
+        metrics.
 
         ``batch_mode="bitparallel"`` generates the sets 64 worlds per word
         (own draw-order contract, see :mod:`repro.diffusion.bitparallel`);
@@ -360,140 +411,43 @@ class DiffusionModel(abc.ABC):
         **word** index — word ``i`` draws from the child stream of
         ``(rng, i)`` — so any worker count is bit-identical.
         """
-        if streams is not None and (jobs is not None or executor is not None):
-            raise InvalidParameterError(
-                "streams is mutually exclusive with jobs/executor"
-            )
-        bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
-        if bitparallel:
-            self._require_bitparallel_rng(count, rng, streams)
-            _bp.record_counters(telemetry, count)
-        else:
-            require_rng_or_streams(count, rng, streams)
-        if telemetry is not None and telemetry.enabled:
-            telemetry.incr("rr.sets", count)
-        if jobs is None and executor is None:
-            if not bitparallel:
-                return self._scalar_rr_sets(
-                    graph, _generators(count, rng, streams), cost=cost, sample_size=sample_size
-                )
-            from ..obs import as_telemetry
-
-            with as_telemetry(telemetry).span("bitparallel.kernel"):
-                return _bp.batched_rr_sets(
-                    graph,
-                    count,
-                    _as_generator(rng),
-                    partial(self.reverse_live_words, graph),
-                    cost=cost,
-                    sample_size=sample_size,
-                )
-
-        from ..runtime.engine import run_seeded_tasks
-
-        worker, task_count, payload = (
-            (_model_rr_word_chunk_worker, len(_bp.word_spans(count)), (self, graph, count))
-            if bitparallel
-            else (_model_rr_chunk_worker, count, (self, graph))
-        )
-        rr_sets: list[RRSet] = []
-        for chunk_sets, chunk_cost, chunk_size in run_seeded_tasks(
-            worker,
-            task_count,
+        return self._run_seeded(
+            partial(self._rr_kernel, graph),
+            count,
             rng,
+            batch_mode,
+            counter="rr.sets",
+            cost=cost,
+            sample_size=sample_size,
             jobs=jobs,
             executor=executor,
-            payload=payload,
             telemetry=telemetry,
-        ):
-            rr_sets.extend(chunk_sets)
-            if cost is not None:
-                cost.merge(chunk_cost)
-            if sample_size is not None:
-                sample_size.merge(chunk_size)
-        return rr_sets
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def _model_snapshot_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph], root_key: tuple, start: int, stop: int
-) -> tuple[list[Snapshot], SampleSize]:
-    """Sample model snapshots for task indices ``start..stop-1`` (one per index).
+def _seeded_chunk_worker(payload, root_key: tuple, start: int, stop: int):
+    """Run a batch kernel over task units ``start..stop-1`` of a seeded run.
 
-    Module-level so it pickles into worker processes; each index derives its
-    own child generator, making results independent of the chunk layout (and
-    of which model the payload carries).
+    The one chunk worker of :meth:`DiffusionModel._run_seeded`: ``payload``
+    is ``(kernel, count, bitparallel)``, and unit ``i`` (one sample, or the
+    64-lane word of samples ``64*i ..`` when ``bitparallel``) draws from the
+    child stream of ``(root_key, i)``, so results are independent of the
+    chunk layout and worker count.  Module-level so it pickles into worker
+    processes; the chunk's own accumulators come back for the parent to
+    merge in chunk order.
     """
     from ..runtime.seeding import child_generator
 
-    model, graph = payload
-    chunk_size = SampleSize()
-    snapshots = [
-        model.sample_snapshot(graph, child_generator(root_key, index), sample_size=chunk_size)
-        for index in range(start, stop)
-    ]
-    return snapshots, chunk_size
-
-
-def _model_rr_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph], root_key: tuple, start: int, stop: int
-) -> tuple[list[RRSet], TraversalCost, SampleSize]:
-    """Sample model RR sets for task indices ``start..stop-1`` (one per index).
-
-    Each index derives its own child stream; the scalar hook
-    :meth:`DiffusionModel._scalar_rr_sets` lets batched kernels (IC) reuse
-    scratch buffers across the whole chunk instead of allocating two
-    O(num_vertices) arrays per RR set.
-    """
-    from ..runtime.seeding import child_generator
-
-    model, graph = payload
-    chunk_cost = TraversalCost()
-    chunk_size = SampleSize()
-    rr_sets = model._scalar_rr_sets(
-        graph,
-        [child_generator(root_key, index) for index in range(start, stop)],
-        cost=chunk_cost,
-        sample_size=chunk_size,
-    )
-    return rr_sets, chunk_cost, chunk_size
-
-
-def _model_rr_word_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, int],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[list[RRSet], TraversalCost, SampleSize]:
-    """Bit-parallel RR generation for **word** indices ``start..stop-1``.
-
-    The runtime task unit here is the 64-world word, not the single RR set:
-    word ``i`` covers simulation indices ``64*i .. min(64*(i+1), count) - 1``
-    and draws every one of its values (targets first, then live words) from
-    the child stream of ``(root_key, i)``, so results are independent of the
-    chunk layout and worker count.
-    """
-    from ..runtime.seeding import child_generator
-
-    model, graph, count = payload
-    chunk_cost = TraversalCost()
-    chunk_size = SampleSize()
-    rr_sets: list[RRSet] = []
-    for word_index in range(start, stop):
-        lanes = min(_bp.LANES_PER_WORD, count - word_index * _bp.LANES_PER_WORD)
-        rr_sets.extend(
-            _bp.batched_rr_sets(
-                graph,
-                lanes,
-                child_generator(root_key, word_index),
-                partial(model.reverse_live_words, graph),
-                cost=chunk_cost,
-                sample_size=chunk_size,
-            )
-        )
-    return rr_sets, chunk_cost, chunk_size
+    kernel, count, bitparallel = payload
+    unit = _bp.LANES_PER_WORD if bitparallel else 1
+    samples = min(count, stop * unit) - start * unit
+    generators = map(partial(child_generator, root_key), range(start, stop))
+    cost = TraversalCost()
+    sample_size = SampleSize()
+    return kernel(bitparallel, samples, generators, cost, sample_size), cost, sample_size
 
 
 class IndependentCascade(DiffusionModel):

@@ -17,16 +17,36 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import require_non_negative_int
+from ..exceptions import InvalidParameterError
+
+
+def seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """The :class:`numpy.random.SeedSequence` a seed root names.
+
+    The one seed check shared by :class:`RandomSource` and the parallel
+    runtime's :func:`~repro.runtime.seeding.seed_key`: a ``SeedSequence`` is
+    used as is, and an ``int`` or numpy integer (not a ``bool``) must be
+    non-negative.  Anything else raises :class:`InvalidParameterError` rather
+    than being truncated or coerced into some other seed.
+    """
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        if seed < 0:
+            raise InvalidParameterError(f"seed must be non-negative, got {seed}")
+        return np.random.SeedSequence(int(seed))
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    raise InvalidParameterError(
+        "seed must be a non-negative int or a numpy SeedSequence, "
+        f"got {type(seed).__name__} {seed!r}"
+    )
 
 
 class RandomSource:
     """A seeded source of uniform random numbers and child streams."""
 
     def __init__(self, seed: int | np.random.SeedSequence = 0) -> None:
-        if isinstance(seed, np.random.SeedSequence):
-            self._sequence = seed
-        else:
-            self._sequence = np.random.SeedSequence(require_non_negative_int(int(seed), "seed"))
+        # Spawned children arrive as SeedSequences and need no seed check.
+        self._sequence = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed)
         self._generator = np.random.default_rng(self._sequence)
 
     @property

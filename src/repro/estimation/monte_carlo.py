@@ -8,21 +8,23 @@ simulation budget suffices.  The RR-pool oracle
 the same graph; forward Monte-Carlo is preferred for scoring one seed set on
 a graph where building a pool would be wasteful.
 
-Batched parallelism: cascades are independent, so
-:func:`monte_carlo_spread` accepts ``jobs=``/``executor=`` and dispatches
-chunks of simulations through :mod:`repro.runtime`.  Each simulation index
-draws from its own child stream and per-chunk activation totals are exact
-integers, so the estimate is bit-identical for any worker count or chunk
-size (and differs from the default single-stream sequential draw, which is
-preserved when neither parameter is given).
+The cascades come from the model's own seeded dispatch — the one that also
+serves :meth:`~repro.diffusion.models.DiffusionModel.simulate_spread`, whose
+serial mean this estimate equals exactly.  ``jobs=``/``executor=`` opt into
+its split-stream contract (each simulation, or each 64-lane bit-parallel
+word, draws from its own child stream), and the per-simulation activation
+counts are reduced as exact integers, so the estimate is bit-identical for
+any worker count or chunk size (and differs from the default single-stream
+sequential draw, which is preserved when neither parameter is given).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from .._validation import normalize_seed_set, require_positive_int
+from .._validation import require_positive_int
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
@@ -64,67 +66,6 @@ class MonteCarloEstimate:
         return (self.mean - radius, self.mean + radius)
 
 
-def _cascade_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, tuple[int, ...]],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[int, int]:
-    """Activation totals for simulation indices ``start..stop-1``.
-
-    Returns integer ``(sum, sum of squares)`` so the parent-side reduction is
-    exact regardless of chunk boundaries.
-    """
-    from ..runtime.seeding import child_generator
-
-    model, graph, seed_set = payload
-    results = model.simulate_cascades(
-        graph,
-        seed_set,
-        stop - start,
-        streams=[child_generator(root_key, index) for index in range(start, stop)],
-    )
-    total = 0
-    total_squared = 0
-    for result in results:
-        total += result.num_activated
-        total_squared += result.num_activated * result.num_activated
-    return total, total_squared
-
-
-def _cascade_word_chunk_worker(
-    payload: tuple[DiffusionModel, InfluenceGraph, tuple[int, ...], int],
-    root_key: tuple,
-    start: int,
-    stop: int,
-) -> tuple[int, int]:
-    """Bit-parallel activation totals for **word** indices ``start..stop-1``.
-
-    The runtime task unit is the 64-world word: word ``i`` covers simulation
-    indices ``64*i .. min(64*(i+1), count) - 1`` and draws all of its live
-    words from the child stream of ``(root_key, i)``, so totals are
-    bit-identical for any worker count or chunk layout.
-    """
-    from ..diffusion.bitparallel import LANES_PER_WORD, batched_cascade_counts
-    from ..runtime.seeding import child_generator
-
-    model, graph, seed_set, count = payload
-    total = 0
-    total_squared = 0
-    for word_index in range(start, stop):
-        lanes = min(LANES_PER_WORD, count - word_index * LANES_PER_WORD)
-        counts = batched_cascade_counts(
-            graph,
-            seed_set,
-            lanes,
-            child_generator(root_key, word_index),
-            lambda n, generator: model.forward_live_words(graph, n, generator),
-        )
-        total += int(counts.sum())
-        total_squared += int((counts * counts).sum())
-    return total, total_squared
-
-
 def monte_carlo_spread(
     graph: InfluenceGraph,
     seed_set: tuple[int, ...] | list[int] | set[int],
@@ -158,75 +99,27 @@ def monte_carlo_spread(
         model=model,
         batch_mode=batch_mode,
     )
-    from ..diffusion.bitparallel import (
-        BITPARALLEL,
-        batched_cascade_counts,
-        record_counters,
-        resolve_batch_mode,
-        word_spans,
-    )
     from ..obs import as_telemetry
 
     tel = as_telemetry(telemetry)
     diffusion = resolve_model(model)
     diffusion.validate(graph)
-    bitparallel = resolve_batch_mode(batch_mode) == BITPARALLEL
+    source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
     tel.incr("mc.simulations", num_simulations)
-    if bitparallel:
-        record_counters(tel, num_simulations)
     with tel.span("mc.spread"):
-        if jobs is None and executor is None:
-            source = seed if isinstance(seed, RandomSource) else RandomSource(seed)
-            total = 0
-            total_squared = 0
-            if bitparallel:
-                seeds = normalize_seed_set(seed_set, graph.num_vertices)
-                with tel.span("bitparallel.kernel"):
-                    counts = batched_cascade_counts(
-                        graph,
-                        seeds,
-                        num_simulations,
-                        source.generator,
-                        lambda lanes, generator: diffusion.forward_live_words(
-                            graph, lanes, generator
-                        ),
-                    )
-                total = int(counts.sum())
-                total_squared = int((counts * counts).sum())
-            else:
-                # One batched call (identical stream consumption to the
-                # historical per-simulation loop; the batch only amortizes
-                # per-call overhead).
-                for result in diffusion.simulate_cascades(
-                    graph, seed_set, num_simulations, source.generator
-                ):
-                    total += result.num_activated
-                    total_squared += result.num_activated * result.num_activated
-        else:
-            from ..runtime.engine import run_seeded_tasks
-
-            seeds = normalize_seed_set(seed_set, graph.num_vertices)
-            if bitparallel:
-                worker = _cascade_word_chunk_worker
-                task_count = len(word_spans(num_simulations))
-                payload = (diffusion, graph, seeds, num_simulations)
-            else:
-                worker = _cascade_chunk_worker
-                task_count = num_simulations
-                payload = (diffusion, graph, seeds)
-            total = 0
-            total_squared = 0
-            for chunk_total, chunk_squared in run_seeded_tasks(
-                worker,
-                task_count,
-                seed,
-                jobs=jobs,
-                executor=executor,
-                payload=payload,
-                telemetry=telemetry,
-            ):
-                total += chunk_total
-                total_squared += chunk_squared
+        counts = diffusion._activation_counts(
+            graph,
+            seed_set,
+            num_simulations,
+            source,
+            batch_mode,
+            jobs=jobs,
+            executor=executor,
+            telemetry=telemetry,
+        )
+    # Integer totals keep the reduction exact for any chunk layout.
+    total = sum(counts)
+    total_squared = sum(map(operator.mul, counts, counts))
     mean = total / num_simulations
     variance = max(0.0, total_squared / num_simulations - mean * mean)
     if num_simulations > 1:

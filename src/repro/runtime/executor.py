@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from .._validation import require_positive_int
+from ..exceptions import ReproError
+
+
+def _lost(future: concurrent.futures.Future) -> bool:
+    """Whether a finished pool future holds no result (cancelled or broken)."""
+    return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
 
 
 class Executor(abc.ABC):
@@ -88,12 +95,35 @@ class ParallelExecutor(Executor):
         return self._pool
 
     def map(self, fn: Callable[[Any], Any], tasks: Sequence[Any]) -> list[Any]:
+        """Apply ``fn`` to every task in the pool; results in task order.
+
+        One future per task: chunks are already coarse, and slow chunks
+        overlap fast ones.  An exception raised by ``fn`` propagates as is.
+        A worker process that dies breaks the whole pool, so the pool is shut
+        down and dropped (the next call starts a fresh one) and a
+        :class:`~repro.exceptions.ReproError` names the first task whose
+        result was lost.
+        """
         tasks = list(tasks)
         if not tasks:
             return []
-        # Chunks are already coarse; chunksize=1 keeps dispatch order simple
-        # and lets slow chunks overlap fast ones.
-        return list(self._ensure_pool().map(fn, tasks, chunksize=1))
+        pool = self._ensure_pool()
+        futures: list[concurrent.futures.Future] = []
+        try:
+            for task in tasks:
+                futures.append(pool.submit(fn, task))
+            return [future.result() for future in futures]
+        except BrokenProcessPool as error:
+            pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+            lost = next(
+                (index for index, future in enumerate(futures) if _lost(future)),
+                len(futures),
+            )
+            raise ReproError(
+                f"a worker process died; the result of task {lost} of "
+                f"{len(tasks)} was lost"
+            ) from error
 
     def close(self) -> None:
         if self._pool is not None:

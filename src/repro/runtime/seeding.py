@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..diffusion.random_source import RandomSource
+from ..diffusion.random_source import RandomSource, seed_sequence
 from ..exceptions import InvalidParameterError
 
 #: A picklable description of a seed-sequence root: ``(entropy, spawn_key)``.
@@ -33,23 +33,15 @@ SeedKey = tuple
 def seed_key(root: int | np.random.SeedSequence | RandomSource) -> SeedKey:
     """Normalise a seed root into a picklable ``(entropy, spawn_key)`` pair.
 
-    Accepts an integer seed, a :class:`numpy.random.SeedSequence`, or a
-    :class:`~repro.diffusion.random_source.RandomSource`.  Raw
+    Accepts a :class:`~repro.diffusion.random_source.RandomSource` or any
+    seed :class:`~repro.diffusion.random_source.RandomSource` itself accepts
+    (a non-negative integer or a :class:`numpy.random.SeedSequence`, checked
+    by the same :func:`~repro.diffusion.random_source.seed_sequence`).  Raw
     :class:`numpy.random.Generator` objects are rejected: a generator's
     current position cannot be captured by its seed sequence, so accepting
     one would silently ignore how far it had already been consumed.
     """
-    if isinstance(root, RandomSource):
-        sequence = root.sequence
-    elif isinstance(root, np.random.SeedSequence):
-        sequence = root
-    elif isinstance(root, (int, np.integer)):
-        sequence = np.random.SeedSequence(int(root))
-    else:
-        raise InvalidParameterError(
-            "parallel execution needs a reproducible seed root: pass an int, "
-            f"a numpy SeedSequence, or a RandomSource, not {type(root).__name__}"
-        )
+    sequence = root.sequence if isinstance(root, RandomSource) else seed_sequence(root)
     if sequence.entropy is None:  # pragma: no cover - numpy always sets entropy
         raise InvalidParameterError(
             "seed root has no recorded entropy and cannot be split reproducibly"

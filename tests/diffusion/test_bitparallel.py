@@ -14,8 +14,7 @@ Four layers of protection:
   inside a generous confidence interval of the scalar estimate.
 * **Seam behaviour** — ``batch_mode`` resolution (explicit, else scalar;
   the environment is never consulted), the split-stream jobs contract (any
-  worker count bit-identical), stream injection rejection, and spec/context
-  validation.
+  worker count bit-identical), and spec/context validation.
 """
 
 from __future__ import annotations
@@ -397,34 +396,33 @@ class TestDrawOrderContract:
         second = monte_carlo_spread(karate, (0,), 300, seed=12, batch_mode="bitparallel")
         assert first == second
 
-    def test_monte_carlo_jobs_invariance(self, karate):
+    @pytest.mark.parametrize(
+        ("model", "graph_fixture"),
+        [(INDEPENDENT_CASCADE, "karate_uc01"), (LINEAR_THRESHOLD, "karate_iwc")],
+    )
+    def test_monte_carlo_jobs_invariance(self, request, model, graph_fixture):
+        graph = request.getfixturevalue(graph_fixture)
         serial = monte_carlo_spread(
-            karate, (0, 33), 300, seed=13, jobs=1, batch_mode="bitparallel"
+            graph, (0, 33), 300, seed=13, model=model, jobs=1, batch_mode="bitparallel"
         )
         parallel = monte_carlo_spread(
-            karate, (0, 33), 300, seed=13, jobs=4, batch_mode="bitparallel"
+            graph, (0, 33), 300, seed=13, model=model, jobs=4, batch_mode="bitparallel"
         )
         assert serial == parallel
 
-    def test_rr_pool_jobs_invariance(self, karate):
+    @pytest.mark.parametrize(
+        ("model", "graph_fixture"),
+        [(INDEPENDENT_CASCADE, "karate_uc01"), (LINEAR_THRESHOLD, "karate_iwc")],
+    )
+    def test_rr_pool_jobs_invariance(self, request, model, graph_fixture):
+        graph = request.getfixturevalue(graph_fixture)
         pools = [
-            INDEPENDENT_CASCADE.sample_rr_sets(
-                karate, 200, 14, jobs=jobs, batch_mode="bitparallel"
-            )
+            model.sample_rr_sets(graph, 200, 14, jobs=jobs, batch_mode="bitparallel")
             for jobs in (1, 2, 4)
         ]
         reference = [(s.target, s.vertices, s.weight) for s in pools[0]]
         for pool in pools[1:]:
             assert [(s.target, s.vertices, s.weight) for s in pool] == reference
-
-    def test_streams_rejected(self, karate):
-        from repro.runtime.seeding import child_sources
-
-        streams = child_sources(0, 4)
-        with pytest.raises(InvalidParameterError, match="streams"):
-            simulate_cascades(
-                karate, (0,), 4, None, streams=streams, batch_mode="bitparallel"
-            )
 
     def test_partial_last_word_lane_count(self, karate):
         # 70 simulations = one full word + one 6-lane word; the mean must

@@ -12,6 +12,7 @@ from repro.diffusion.cascade import (
 )
 from repro.diffusion.costs import TraversalCost
 from repro.diffusion.exact import exact_spread
+from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.exceptions import InvalidParameterError, InvalidSeedSetError
 from repro.graphs.builder import GraphBuilder
@@ -114,6 +115,22 @@ class TestStochasticBehaviour:
             simulate_spread(star_graph, (0,), -3, RandomSource(0), batch_mode="bitparallel")
         with pytest.raises(InvalidParameterError, match="rng"):
             simulate_spread(star_graph, (0,), 4, None, batch_mode="bitparallel")
+        # Every plural sampler requires rng and names it when it is missing,
+        # serially and under jobs alike.
+        for model in (INDEPENDENT_CASCADE, LINEAR_THRESHOLD):
+            for call in (
+                lambda: model.simulate_spread(star_graph, (0,), 4, None),
+                lambda: model.simulate_cascades(star_graph, (0,), 4, None),
+                lambda: model.simulate_cascades(
+                    star_graph, (0,), 4, None, batch_mode="bitparallel"
+                ),
+                lambda: model.sample_rr_sets(star_graph, 4, None),
+                lambda: model.sample_rr_sets(star_graph, 4, None, jobs=1),
+                lambda: model.sample_snapshots(star_graph, 3, None),
+                lambda: model.sample_snapshots(star_graph, 3, None, jobs=1),
+            ):
+                with pytest.raises(InvalidParameterError, match="rng"):
+                    call()
 
     def test_monotone_in_seed_set_on_average(self, karate_uc01):
         small = simulate_spread(karate_uc01, (0,), 600, RandomSource(1))

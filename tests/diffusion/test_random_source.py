@@ -45,9 +45,28 @@ class TestRandomSource:
         streams = [tuple(np.round(child.uniform(4), 12)) for child in RandomSource(7).spawn(3)]
         assert len(set(streams)) == 3
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            RandomSource(-1)
+    @pytest.mark.parametrize(
+        ("seed", "named"),
+        [
+            (-1, "-1"),
+            (np.int64(-2), "-2"),
+            (1.5, "1.5"),
+            (True, "True"),
+            ("3", "str"),
+            (None, "NoneType"),
+            (np.random.default_rng(0), "Generator"),
+            (RandomSource(4), "RandomSource"),
+        ],
+    )
+    def test_negative_seed_rejected(self, seed, named):
+        # Nothing is truncated or coerced: a float, bool or string seed would
+        # otherwise silently run some other integer seed's stream.
+        with pytest.raises(InvalidParameterError, match=named):
+            RandomSource(seed)
+
+    def test_numpy_integer_seed_is_the_int_stream(self):
+        assert RandomSource(np.int64(5)).uniform(4).tolist() == RandomSource(5).uniform(4).tolist()
+        assert RandomSource(np.uint8(0)).uniform(4).tolist() == RandomSource().uniform(4).tolist()
 
     def test_generator_exposed(self):
         assert isinstance(RandomSource(0).generator, np.random.Generator)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.diffusion.exact import exact_spread
+from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
+from repro.diffusion.random_source import RandomSource
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.exceptions import InvalidParameterError
 
@@ -59,3 +61,27 @@ class TestMonteCarloSpread:
         b = monte_carlo_spread(karate_uc01, (0,), 200, seed=9)
         assert a.mean == b.mean
         assert a.std == b.std
+
+
+class TestSerialMeanIsModelSpread:
+    """The serial Monte-Carlo mean is exactly the model's ``simulate_spread``.
+
+    Both draw the same cascades from one stream and average the same
+    per-simulation activation counts, so the floats must be equal, not close.
+    """
+
+    @pytest.mark.parametrize("num_simulations", [1, 63, 64, 130])
+    @pytest.mark.parametrize("batch_mode", [None, "bitparallel"])
+    @pytest.mark.parametrize(
+        ("model", "graph_fixture"),
+        [(INDEPENDENT_CASCADE, "karate_uc01"), (LINEAR_THRESHOLD, "karate_iwc")],
+    )
+    def test_equal_floats(self, request, model, graph_fixture, batch_mode, num_simulations):
+        graph = request.getfixturevalue(graph_fixture)
+        for seed in (0, 21):
+            estimate = monte_carlo_spread(
+                graph, (0, 33), num_simulations, seed=seed, model=model, batch_mode=batch_mode
+            )
+            assert estimate.mean == model.simulate_spread(
+                graph, (0, 33), num_simulations, RandomSource(seed), batch_mode=batch_mode
+            )

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, ReproError
 from repro.runtime.engine import executor_scope, run_seeded_tasks, run_tasks
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.seeding import child_generator
@@ -27,6 +28,15 @@ def _sum_of_uniform_counts(payload: int, root_key: tuple, start: int, stop: int)
 
 def _pid_worker(_task: int) -> int:
     return os.getpid()
+
+
+def _crashing_chunk_worker(payload: int, root_key: tuple, start: int, stop: int) -> None:
+    """Seeded chunk worker that kills its worker process outright."""
+    os._exit(3)
+
+
+def _raising_worker(value: int) -> int:
+    raise ValueError(f"bad task {value}")
 
 
 class TestSerialExecutor:
@@ -114,3 +124,25 @@ class TestEngine:
 
     def test_zero_tasks(self):
         assert run_seeded_tasks(_sum_of_uniform_counts, 0, 1, payload=0, jobs=2) == []
+
+
+class TestWorkerCrash:
+    """A dead worker process must not poison a caller-owned executor."""
+
+    def test_crash_raises_repro_error_and_pool_recovers(self):
+        def collect(**kwargs):
+            chunks = run_seeded_tasks(_sum_of_uniform_counts, 8, 0, payload=0, **kwargs)
+            return [value for chunk in chunks for value in chunk]
+
+        with ParallelExecutor(2) as pool:
+            with pytest.raises(ReproError, match="task 0 of 8") as caught:
+                run_seeded_tasks(_crashing_chunk_worker, 8, 0, executor=pool, num_chunks=8)
+            assert isinstance(caught.value.__cause__, BrokenProcessPool)
+            assert pool._pool is None  # the broken pool was shut down and dropped
+            assert collect(executor=pool) == collect(jobs=1)
+
+    def test_worker_exception_propagates_unchanged(self):
+        with ParallelExecutor(2) as pool:
+            with pytest.raises(ValueError, match="bad task 1"):
+                pool.map(_raising_worker, [1, 2])
+            assert pool.map(_square, [3]) == [9]

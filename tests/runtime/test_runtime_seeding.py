@@ -36,6 +36,34 @@ class TestSeedKey:
         with pytest.raises(InvalidParameterError):
             seed_key(np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        ("root", "named"),
+        [
+            (-1, "-1"),
+            (np.int64(-2), "-2"),
+            (1.5, "1.5"),
+            (True, "True"),
+            ("3", "str"),
+            (None, "NoneType"),
+        ],
+    )
+    def test_invalid_root_rejected_by_name(self, root, named):
+        with pytest.raises(InvalidParameterError, match=named):
+            seed_key(root)
+
+    def test_numpy_integer_root(self):
+        assert seed_key(np.int64(42)) == seed_key(42) == (42, ())
+
+    @pytest.mark.parametrize("jobs", [None, 1])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.random.default_rng(0)])
+    def test_monte_carlo_checks_seed_on_both_paths(self, karate_uc01, jobs, seed):
+        # The serial and split-stream paths share one seed check, so an
+        # invalid seed fails the same way whether or not jobs is given.
+        from repro.estimation.monte_carlo import monte_carlo_spread
+
+        with pytest.raises(InvalidParameterError, match="seed"):
+            monte_carlo_spread(karate_uc01, (0,), 10, seed=seed, jobs=jobs)
+
     def test_key_is_picklable_plain_data(self):
         entropy, spawn_key = seed_key(RandomSource(5).spawn(1)[0])
         assert isinstance(entropy, int)
