@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 import concurrent.futures
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 from .._validation import require_positive_int
@@ -19,8 +18,15 @@ from ..exceptions import ReproError
 
 
 def _lost(future: concurrent.futures.Future) -> bool:
-    """Whether a finished pool future holds no result (cancelled or broken)."""
-    return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
+    """Whether a finished pool future holds no result (cancelled or broken).
+
+    ``BrokenExecutor`` is the base of ``BrokenProcessPool``; naming it keeps
+    ``concurrent.futures.process`` (and ``multiprocessing``) unimported on
+    the serial paths.
+    """
+    return future.cancelled() or isinstance(
+        future.exception(), concurrent.futures.BrokenExecutor
+    )
 
 
 class Executor(abc.ABC):
@@ -113,7 +119,7 @@ class ParallelExecutor(Executor):
             for task in tasks:
                 futures.append(pool.submit(fn, task))
             return [future.result() for future in futures]
-        except BrokenProcessPool as error:
+        except concurrent.futures.BrokenExecutor as error:
             pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
             lost = next(
