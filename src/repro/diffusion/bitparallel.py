@@ -553,10 +553,10 @@ def batched_rr_sets(
     ``generators`` yields one generator per word, as in
     :func:`batched_cascade_counts`.  Each word draws its lane targets first
     (``generator.integers(n, size=lanes)``), then its live words via
-    ``reverse_words_fn(num_lanes, generator)`` — one word batch of reverse-CSR live edges (the model
-    hook).  Lane ``w``'s RR set is the vertices whose membership word has bit
-    ``w`` set; weights count the per-world examined in-edges, matching the
-    scalar convention.
+    ``reverse_words_fn(num_lanes, generator)`` — one word batch of
+    reverse-CSR live edges (the model hook).  Lane ``w``'s RR set is the
+    vertices whose membership word has bit ``w`` set; weights count the
+    per-world examined in-edges, matching the scalar convention.
     """
     if graph.num_vertices == 0:
         raise ValueError("cannot sample an RR set from an empty graph")

@@ -18,15 +18,8 @@ from ..exceptions import ReproError
 
 
 def _lost(future: concurrent.futures.Future) -> bool:
-    """Whether a finished pool future holds no result (cancelled or broken).
-
-    ``BrokenExecutor`` is the base of ``BrokenProcessPool``; naming it keeps
-    ``concurrent.futures.process`` (and ``multiprocessing``) unimported on
-    the serial paths.
-    """
-    return future.cancelled() or isinstance(
-        future.exception(), concurrent.futures.BrokenExecutor
-    )
+    """Whether a finished pool future holds no result (cancelled or broken)."""
+    return future.cancelled() or isinstance(future.exception(), concurrent.futures.BrokenExecutor)
 
 
 class Executor(abc.ABC):
@@ -115,6 +108,8 @@ class ParallelExecutor(Executor):
             return []
         pool = self._ensure_pool()
         futures: list[concurrent.futures.Future] = []
+        # BrokenExecutor is BrokenProcessPool's base; naming the latter would
+        # import multiprocessing even on serial runs.
         try:
             for task in tasks:
                 futures.append(pool.submit(fn, task))
