@@ -83,23 +83,31 @@ def require_fraction(value: float, name: str) -> float:
 
 
 def require_vertex(vertex: int, num_vertices: int, name: str = "vertex") -> int:
-    """Return ``vertex`` if it indexes a vertex of a graph with ``num_vertices``."""
-    if isinstance(vertex, bool) or not isinstance(vertex, (int,)):
-        raise InvalidSeedSetError(f"{name} must be an integer vertex id, got {vertex!r}")
+    """Return ``vertex`` as an ``int`` if it indexes a vertex of the graph.
+
+    Python and numpy integers are accepted.  Anything else — booleans,
+    floats (even integral ones), strings — is rejected rather than cast, so
+    ``1.7`` or ``"3"`` can never silently become a vertex id.
+    """
+    if type(vertex) is not int:  # the common case skips the ABC check
+        if isinstance(vertex, bool) or not isinstance(vertex, numbers.Integral):
+            raise InvalidSeedSetError(f"{name} must be an integer vertex id, got {vertex!r}")
+        vertex = int(vertex)
     if not 0 <= vertex < num_vertices:
         raise InvalidSeedSetError(
             f"{name} {vertex} is out of range for a graph with {num_vertices} vertices"
         )
-    return int(vertex)
+    return vertex
 
 
 def normalize_seed_set(seeds: Iterable[int], num_vertices: int) -> tuple[int, ...]:
     """Validate and canonicalise a seed set.
 
-    The result is a sorted tuple of distinct vertex ids, which is hashable and
-    therefore usable as a key in seed-set distributions.
+    Every member must pass :func:`require_vertex`.  The result is a sorted
+    tuple of distinct vertex ids, which is hashable and therefore usable as a
+    key in seed-set distributions.
     """
-    seed_list = [require_vertex(int(v), num_vertices, name="seed vertex") for v in seeds]
+    seed_list = [require_vertex(v, num_vertices, name="seed vertex") for v in seeds]
     unique = sorted(set(seed_list))
     if len(unique) != len(seed_list):
         raise InvalidSeedSetError(f"seed set contains duplicate vertices: {sorted(seed_list)}")

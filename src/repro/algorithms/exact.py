@@ -42,7 +42,7 @@ class ExactEstimator(InfluenceEstimator):
         self._reset_accounting(graph)
 
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
-        return exact_spread(self.graph, tuple(current_seeds) + (int(vertex),))
+        return exact_spread(self.graph, tuple(current_seeds) + (vertex,))
 
     def update(self, chosen_vertex: int) -> None:
         del chosen_vertex

@@ -95,14 +95,14 @@ class OneshotEstimator(InfluenceEstimator):
         """Simulate ``beta`` cascades from ``current_seeds + (vertex,)``."""
         if self._rng is None:
             raise_not_built()
-        value = self._simulate_total(tuple(current_seeds) + (int(vertex),))
+        value = self._simulate_total(tuple(current_seeds) + (vertex,))
         if self._marginal:
             return value - self._baseline_estimate
         return value
 
     def update(self, chosen_vertex: int) -> None:
         """Record the chosen seed (only needed for marginal-mode baselines)."""
-        self._current_seeds = tuple(self._current_seeds) + (int(chosen_vertex),)
+        self._current_seeds = tuple(self._current_seeds) + (chosen_vertex,)
         if self._marginal:
             self._baseline_estimate = self._simulate_total(self._current_seeds)
 

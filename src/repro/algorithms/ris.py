@@ -105,11 +105,11 @@ class RISEstimator(InfluenceEstimator):
         """
         del current_seeds
         collection = self.collection
-        return self.graph.num_vertices * collection.coverage(int(vertex)) / self.num_samples
+        return self.graph.num_vertices * collection.coverage(vertex) / self.num_samples
 
     def update(self, chosen_vertex: int) -> None:
         """Remove RR sets containing the chosen seed (Algorithm 3.4, Update)."""
-        self.collection.remove_covered_by(int(chosen_vertex))
+        self.collection.remove_covered_by(chosen_vertex)
 
     # ------------------------------------------------------------------ #
     # direct spread queries (outside the greedy protocol)

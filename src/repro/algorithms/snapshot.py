@@ -18,24 +18,29 @@ Two Update strategies are provided:
     ``v_l``, vertices already reachable from the chosen seeds are marked as
     removed in each snapshot, so later Estimate calls traverse the smaller
     residual graph.  Estimates are unchanged; traversal cost drops.
+
+Sampling stays scalar: Build draws the ``tau`` snapshots one by one.  The
+queries do not: Build packs the snapshots 64 per ``uint64`` word
+(:class:`~repro.diffusion.snapshot_lanes.SnapshotLanes`), and every Estimate,
+Update and spread runs one lane-mask BFS per 64 snapshots.  Counts and the
+traversal cost are exact per-snapshot sums, so estimates, seeds and the
+Table 8 counters equal those of one BFS per snapshot.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from .._validation import require_choice
+from .._validation import require_choice, require_vertex
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
-from ..diffusion.snapshots import (
-    Snapshot,
-    reachability_scratch,
-    reachable_count,
-    reachable_vertices,
-)
+from ..diffusion.snapshots import Snapshot
 from ..exceptions import EstimatorStateError
 from ..graphs.influence_graph import InfluenceGraph
 from .framework import InfluenceEstimator
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..diffusion.snapshot_lanes import SnapshotLanes
 
 #: Valid Update strategies.
 UPDATE_STRATEGIES: tuple[str, ...] = ("naive", "reduce")
@@ -79,11 +84,11 @@ class SnapshotEstimator(InfluenceEstimator):
         self._jobs = jobs
         self._executor = executor
         self._snapshots: list[Snapshot] = []
+        self._lanes: SnapshotLanes | None = None
         self._current_seeds: tuple[int, ...] = ()
-        # Per-snapshot cached reachability of the current seed set:
-        # value r(S) for the naive strategy, blocked-vertex masks for "reduce".
-        self._base_counts: list[int] = []
-        self._blocked: list[np.ndarray] = []
+        # Reachable count of the current seed set summed over the snapshots
+        # (naive strategy; "reduce" keeps blocked lanes in ``_lanes``).
+        self._base_count = 0
 
     @property
     def update_strategy(self) -> str:
@@ -101,11 +106,12 @@ class SnapshotEstimator(InfluenceEstimator):
         return tuple(self._snapshots)
 
     def build(self, graph: InfluenceGraph, rng: RandomSource) -> None:
-        """Sample ``tau`` snapshots and reset per-run caches.
+        """Sample ``tau`` snapshots, pack them into lane words, reset caches.
 
         Sampling streams the edge list (one coin flip per edge per snapshot)
         without traversing the graph, so it adds to sample size but not to
-        traversal cost, matching the paper's accounting.
+        traversal cost, matching the paper's accounting.  Packing rearranges
+        the stored edges without examining any.
         """
         self._model.validate(graph)
         self._reset_accounting(graph)
@@ -117,81 +123,52 @@ class SnapshotEstimator(InfluenceEstimator):
             jobs=self._jobs,
             executor=self._executor,
         )
+        # Imported here, not at module level, so importing repro (and loading
+        # a spec) does not load the lane kernels.
+        from ..diffusion.snapshot_lanes import SnapshotLanes
+
+        self._lanes = SnapshotLanes(self._snapshots)
         self._current_seeds = ()
-        self._base_counts = [0] * len(self._snapshots)
-        self._blocked = [
-            np.zeros(graph.num_vertices, dtype=bool) for _ in self._snapshots
-        ]
-        # One reusable (visited, slot) pair for every reachability query this
-        # estimator issues, so per-candidate estimates cost time proportional
-        # to the reached set rather than O(num_vertices) per call.
-        self._reach_scratch = reachability_scratch(graph.num_vertices)
+        self._base_count = 0
+
+    def _require_lanes(self, method: str) -> SnapshotLanes:
+        if self._lanes is None:
+            raise EstimatorStateError(
+                f"estimator.build(graph, rng) must be called before {method}()"
+            )
+        return self._lanes
 
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
         """Average marginal reachability of ``vertex`` w.r.t. ``current_seeds``."""
-        if not self.is_built:
-            raise EstimatorStateError(
-                "estimator.build(graph, rng) must be called before estimate()"
-            )
-        vertex = int(vertex)
+        lanes = self._require_lanes("estimate")
         if self._update_strategy == "reduce":
-            total = 0
-            for index, snapshot in enumerate(self._snapshots):
-                total += reachable_count(
-                    snapshot,
-                    (vertex,),
-                    cost=self._estimate_cost,
-                    blocked=self._blocked[index],
-                    scratch=self._reach_scratch,
-                )
-            return total / len(self._snapshots)
-
-        seeds = tuple(current_seeds) + (vertex,)
-        total_marginal = 0
-        for index, snapshot in enumerate(self._snapshots):
-            count = reachable_count(
-                snapshot, seeds, cost=self._estimate_cost, scratch=self._reach_scratch
+            total = lanes.reachable_count(
+                (vertex,), cost=self._estimate_cost, blocked=True
             )
-            total_marginal += count - self._base_counts[index]
-        return total_marginal / len(self._snapshots)
+            return total / len(self._snapshots)
+        count = lanes.reachable_count(
+            tuple(current_seeds) + (vertex,), cost=self._estimate_cost
+        )
+        return (count - self._base_count) / len(self._snapshots)
 
     def update(self, chosen_vertex: int) -> None:
-        """Fold the chosen seed into the per-snapshot caches."""
-        chosen_vertex = int(chosen_vertex)
+        """Fold the chosen seed into the cached reachability."""
+        lanes = self._require_lanes("update")
+        chosen_vertex = require_vertex(chosen_vertex, lanes.num_vertices)
         self._current_seeds = tuple(self._current_seeds) + (chosen_vertex,)
         if self._update_strategy == "reduce":
-            for index, snapshot in enumerate(self._snapshots):
-                # The discovery-order list feeds the blocked update with one
-                # fancy-index store instead of a per-vertex Python loop.
-                newly_reachable = reachable_vertices(
-                    snapshot,
-                    (chosen_vertex,),
-                    cost=self._estimate_cost,
-                    blocked=self._blocked[index],
-                    scratch=self._reach_scratch,
-                )
-                self._blocked[index][newly_reachable] = True
+            lanes.block_reachable((chosen_vertex,), cost=self._estimate_cost)
         else:
-            for index, snapshot in enumerate(self._snapshots):
-                self._base_counts[index] = reachable_count(
-                    snapshot,
-                    self._current_seeds,
-                    cost=self._estimate_cost,
-                    scratch=self._reach_scratch,
-                )
+            self._base_count = lanes.reachable_count(
+                self._current_seeds, cost=self._estimate_cost
+            )
 
     # ------------------------------------------------------------------ #
     # direct spread queries (outside the greedy protocol)
     # ------------------------------------------------------------------ #
     def spread(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> float:
         """Estimate ``Inf(seed_set)`` directly from the stored snapshots."""
-        if not self.is_built:
-            raise EstimatorStateError(
-                "estimator.build(graph, rng) must be called before spread()"
-            )
-        total = 0
-        for snapshot in self._snapshots:
-            total += reachable_count(
-                snapshot, seed_set, cost=self._estimate_cost, scratch=self._reach_scratch
-            )
-        return total / len(self._snapshots)
+        lanes = self._require_lanes("spread")
+        return lanes.reachable_count(seed_set, cost=self._estimate_cost) / len(
+            self._snapshots
+        )

@@ -151,9 +151,11 @@ def reachable_set(
 ) -> set[int]:
     """Vertices reachable from ``seeds`` in ``snapshot`` (including the seeds).
 
-    ``blocked`` is an optional boolean mask of vertices to treat as removed;
-    the Snapshot graph-reduction update (Section 3.4.3) uses it to exclude
-    vertices already reachable from previously chosen seeds.
+    ``blocked`` is an optional boolean mask of vertices to treat as removed,
+    as in the Snapshot graph-reduction update (Section 3.4.3), which excludes
+    vertices already reachable from previously chosen seeds.  (The Snapshot
+    estimator itself runs 64 snapshots per word through
+    :class:`repro.diffusion.snapshot_lanes.SnapshotLanes`.)
     """
     return set(reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked))
 
@@ -161,9 +163,8 @@ def reachable_set(
 def reachability_scratch(num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     """Reusable ``(visited, slot)`` scratch pair for reachability queries.
 
-    Callers that issue many queries against snapshots of the same graph (the
-    Snapshot estimator's per-candidate estimates, descendant counting) create
-    one pair and pass it as ``scratch=``; the query then runs in time
+    Callers that issue many queries against snapshots of the same graph
+    (descendant counting, the bottom-k sketches) create one pair and pass it as ``scratch=``; the query then runs in time
     proportional to the reached set instead of paying an O(num_vertices)
     allocation and reset per call.  Not safe to share across threads.
     """

@@ -98,9 +98,10 @@ _PARALLEL_BUILD: frozenset[str] = frozenset({"snapshot", "snapshot_reduce", "ris
 #: Approaches that sample the diffusion process and therefore accept ``model``.
 _MODEL_AWARE: frozenset[str] = frozenset({"oneshot", "snapshot", "snapshot_reduce", "ris"})
 
-#: Approaches with a bit-parallel fast path (the forward-cascade and RR-set
-#: kernels; snapshots store whole live-edge graphs, which the mask kernels do
-#: not produce, so the snapshot approaches stay scalar).
+#: Approaches whose *sampling* has a bit-parallel mode (the forward-cascade
+#: and RR-set kernels).  Snapshot sampling stays scalar; the snapshot
+#: approaches' reachability queries always run 64 snapshots per word, exactly,
+#: with no mode to choose.
 _BATCH_AWARE: frozenset[str] = frozenset({"oneshot", "ris"})
 
 

@@ -279,7 +279,7 @@ class InfluenceGraph:
         Vertices are relabelled ``0 .. len(keep)-1`` in sorted order of their
         original ids.
         """
-        kept = sorted({require_vertex(int(v), self._num_vertices) for v in keep})
+        kept = sorted({require_vertex(v, self._num_vertices) for v in keep})
         relabel = {old: new for new, old in enumerate(kept)}
         mask = np.zeros(self._num_vertices, dtype=bool)
         mask[kept] = True

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.random_source import RandomSource
+from repro.diffusion.snapshot_lanes import SnapshotLanes
+from repro.diffusion.snapshots import reachable_count, reachable_vertices
 from repro.exceptions import EstimatorStateError, InvalidParameterError
+from repro.graphs.builder import GraphBuilder
+from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import erdos_renyi
+from repro.graphs.probability import assign_probabilities
 
 
 class TestProtocol:
@@ -140,3 +147,172 @@ class TestWithinGreedy:
         result = greedy_maximize(karate_uc01, 1, SnapshotEstimator(128), seed=2)
         best = karate_oracle.top_vertices(1)[0][1]
         assert karate_oracle.spread(result.seed_set) >= 0.8 * best
+
+
+class PerSnapshotReference(SnapshotEstimator):
+    """The per-snapshot loop: one scalar BFS per stored snapshot and query.
+
+    Builds (samples) exactly like :class:`SnapshotEstimator`, then answers
+    Estimate, Update and spread from ``self.snapshots`` one snapshot at a
+    time, with a cached base count (naive) or a blocked mask per snapshot
+    (reduce), charging the same cost counter.
+    """
+
+    def build(self, graph, rng):
+        super().build(graph, rng)
+        self._reference_seeds = ()
+        self._reference_base = 0
+        self._reference_blocked = [
+            np.zeros(graph.num_vertices, dtype=bool) for _ in self.snapshots
+        ]
+
+    def _count(self, seeds, blocked=None):
+        blocked = blocked or [None] * len(self.snapshots)
+        return sum(
+            reachable_count(snapshot, seeds, cost=self.estimate_cost, blocked=mask)
+            for snapshot, mask in zip(self.snapshots, blocked)
+        )
+
+    def estimate(self, current_seeds, vertex):
+        if self.update_strategy == "reduce":
+            return self._count((vertex,), self._reference_blocked) / len(self.snapshots)
+        count = self._count(tuple(current_seeds) + (vertex,))
+        return (count - self._reference_base) / len(self.snapshots)
+
+    def update(self, chosen_vertex):
+        self._reference_seeds += (chosen_vertex,)
+        if self.update_strategy == "reduce":
+            for snapshot, mask in zip(self.snapshots, self._reference_blocked):
+                mask[
+                    reachable_vertices(
+                        snapshot, (chosen_vertex,), cost=self.estimate_cost, blocked=mask
+                    )
+                ] = True
+        else:
+            self._reference_base = self._count(self._reference_seeds)
+
+    def spread(self, seed_set):
+        return self._count(seed_set) / len(self.snapshots)
+
+
+def _karate_multigraph(probability):
+    """Karate with every third arc doubled and every seventh tripled."""
+    sources, targets, _ = load_dataset("karate").edge_arrays()
+    builder = GraphBuilder(34, on_duplicate="allow")
+    for index, (source, target) in enumerate(zip(sources.tolist(), targets.tolist())):
+        copies = 1 + (index % 3 == 0) + (index % 7 == 0)
+        for _ in range(copies):
+            builder.add_edge(source, target)
+    return assign_probabilities(builder.build(name="karate_multi"), probability)
+
+
+#: Graph factory per parity instance and model.  The generated graph's
+#: frontiers are large enough to reach the batched levels.
+PARITY_GRAPHS = {
+    "karate": {
+        "ic": lambda: assign_probabilities(load_dataset("karate"), "uc0.1"),
+        "lt": lambda: assign_probabilities(load_dataset("karate"), "iwc"),
+    },
+    "karate_multigraph": {
+        "ic": lambda: _karate_multigraph("iwc"),
+        "lt": lambda: _karate_multigraph("iwc"),
+    },
+    "er200": {
+        "ic": lambda: assign_probabilities(erdos_renyi(200, 0.04, seed=1), "iwc"),
+        "lt": lambda: assign_probabilities(erdos_renyi(200, 0.04, seed=1), "iwc"),
+    },
+}
+
+#: One group, one short of a full word, exactly one word, one lane over, and
+#: three groups with a two-lane tail.
+PARITY_TAUS = (1, 63, 64, 65, 130)
+
+#: Candidate pool on the generated graph, which keeps the per-snapshot loop fast.
+ER200_CANDIDATES = tuple(range(0, 200, 16))
+
+
+def _greedy_pair(graph, model, tau, strategy):
+    candidates = None if graph.num_vertices <= 34 else ER200_CANDIDATES
+    results = []
+    for estimator_type in (SnapshotEstimator, PerSnapshotReference):
+        estimator = estimator_type(tau, update_strategy=strategy, model=model)
+        result = greedy_maximize(graph, 3, estimator, seed=tau, candidate_vertices=candidates)
+        results.append((result, estimator))
+    return results
+
+
+class TestLaneParity:
+    """Lane-packed queries equal the per-snapshot loop exactly."""
+
+    @pytest.mark.parametrize("tau", PARITY_TAUS)
+    @pytest.mark.parametrize("strategy", ["naive", "reduce"])
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    @pytest.mark.parametrize("graph_name", sorted(PARITY_GRAPHS))
+    def test_greedy_matches_per_snapshot_loop(self, graph_name, model, strategy, tau):
+        graph = PARITY_GRAPHS[graph_name][model]()
+        (lanes, lane_estimator), (reference, reference_estimator) = _greedy_pair(
+            graph, model, tau, strategy
+        )
+        assert lanes.seeds == reference.seeds
+        assert lanes.estimates == reference.estimates
+        assert lanes.cost.traversal == reference.cost.traversal
+        assert lane_estimator.estimate_cost == reference_estimator.estimate_cost
+        assert lanes.cost.sample_size == reference.cost.sample_size
+        seeds = lanes.seeds
+        assert lane_estimator.spread(seeds) == reference_estimator.spread(seeds)
+        assert lane_estimator.estimate_cost == reference_estimator.estimate_cost
+
+    @pytest.mark.parametrize("tau", [1, 64, 65])
+    def test_lanes_on_deterministic_graph(self, two_hubs_graph, tau):
+        estimator = SnapshotEstimator(tau)
+        estimator.build(two_hubs_graph, RandomSource(0))
+        lanes = SnapshotLanes(estimator.snapshots)
+        assert lanes.reachable_count((0,)) == 4 * tau
+        assert lanes.reachable_count((0, 4)) == 7 * tau
+        assert lanes.block_reachable((0,)) == 4 * tau
+        assert lanes.reachable_count((1,), blocked=True) == 0
+        assert lanes.reachable_count((4,), blocked=True) == 3 * tau
+        assert lanes.reachable_count((1,)) == tau
+
+    def test_snapshots_without_live_edges(self):
+        builder = GraphBuilder(5, default_probability=1e-12)
+        for source, target in ((0, 1), (1, 2), (2, 3), (3, 4)):
+            builder.add_edge(source, target)
+        estimator = SnapshotEstimator(70)
+        estimator.build(builder.build(name="dead_path"), RandomSource(0))
+        assert estimator.sample_size.edges == 0
+        assert estimator.estimate((), 0) == 1.0
+        assert estimator.spread((0, 2, 4)) == 3.0
+        assert estimator.estimate_cost.edges == 0
+
+    def test_multigraph_has_parallel_live_copies(self):
+        # Non-vacuity: some snapshot keeps two copies of one arc, which the
+        # union CSR must count as two live edges.
+        estimator = SnapshotEstimator(130, model="ic")
+        estimator.build(_karate_multigraph("iwc"), RandomSource(0))
+        repeated = 0
+        for snapshot in estimator.snapshots:
+            for vertex in range(snapshot.num_vertices):
+                row = snapshot.out_neighbors(vertex)
+                repeated += row.shape[0] - np.unique(row).shape[0]
+        assert repeated > 0
+
+    @pytest.mark.parametrize("strategy", ["naive", "reduce"])
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_generated_graph_reaches_batched_levels(self, model, strategy, monkeypatch):
+        calls = []
+        batched = SnapshotLanes._batched_levels
+
+        def spy(self, *args):
+            calls.append(1)
+            return batched(self, *args)
+
+        monkeypatch.setattr(SnapshotLanes, "_batched_levels", spy)
+        greedy_maximize(
+            PARITY_GRAPHS["er200"][model](),
+            3,
+            SnapshotEstimator(130, update_strategy=strategy, model=model),
+            seed=130,
+            candidate_vertices=ER200_CANDIDATES,
+        )
+        assert calls

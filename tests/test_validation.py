@@ -2,8 +2,23 @@
 
 from __future__ import annotations
 
+import re
+import numpy as np
 import pytest
 
+from repro.algorithms.exact import ExactEstimator
+from repro.algorithms.oneshot import OneshotEstimator
+from repro.algorithms.ris import RISEstimator
+from repro.algorithms.snapshot import SnapshotEstimator
+from repro.diffusion.random_source import RandomSource
+from repro.diffusion.snapshots import (
+    reachable_count,
+    reachable_mask,
+    reachable_set,
+    reachable_vertices,
+    sample_snapshot,
+)
+from repro.estimation.oracle import RRPoolOracle
 from repro._validation import (
     normalize_seed_set,
     require_choice,
@@ -111,6 +126,95 @@ class TestRequireVertexAndSeedSet:
 
     def test_normalize_empty(self):
         assert normalize_seed_set([], 5) == ()
+
+
+#: Values that are not vertex ids, even where ``int()`` would accept them.
+NON_VERTEX_IDS = [
+    pytest.param(1.7, id="float"),
+    pytest.param(2.0, id="integral-float"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.bool_(True), id="numpy-bool"),
+    pytest.param("3", id="str"),
+    pytest.param(np.float64(2.9), id="numpy-float"),
+    pytest.param(None, id="none"),
+]
+
+#: Integer vertex ids of every accepted type (vertex 2 of a 5-vertex graph).
+INTEGER_VERTEX_IDS = [
+    pytest.param(2, id="int"),
+    pytest.param(np.int64(2), id="int64"),
+    pytest.param(np.int32(2), id="int32"),
+    pytest.param(np.uint8(2), id="uint8"),
+]
+
+
+class TestSeedVertexTypes:
+    @pytest.mark.parametrize("value", NON_VERTEX_IDS)
+    def test_normalize_rejects_and_names_the_value(self, value):
+        with pytest.raises(InvalidSeedSetError, match=re.escape(repr(value))):
+            normalize_seed_set([0, value], 5)
+
+    @pytest.mark.parametrize("value", NON_VERTEX_IDS)
+    def test_require_vertex_rejects(self, value):
+        with pytest.raises(InvalidSeedSetError, match=re.escape(repr(value))):
+            require_vertex(value, 5)
+
+    @pytest.mark.parametrize("value", INTEGER_VERTEX_IDS)
+    def test_integers_of_any_type_are_accepted(self, value):
+        assert normalize_seed_set([value, 0], 5) == (0, 2)
+        assert all(type(v) is int for v in normalize_seed_set([value], 5))
+        assert type(require_vertex(value, 5)) is int
+
+    @pytest.mark.parametrize("value", INTEGER_VERTEX_IDS)
+    def test_numpy_integers_are_range_checked(self, value):
+        with pytest.raises(InvalidSeedSetError, match="out of range"):
+            normalize_seed_set([value], 2)
+
+    def test_integer_duplicates_across_types(self):
+        with pytest.raises(InvalidSeedSetError, match="duplicate"):
+            normalize_seed_set([2, np.int64(2)], 5)
+
+
+def _built(estimator, graph):
+    estimator.build(graph, RandomSource(3))
+    return estimator
+
+
+#: Every public query that takes a seed set or a candidate vertex, as
+#: ``(graph, value) -> result``; each must validate rather than cast.
+SEED_SURFACES = {
+    "reachable_count": lambda g, v: reachable_count(sample_snapshot(g, RandomSource(1)), [v]),
+    "reachable_vertices": lambda g, v: reachable_vertices(
+        sample_snapshot(g, RandomSource(1)), [v]
+    ),
+    "reachable_set": lambda g, v: reachable_set(sample_snapshot(g, RandomSource(1)), [v]),
+    "reachable_mask": lambda g, v: reachable_mask(
+        sample_snapshot(g, RandomSource(1)), [v]
+    ).tolist(),
+    "oracle.spread": lambda g, v: RRPoolOracle(g, pool_size=50, seed=1).spread([v]),
+    "snapshot.naive.estimate": lambda g, v: _built(SnapshotEstimator(3), g).estimate((), v),
+    "snapshot.reduce.estimate": lambda g, v: _built(
+        SnapshotEstimator(3, update_strategy="reduce"), g
+    ).estimate((), v),
+    "snapshot.spread": lambda g, v: _built(SnapshotEstimator(3), g).spread([v]),
+    "snapshot.update": lambda g, v: _built(SnapshotEstimator(3), g).update(v),
+    "oneshot.estimate": lambda g, v: _built(OneshotEstimator(2), g).estimate((), v),
+    "ris.estimate": lambda g, v: _built(RISEstimator(20), g).estimate((), v),
+    "exact.estimate": lambda g, v: _built(ExactEstimator(), g).estimate((), v),
+}
+
+
+class TestSeedSurfaces:
+    @pytest.mark.parametrize("surface", sorted(SEED_SURFACES))
+    @pytest.mark.parametrize("value", NON_VERTEX_IDS)
+    def test_rejects_non_integer_vertex(self, surface, value, two_hubs_graph):
+        with pytest.raises(InvalidSeedSetError, match=re.escape(repr(value))):
+            SEED_SURFACES[surface](two_hubs_graph, value)
+
+    @pytest.mark.parametrize("surface", sorted(SEED_SURFACES))
+    def test_accepts_numpy_integer_vertex(self, surface, two_hubs_graph):
+        expected = SEED_SURFACES[surface](two_hubs_graph, 4)
+        assert SEED_SURFACES[surface](two_hubs_graph, np.int64(4)) == expected
 
 
 class TestRequireChoice:
