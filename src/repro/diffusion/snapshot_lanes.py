@@ -17,6 +17,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .._validation import normalize_seed_set
+from ..exceptions import InvalidParameterError
 from .bitparallel import LANES_PER_WORD, popcount
 from .costs import TraversalCost
 from .frontier import frontier_edges
@@ -54,6 +55,11 @@ class SnapshotLanes:
     """
 
     def __init__(self, snapshots: Sequence[Snapshot]) -> None:
+        if len({snapshot.num_vertices for snapshot in snapshots}) != 1:
+            raise InvalidParameterError(
+                "SnapshotLanes needs one or more snapshots of one graph, got "
+                f"vertex counts {sorted({snapshot.num_vertices for snapshot in snapshots})}"
+            )
         self.num_vertices = snapshots[0].num_vertices
         self._groups = [
             _LaneGroup(snapshots[start : start + LANES_PER_WORD])

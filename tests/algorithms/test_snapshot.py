@@ -10,7 +10,7 @@ from repro.algorithms.snapshot import SnapshotEstimator
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.snapshot_lanes import SnapshotLanes
-from repro.diffusion.snapshots import reachable_count, reachable_vertices
+from repro.diffusion.snapshots import reachable_count, reachable_vertices, sample_snapshot
 from repro.exceptions import EstimatorStateError, InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.datasets import load_dataset
@@ -273,6 +273,13 @@ class TestLaneParity:
         assert lanes.reachable_count((1,), blocked=True) == 0
         assert lanes.reachable_count((4,), blocked=True) == 3 * tau
         assert lanes.reachable_count((1,)) == tau
+
+    def test_lanes_need_snapshots_of_one_graph(self, karate_uc01, star_graph):
+        with pytest.raises(InvalidParameterError, match="one or more snapshots"):
+            SnapshotLanes([])
+        mixed = [sample_snapshot(graph, RandomSource(0)) for graph in (karate_uc01, star_graph)]
+        with pytest.raises(InvalidParameterError, match=r"\[6, 34\]"):
+            SnapshotLanes(mixed)
 
     def test_snapshots_without_live_edges(self):
         builder = GraphBuilder(5, default_probability=1e-12)
