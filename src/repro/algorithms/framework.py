@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import require_positive_int
+from .._validation import require_positive_int, require_vertex
 from ..context import RunContext, resolve_context
 from ..diffusion.costs import CostReport, SampleSize, TraversalCost
 from ..diffusion.random_source import RandomSource
-from ..exceptions import EstimatorStateError, InvalidParameterError
+from ..exceptions import EstimatorStateError, InvalidParameterError, InvalidSeedSetError
 from ..graphs.influence_graph import InfluenceGraph
 
 
@@ -216,9 +216,15 @@ def greedy_maximize(
     if candidate_vertices is None:
         candidates = np.arange(graph.num_vertices)
     else:
-        candidates = np.array(sorted(set(int(v) for v in candidate_vertices)), dtype=np.int64)
-        if candidates.size and (candidates.min() < 0 or candidates.max() >= graph.num_vertices):
-            raise InvalidParameterError("candidate_vertices contains out-of-range vertex ids")
+        try:
+            candidate_ids = {
+                require_vertex(v, graph.num_vertices, name="candidate vertex")
+                for v in candidate_vertices
+            }
+        except InvalidSeedSetError as error:
+            # Candidates are a parameter, not a seed set.
+            raise InvalidParameterError(str(error)) from None
+        candidates = np.array(sorted(candidate_ids), dtype=np.int64)
     if k > candidates.size:
         raise InvalidParameterError(
             f"k ({k}) exceeds the number of candidate vertices ({candidates.size})"

@@ -46,7 +46,6 @@ class RISEstimator(InfluenceEstimator):
         *,
         model: "str | DiffusionModel | None" = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         batch_mode: str | None = None,
     ) -> None:
         super().__init__(num_samples)
@@ -55,7 +54,6 @@ class RISEstimator(InfluenceEstimator):
         # Optional parallel Build (see repro.runtime): RR sets are generated
         # under the split-stream contract, bit-identical for any worker count.
         self._jobs = jobs
-        self._executor = executor
         from ..diffusion.bitparallel import resolve_batch_mode
 
         self._batch_mode = resolve_batch_mode(batch_mode)
@@ -92,7 +90,6 @@ class RISEstimator(InfluenceEstimator):
             cost=self._build_cost,
             sample_size=self._sample_size,
             jobs=self._jobs,
-            executor=self._executor,
             batch_mode=self._batch_mode,
         )
 

@@ -72,7 +72,6 @@ class SnapshotEstimator(InfluenceEstimator):
         update_strategy: str = "naive",
         model: "str | DiffusionModel | None" = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
     ) -> None:
         super().__init__(num_samples)
         self._update_strategy = require_choice(
@@ -82,7 +81,6 @@ class SnapshotEstimator(InfluenceEstimator):
         # Optional parallel Build (see repro.runtime): snapshots are sampled
         # under the split-stream contract, bit-identical for any worker count.
         self._jobs = jobs
-        self._executor = executor
         self._snapshots: list[Snapshot] = []
         self._lanes: SnapshotLanes | None = None
         self._current_seeds: tuple[int, ...] = ()
@@ -121,7 +119,6 @@ class SnapshotEstimator(InfluenceEstimator):
             rng,
             sample_size=self._sample_size,
             jobs=self._jobs,
-            executor=self._executor,
         )
         # Imported here, not at module level, so importing repro (and loading
         # a spec) does not load the lane kernels.

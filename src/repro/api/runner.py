@@ -72,7 +72,6 @@ def _run_stats(spec: StatsSpec) -> StatsResult:
         _stats_row_worker,
         [(name, float(spec.scale)) for name in names],
         jobs=spec.context.jobs,
-        executor=spec.context.executor,
         telemetry=spec.context.telemetry,
     )
     return StatsResult(spec=spec, rows=tuple(rows))
@@ -85,7 +84,6 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
     estimator = estimator_factory(
         spec.estimator.approach,
         jobs=context.jobs,
-        executor=context.executor,
         model=diffusion,
         # The estimator spec's own batch_mode wins over the context's.
         batch_mode=spec.estimator.batch_mode or context.batch_mode,
@@ -100,7 +98,6 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         seed=context.seed + 1,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     with tel.span("oracle.score"):
@@ -119,7 +116,6 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         seed=context.seed + 1,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     trial_set = run_trials(
@@ -136,7 +132,6 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         experiment_seed=context.seed,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         telemetry=context.telemetry,
     )
     return TrialsResult(spec=spec, graph_name=graph.name, trial_set=trial_set)
@@ -151,7 +146,6 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         seed=context.seed + 1,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         context=context,
     )
     # Parallelism is applied at the trial level (the coarsest grain); the
@@ -166,7 +160,6 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         experiment_seed=context.seed,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         telemetry=context.telemetry,
     )
     return SweepResult(spec=spec, graph_name=graph.name, sweep=sweep)
@@ -189,7 +182,6 @@ def _run_traversal(spec: TraversalSpec) -> TraversalResult:
         experiment_seed=context.seed,
         model=diffusion,
         jobs=context.jobs,
-        executor=context.executor,
         telemetry=context.telemetry,
     )
     return TraversalResult(spec=spec, graph_name=graph.name, rows=tuple(rows))

@@ -11,8 +11,8 @@ Composition mirrors the paper's methodology:
 * :class:`GraphSpec` — the influence instance: a registry ``dataset``, an
   ``edge_list`` file, or a synthetic ``generator``, plus the edge-probability
   scheme and (for edge lists) the duplicate-arc policy.
-* :class:`~repro.context.RunContext` — seed / jobs / executor / diffusion
-  model, shared by every experiment kind.
+* :class:`~repro.context.RunContext` — seed / jobs / diffusion model /
+  batch mode, shared by every experiment kind.
 * :class:`EstimatorSpec` — approach name + sample number, resolved through
   :func:`repro.experiments.factories.estimator_factory`.
 * The experiment specs (:class:`StatsSpec`, :class:`MaximizeSpec`,

@@ -1,11 +1,11 @@
-"""The run context: one object for the four cross-cutting execution knobs.
+"""The run context: one object for the cross-cutting execution knobs.
 
-Every layer of the library is parameterised by the same four values — the
-PRNG ``seed``, the worker count ``jobs``, an optional caller-owned
-``executor``, and the diffusion ``model``.  Historically each entry point
-accepted them as separate keyword arguments; :class:`RunContext` collapses
-them into a single immutable object that every entry point now also accepts
-as ``context=``, and that the declarative spec layer
+Every layer of the library is parameterised by the same values — the PRNG
+``seed``, the worker count ``jobs``, the diffusion ``model``, the
+``batch_mode`` and an optional ``telemetry`` observer.  Historically each
+entry point accepted them as separate keyword arguments; :class:`RunContext`
+collapses them into a single immutable object that every entry point now
+also accepts as ``context=``, and that the declarative spec layer
 (:mod:`repro.api.specs`) serializes as part of an experiment document.
 
 Merge rule (implemented by :func:`resolve_context` and used identically
@@ -15,11 +15,10 @@ no context the historical defaults apply (seed 0, serial single-stream
 execution, independent cascade).  Passing the old kwargs and passing an
 equivalent ``RunContext`` therefore produce equal outputs by construction.
 
-``executor`` is a live process-pool handle and is deliberately excluded from
-serialization: :meth:`RunContext.to_dict` raises when one is attached.
-``telemetry`` is equally runtime-only but is *silently omitted* instead:
-results embed their spec's dict, and attaching an observer must not make a
-result unserializable.
+``jobs`` is the only parallelism knob: every worker pool is opened and closed
+inside the call that needs it.  ``telemetry`` is runtime-only and is
+*silently omitted* from serialization: results embed their spec's dict, and
+attaching an observer must not make a result unserializable.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class ResolvedContext(NamedTuple):
 
     seed: int
     jobs: int | None
-    executor: Any | None
     model: Any | None
     telemetry: Any | None = None
     batch_mode: str | None = None
@@ -74,18 +72,15 @@ class RunContext:
         Worker-process count (the CLI's ``--jobs``).  ``None`` keeps the
         historical serial single-stream draw; any explicit value opts into
         the runtime's split-stream contract (bit-identical for every value).
-    executor:
-        Optional caller-owned :class:`~repro.runtime.executor.Executor`
-        reused across calls.  Runtime-only: not serializable.
     model:
         Diffusion model name or :class:`~repro.diffusion.models.DiffusionModel`
         instance (the CLI's ``--diffusion``); ``None`` means the paper's
         independent cascade.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` collecting counters
-        and spans for this run.  Runtime-only like ``executor``: never
-        serialized (silently omitted, since results embed their spec), and
-        ``None`` means the strict no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
+        and spans for this run.  Runtime-only: never serialized (silently
+        omitted, since results embed their spec), and ``None`` means the
+        strict no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
     batch_mode:
         Simulation batching strategy (the CLI's ``--batch-mode``):
         ``"scalar"`` for the golden per-simulation kernels, ``"bitparallel"``
@@ -96,7 +91,6 @@ class RunContext:
 
     seed: int = 0
     jobs: int | None = None
-    executor: Any | None = None
     model: Any | None = None
     telemetry: Any | None = None
     batch_mode: str | None = None
@@ -137,11 +131,6 @@ class RunContext:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict[str, Any]:
         """Serialize to a JSON-compatible dict (non-default fields only)."""
-        if self.executor is not None:
-            raise SpecValidationError(
-                "a RunContext holding a live executor cannot be serialized; "
-                "attach executors only to in-process contexts"
-            )
         out: dict[str, Any] = {}
         if self.seed != 0:
             out["seed"] = self.seed
@@ -158,10 +147,7 @@ class RunContext:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunContext":
         """Deserialize; unknown keys are rejected with the offending key named."""
         _require_mapping(data, "RunContext")
-        allowed = {field.name for field in dataclasses.fields(cls)} - {
-            "executor",
-            "telemetry",
-        }
+        allowed = {field.name for field in dataclasses.fields(cls)} - {"telemetry"}
         _check_unknown_keys(data, allowed, "RunContext")
         return cls(**dict(data))
 
@@ -171,7 +157,6 @@ def resolve_context(
     *,
     seed: Any | None = None,
     jobs: int | None = None,
-    executor: Any | None = None,
     model: Any | None = None,
     telemetry: Any | None = None,
     batch_mode: str | None = None,
@@ -185,12 +170,11 @@ def resolve_context(
     """
     if context is None:
         return ResolvedContext(
-            seed if seed is not None else 0, jobs, executor, model, telemetry, batch_mode
+            seed if seed is not None else 0, jobs, model, telemetry, batch_mode
         )
     return ResolvedContext(
         seed if seed is not None else context.seed,
         jobs if jobs is not None else context.jobs,
-        executor if executor is not None else context.executor,
         model if model is not None else context.model,
         telemetry if telemetry is not None else context.telemetry,
         batch_mode if batch_mode is not None else context.batch_mode,

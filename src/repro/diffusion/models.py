@@ -26,7 +26,7 @@ plural samplers (:meth:`DiffusionModel.simulate_cascades`,
 by ``batch_mode`` and hand it to one seeded dispatch,
 :meth:`DiffusionModel._run_seeded`: serially every task unit (one sample, or
 one 64-lane bit-parallel word) draws from ``rng``'s one stream, and under
-``jobs``/``executor`` the one chunk worker, :func:`_seeded_chunk_worker`,
+``jobs`` the one chunk worker, :func:`_seeded_chunk_worker`,
 gives unit ``i`` the child stream of ``(rng, i)``, so any ``jobs`` value is
 bit-identical.  Models override only the scalar kernel hooks, and the
 module-level IC functions of the same names are one-call shorthands for
@@ -238,7 +238,6 @@ class DiffusionModel(abc.ABC):
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         telemetry=None,
     ) -> list:
         """The one seeded dispatch behind every plural sampler and Monte-Carlo.
@@ -246,7 +245,7 @@ class DiffusionModel(abc.ABC):
         Validates ``count`` and ``rng`` and records the deterministic
         counters (``counter`` and the bit-parallel ones) before any work.
         Serially the kernel's task units all draw from ``rng``'s one stream.
-        Under ``jobs``/``executor`` unit ``i`` draws from the child stream of
+        Under ``jobs`` unit ``i`` draws from the child stream of
         ``(rng, i)`` in :func:`_seeded_chunk_worker`, and chunk results and
         accumulators merge in chunk order, so any worker count is
         bit-identical.
@@ -256,14 +255,14 @@ class DiffusionModel(abc.ABC):
         if rng is None:
             raise InvalidParameterError(
                 "rng must be a RandomSource or a numpy Generator (or, under "
-                "jobs/executor, an int or SeedSequence seed root), got None"
+                "jobs, an int or SeedSequence seed root), got None"
             )
         if bitparallel:
             _bp.record_counters(telemetry, count)
         if counter is not None and telemetry is not None and telemetry.enabled:
             telemetry.incr(counter, count)
         tasks = len(_bp.word_spans(count)) if bitparallel else count
-        if jobs is None and executor is None:
+        if jobs is None:
             generator = rng.generator if isinstance(rng, RandomSource) else rng
             generators = repeat(generator, tasks)
             if not bitparallel:
@@ -281,7 +280,6 @@ class DiffusionModel(abc.ABC):
             tasks,
             rng,
             jobs=jobs,
-            executor=executor,
             payload=(kernel, count, bitparallel),
             telemetry=telemetry,
         ):
@@ -358,13 +356,12 @@ class DiffusionModel(abc.ABC):
         *,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         telemetry=None,
     ) -> list[Snapshot]:
         """Draw ``count`` independent snapshots.
 
         The default is the historical sequential single-stream draw, while
-        ``jobs``/``executor`` opts into the runtime's split-stream seeding
+        ``jobs`` opts into the runtime's split-stream seeding
         (snapshot ``i`` from a child stream of ``(rng, i)``; bit-identical
         for any worker count).  ``telemetry`` (optional) records a
         ``snapshot.samples`` counter and the runtime dispatch metrics.
@@ -376,7 +373,6 @@ class DiffusionModel(abc.ABC):
             counter="snapshot.samples",
             sample_size=sample_size,
             jobs=jobs,
-            executor=executor,
             telemetry=telemetry,
         )
 
@@ -389,25 +385,24 @@ class DiffusionModel(abc.ABC):
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         telemetry=None,
         batch_mode: str | None = None,
     ) -> list[RRSet]:
         """Generate ``count`` independent RR sets.
 
-        With ``jobs=None`` and ``executor=None`` (the default), all sets are
-        drawn sequentially from ``rng``'s single stream.  Passing ``jobs`` or
-        an executor switches to the runtime's split-stream contract: set
-        ``i`` is drawn from a child stream of ``(rng, i)``, so the collection
-        is bit-identical for any worker count (``rng`` must then be an
-        ``int``, ``SeedSequence``, or ``RandomSource``); cost accumulators
-        are merged in chunk order, keeping totals exact.  ``telemetry``
+        With ``jobs=None`` (the default), all sets are drawn sequentially
+        from ``rng``'s single stream.  Passing ``jobs`` switches to the
+        runtime's split-stream contract: set ``i`` is drawn from a child
+        stream of ``(rng, i)``, so the collection is bit-identical for any
+        worker count (``rng`` must then be an ``int``, ``SeedSequence``, or
+        ``RandomSource``); cost accumulators are merged in chunk order,
+        keeping totals exact.  ``telemetry``
         (optional) records an ``rr.sets`` counter and the runtime dispatch
         metrics.
 
         ``batch_mode="bitparallel"`` generates the sets 64 worlds per word
         (own draw-order contract, see :mod:`repro.diffusion.bitparallel`);
-        under ``jobs``/``executor`` the runtime's task unit becomes the
+        under ``jobs`` the runtime's task unit becomes the
         **word** index — word ``i`` draws from the child stream of
         ``(rng, i)`` — so any worker count is bit-identical.
         """
@@ -420,7 +415,6 @@ class DiffusionModel(abc.ABC):
             cost=cost,
             sample_size=sample_size,
             jobs=jobs,
-            executor=executor,
             telemetry=telemetry,
         )
 

@@ -163,18 +163,16 @@ def sample_rr_sets(
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     telemetry=None,
     batch_mode: str | None = None,
 ) -> list[RRSet]:
     """Generate ``count`` independent RR sets.
 
-    With ``jobs=None`` and ``executor=None`` (the default), all sets are
-    drawn sequentially from ``rng``'s single stream — the historical
-    behaviour.  Passing ``jobs`` (1 or more) or an executor switches to the
-    runtime's split-stream contract: RR set ``i`` is drawn from a child
-    stream derived from ``(rng, i)``, so the collection is bit-identical for
-    any worker count or chunking (``rng`` must then be an ``int``,
+    With ``jobs=None`` (the default), all sets are drawn sequentially from
+    ``rng``'s single stream — the historical behaviour.  Passing ``jobs`` (1
+    or more) switches to the runtime's split-stream contract: RR set ``i`` is
+    drawn from a child stream derived from ``(rng, i)``, so the collection is
+    bit-identical for any worker count or chunking (``rng`` must then be an ``int``,
     ``SeedSequence``, or ``RandomSource``).  Cost accumulators are merged in
     chunk order, keeping their totals exact.  ``batch_mode="bitparallel"``
     generates the sets 64 worlds per word (own draw-order contract; under
@@ -193,7 +191,6 @@ def sample_rr_sets(
         cost=cost,
         sample_size=sample_size,
         jobs=jobs,
-        executor=executor,
         telemetry=telemetry,
         batch_mode=batch_mode,
     )
@@ -262,7 +259,6 @@ class RRSetCollection:
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         batch_mode: str | None = None,
     ) -> "RRSetCollection":
         """Sample ``count`` RR sets and build the indexed collection directly.
@@ -270,7 +266,7 @@ class RRSetCollection:
         The batch entry point behind :meth:`RISEstimator.build
         <repro.algorithms.ris.RISEstimator.build>`: samples go through the
         model's batched generator (buffer-reusing sequential kernel by
-        default, the runtime's split-stream chunks with ``jobs``/``executor``,
+        default, the runtime's split-stream chunks with ``jobs``,
         the 64-worlds-per-word kernel with ``batch_mode="bitparallel"``) and
         feed the inverted index without an intermediate caller-side pass.
         """
@@ -283,7 +279,6 @@ class RRSetCollection:
             cost=cost,
             sample_size=sample_size,
             jobs=jobs,
-            executor=executor,
             batch_mode=batch_mode,
         )
         return cls(rr_sets, graph.num_vertices)

@@ -116,13 +116,12 @@ def sample_snapshots(
     *,
     sample_size: SampleSize | None = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     telemetry=None,
 ) -> list[Snapshot]:
     """Draw ``count`` independent snapshots.
 
     Defaults to the historical sequential single-stream draw.  Passing
-    ``jobs`` or ``executor`` opts into the runtime's split-stream contract
+    ``jobs`` opts into the runtime's split-stream contract
     (see :mod:`repro.runtime`): snapshot ``i`` is drawn from a child stream
     of ``(rng, i)``, so the pool is bit-identical for any worker count or
     chunk size.  The split-stream dispatch lives in one place —
@@ -137,7 +136,6 @@ def sample_snapshots(
         rng,
         sample_size=sample_size,
         jobs=jobs,
-        executor=executor,
         telemetry=telemetry,
     )
 

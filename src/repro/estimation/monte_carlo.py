@@ -10,12 +10,12 @@ a graph where building a pool would be wasteful.
 
 The cascades come from the model's own seeded dispatch — the one that also
 serves :meth:`~repro.diffusion.models.DiffusionModel.simulate_spread`, whose
-serial mean this estimate equals exactly.  ``jobs=``/``executor=`` opt into
-its split-stream contract (each simulation, or each 64-lane bit-parallel
+serial mean this estimate equals exactly.  ``jobs=`` opts into its
+split-stream contract (each simulation, or each 64-lane bit-parallel
 word, draws from its own child stream), and the per-simulation activation
 counts are reduced as exact integers, so the estimate is bit-identical for
 any worker count or chunk size (and differs from the default single-stream
-sequential draw, which is preserved when neither parameter is given).
+sequential draw, which is preserved when ``jobs`` is not given).
 """
 
 from __future__ import annotations
@@ -74,15 +74,14 @@ def monte_carlo_spread(
     seed: int | RandomSource | None = None,
     model: "str | DiffusionModel | None" = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     context: RunContext | None = None,
     batch_mode: str | None = None,
 ) -> MonteCarloEstimate:
     """Estimate ``Inf(seed_set)`` from ``num_simulations`` forward cascades.
 
     ``model`` selects the diffusion model (name, instance, or ``None`` for the
-    paper's independent cascade).  ``jobs``/``executor`` opt into the parallel
-    runtime's split-stream contract (simulation ``i`` uses a child stream of
+    paper's independent cascade).  ``jobs`` opts into the parallel runtime's
+    split-stream contract (simulation ``i`` uses a child stream of
     ``(seed, i)``); the default runs all cascades sequentially from one
     stream.  ``batch_mode="bitparallel"`` opts into the 64-worlds-per-word
     kernel (own draw-order contract; under ``jobs`` the split-stream task
@@ -91,11 +90,10 @@ def monte_carlo_spread(
     win; ``seed`` defaults to ``0`` without either).
     """
     require_positive_int(num_simulations, "num_simulations")
-    seed, jobs, executor, model, telemetry, batch_mode = resolve_context(
+    seed, jobs, model, telemetry, batch_mode = resolve_context(
         context,
         seed=seed,
         jobs=jobs,
-        executor=executor,
         model=model,
         batch_mode=batch_mode,
     )
@@ -114,7 +112,6 @@ def monte_carlo_spread(
             source,
             batch_mode,
             jobs=jobs,
-            executor=executor,
             telemetry=telemetry,
         )
     # Integer totals keep the reduction exact for any chunk layout.

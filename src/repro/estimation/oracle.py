@@ -67,7 +67,7 @@ class RRPoolOracle:
         and the graph's feasibility is validated up front.
     context:
         Optional :class:`~repro.context.RunContext` supplying any of
-        ``seed``/``jobs``/``executor``/``model``/``batch_mode`` left at
+        ``seed``/``jobs``/``model``/``batch_mode`` left at
         ``None``; explicit kwargs always win.
     batch_mode:
         ``"bitparallel"`` generates the pool 64 worlds per machine word (the
@@ -94,15 +94,13 @@ class RRPoolOracle:
         seed: int | None = None,
         model: "str | DiffusionModel | None" = None,
         jobs: int | None = None,
-        executor: "Executor | None" = None,
         context: RunContext | None = None,
         batch_mode: str | None = None,
     ) -> None:
-        seed, jobs, executor, model, telemetry, batch_mode = resolve_context(
+        seed, jobs, model, telemetry, batch_mode = resolve_context(
             context,
             seed=seed,
             jobs=jobs,
-            executor=executor,
             model=model,
             batch_mode=batch_mode,
         )
@@ -118,7 +116,7 @@ class RRPoolOracle:
         self._membership: list[list[int]] = [[] for _ in range(graph.num_vertices)]
         total_size = 0
         with tel.span("oracle.build"):
-            if jobs is None and executor is None:
+            if jobs is None:
                 # Default sequential path: generate in bounded batches through
                 # the model's batched kernel (byte-identical single-stream
                 # draws; with batch_mode="bitparallel", whole 64-world words)
@@ -145,7 +143,6 @@ class RRPoolOracle:
                     self._pool_size,
                     RandomSource(seed),
                     jobs=jobs,
-                    executor=executor,
                     telemetry=telemetry,
                     batch_mode=batch_mode,
                 )

@@ -7,8 +7,8 @@ Experiments are usually configured with strings ("oneshot", "snapshot",
 All factories are module-level functions (not lambdas) so they pickle into
 worker processes, which is what lets :func:`repro.experiments.trials.run_trials`
 fan trials out across a process pool.  :func:`estimator_factory` can also
-bind a ``jobs``/``executor`` setting into the returned factory for the
-approaches whose Build phase supports parallel sampling (Snapshot and RIS) —
+bind a ``jobs`` setting into the returned factory for the approaches whose
+Build phase supports parallel sampling (Snapshot and RIS) —
 avoid combining that with trial-level parallelism (nesting process pools
 multiplies workers without adding CPUs) — and a diffusion ``model`` for the
 sampling approaches (Oneshot, Snapshot, RIS).  The structural heuristics
@@ -43,26 +43,18 @@ def _make_oneshot(num_samples: int, *, model=None, batch_mode=None) -> Influence
     return OneshotEstimator(num_samples, model=model, batch_mode=batch_mode)
 
 
-def _make_snapshot(
-    num_samples: int, *, jobs=None, executor=None, model=None
-) -> InfluenceEstimator:
-    return SnapshotEstimator(num_samples, model=model, jobs=jobs, executor=executor)
+def _make_snapshot(num_samples: int, *, jobs=None, model=None) -> InfluenceEstimator:
+    return SnapshotEstimator(num_samples, model=model, jobs=jobs)
 
 
-def _make_snapshot_reduce(
-    num_samples: int, *, jobs=None, executor=None, model=None
-) -> InfluenceEstimator:
-    return SnapshotEstimator(
-        num_samples, update_strategy="reduce", model=model, jobs=jobs, executor=executor
-    )
+def _make_snapshot_reduce(num_samples: int, *, jobs=None, model=None) -> InfluenceEstimator:
+    return SnapshotEstimator(num_samples, update_strategy="reduce", model=model, jobs=jobs)
 
 
 def _make_ris(
-    num_samples: int, *, jobs=None, executor=None, model=None, batch_mode=None
+    num_samples: int, *, jobs=None, model=None, batch_mode=None
 ) -> InfluenceEstimator:
-    return RISEstimator(
-        num_samples, model=model, jobs=jobs, executor=executor, batch_mode=batch_mode
-    )
+    return RISEstimator(num_samples, model=model, jobs=jobs, batch_mode=batch_mode)
 
 
 def _make_degree(_num_samples: int) -> InfluenceEstimator:
@@ -92,7 +84,7 @@ _FACTORIES: dict[str, Callable[[int], InfluenceEstimator]] = {
     "random": _make_random,
 }
 
-#: Approaches whose Build phase accepts ``jobs``/``executor``.
+#: Approaches whose Build phase accepts ``jobs``.
 _PARALLEL_BUILD: frozenset[str] = frozenset({"snapshot", "snapshot_reduce", "ris"})
 
 #: Approaches that sample the diffusion process and therefore accept ``model``.
@@ -114,14 +106,13 @@ def estimator_factory(
     approach: str,
     *,
     jobs: int | None = None,
-    executor=None,
     model=None,
     context: RunContext | None = None,
     batch_mode: str | None = None,
 ) -> Callable[[int], InfluenceEstimator]:
     """Return the factory for ``approach`` (e.g. ``"oneshot"``).
 
-    With ``jobs``/``executor``, approaches supporting parallel Build get the
+    With ``jobs``, approaches supporting parallel Build get the
     setting bound into the factory (as a picklable ``functools.partial``);
     approaches without a parallel Build return the plain factory.  ``model``
     (a diffusion-model name or instance) is bound the same way for the
@@ -131,8 +122,8 @@ def estimator_factory(
     ``context`` supplies any of the knobs left at ``None`` (an explicit
     kwarg always wins).
     """
-    _, jobs, executor, model, _, batch_mode = resolve_context(
-        context, jobs=jobs, executor=executor, model=model, batch_mode=batch_mode
+    _, jobs, model, _, batch_mode = resolve_context(
+        context, jobs=jobs, model=model, batch_mode=batch_mode
     )
     try:
         base = _FACTORIES[approach]
@@ -141,9 +132,8 @@ def estimator_factory(
             f"unknown approach {approach!r}; available: {', '.join(sorted(_FACTORIES))}"
         ) from None
     kwargs: dict[str, object] = {}
-    if (jobs is not None or executor is not None) and approach in _PARALLEL_BUILD:
+    if jobs is not None and approach in _PARALLEL_BUILD:
         kwargs["jobs"] = jobs
-        kwargs["executor"] = executor
     if model is not None and approach in _MODEL_AWARE:
         kwargs["model"] = resolve_model(model)
     if batch_mode is not None and approach in _BATCH_AWARE:
@@ -158,7 +148,6 @@ def make_estimator(
     num_samples: int,
     *,
     jobs: int | None = None,
-    executor=None,
     model=None,
     context: RunContext | None = None,
     batch_mode: str | None = None,
@@ -167,7 +156,6 @@ def make_estimator(
     return estimator_factory(
         approach,
         jobs=jobs,
-        executor=executor,
         model=model,
         context=context,
         batch_mode=batch_mode,

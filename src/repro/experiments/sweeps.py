@@ -10,7 +10,6 @@ configuration.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,7 +20,7 @@ from ..estimation.oracle import RRPoolOracle
 from ..exceptions import ExperimentConfigurationError
 from ..graphs.influence_graph import InfluenceGraph
 from .distributions import InfluenceDistribution
-from .trials import EstimatorFactory, TrialSet, check_model_consistency, run_trials
+from .trials import EstimatorFactory, TrialSet, _run_trial_set, check_trial_setup
 
 
 def powers_of_two(max_exponent: int, *, min_exponent: int = 0) -> tuple[int, ...]:
@@ -104,7 +103,6 @@ def sweep_sample_numbers(
     approach: str | None = None,
     model: "str | DiffusionModel | None" = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     context: RunContext | None = None,
     telemetry=None,
 ) -> SweepResult:
@@ -112,64 +110,56 @@ def sweep_sample_numbers(
 
     ``model`` validates instance feasibility once up front (the sampling
     itself follows the model bound into ``estimator_factory`` and
-    ``oracle``).  ``jobs``/``executor`` parallelise the independent trials
-    inside every grid point (see :func:`repro.experiments.trials.run_trials`);
-    one worker pool is shared across the whole grid so process start-up is
-    paid once.  Results are bit-identical for any worker count.  ``context``
-    supplies any of ``experiment_seed``/``jobs``/``executor``/``model``/
-    ``telemetry`` left at ``None`` (explicit kwargs win).  ``telemetry``
-    records a ``sweep.points`` counter, one aggregated ``sweep.point`` span,
-    and everything :func:`run_trials` records per grid point.
+    ``oracle``), together with every other check
+    :func:`repro.experiments.trials.run_trials` makes.  ``jobs``
+    parallelises the independent trials inside every grid point; results are
+    bit-identical for any worker count.  ``context`` supplies any of
+    ``experiment_seed``/``jobs``/``model``/``telemetry`` left at ``None``
+    (explicit kwargs win).  ``telemetry`` records a ``sweep.points``
+    counter, one aggregated ``sweep.point`` span, and everything
+    :func:`run_trials` records per grid point.
     """
     require_positive_int(k, "k")
     require_positive_int(num_trials, "num_trials")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    experiment_seed, jobs, model, telemetry, _ = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
-        executor=executor,
         model=model,
         telemetry=telemetry,
     )
     if not sample_numbers:
         raise ExperimentConfigurationError("sample_numbers must not be empty")
+    grid = sorted(
+        set(require_positive_int(s, "sample_numbers entry") for s in sample_numbers)
+    )
+    check_trial_setup(graph, estimator_factory, grid[0], oracle, model, "sweep")
 
     from ..obs import as_telemetry
-    from ..runtime.engine import executor_scope
 
     tel = as_telemetry(telemetry)
     trial_sets: dict[int, TrialSet] = {}
     label = approach
-    grid = sorted(set(int(s) for s in sample_numbers))
-    check_model_consistency(graph, estimator_factory, grid[0], oracle, model, "sweep")
     tel.incr("sweep.points", len(grid))
-    if jobs is None and executor is None:
-        shared_scope = contextlib.nullcontext(None)
-    else:
-        shared_scope = executor_scope(jobs, executor)
-    with shared_scope as shared_executor:
-        for index, num_samples in enumerate(grid):
-            with tel.span("sweep.point"):
-                # repro-lint: allow[CTX001] context was flattened by
-                # resolve_context above; jobs became the shared executor and
-                # model was bound into estimator_factory/oracle up front.
-                trial_set = run_trials(
-                    graph,
-                    k,
-                    estimator_factory,
-                    num_samples,
-                    num_trials,
-                    oracle=oracle,
-                    # Distinct derived seed per grid point keeps trials
-                    # independent across sample numbers while remaining
-                    # reproducible.
-                    experiment_seed=experiment_seed * 100_003 + index,
-                    approach=approach,
-                    executor=shared_executor,
-                    telemetry=telemetry,
-                )
-            trial_sets[num_samples] = trial_set
-            label = trial_set.approach
+    for index, num_samples in enumerate(grid):
+        with tel.span("sweep.point"):
+            trial_set = _run_trial_set(
+                graph,
+                k,
+                estimator_factory,
+                num_samples,
+                num_trials,
+                oracle=oracle,
+                # Distinct derived seed per grid point keeps trials
+                # independent across sample numbers while remaining
+                # reproducible.
+                experiment_seed=experiment_seed * 100_003 + index,
+                approach=approach,
+                jobs=jobs,
+                telemetry=telemetry,
+            )
+        trial_sets[num_samples] = trial_set
+        label = trial_set.approach
     return SweepResult(
         graph_name=graph.name,
         approach=label or "unknown",

@@ -20,21 +20,18 @@ gamma`` equalises the mean influence, and the equal-accuracy cost per unit
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .._validation import require_positive_int
-from ..algorithms.framework import InfluenceEstimator, greedy_maximize
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
-from ..diffusion.random_source import RandomSource
 from ..exceptions import ExperimentConfigurationError
 from ..graphs.influence_graph import InfluenceGraph
-
-#: Factory signature used by the traversal-cost harness.
-EstimatorFactory = Callable[[int], InfluenceEstimator]
+from .trials import EstimatorFactory, _greedy_chunk_worker
 
 
 @dataclass(frozen=True)
@@ -66,28 +63,6 @@ class TraversalCostRow:
         }
 
 
-def _repetition_worker(
-    task: tuple[InfluenceGraph, EstimatorFactory, int, int, list[int]],
-) -> list[tuple[str, int, int, int, int]]:
-    """Run a chunk of cost-measurement repetitions (picklable worker)."""
-    graph, estimator_factory, k, num_samples, rep_seeds = task
-    rows: list[tuple[str, int, int, int, int]] = []
-    for rep_seed in rep_seeds:
-        estimator = estimator_factory(num_samples)
-        result = greedy_maximize(graph, k, estimator, seed=RandomSource(rep_seed))
-        cost = result.cost
-        rows.append(
-            (
-                estimator.approach,
-                cost.traversal.vertices,
-                cost.traversal.edges,
-                cost.sample_size.vertices,
-                cost.sample_size.edges,
-            )
-        )
-    return rows
-
-
 def per_sample_traversal_cost(
     graph: InfluenceGraph,
     estimator_factory: EstimatorFactory,
@@ -98,7 +73,6 @@ def per_sample_traversal_cost(
     experiment_seed: int | None = None,
     model: "str | DiffusionModel | None" = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     context: RunContext | None = None,
     telemetry=None,
 ) -> TraversalCostRow:
@@ -108,68 +82,89 @@ def per_sample_traversal_cost(
     smooth the randomness of cascades / snapshots / RR targets.  ``model``
     validates instance feasibility up front (sampling follows the model bound
     into ``estimator_factory``).  Every repetition is fixed by its own
-    derived seed, so ``jobs``/``executor`` parallelism (see
-    :mod:`repro.runtime`) returns bit-identical rows.  ``context`` supplies
-    any of ``experiment_seed``/``jobs``/``executor``/``model``/``telemetry``
-    left at ``None`` (explicit kwargs win).  ``telemetry`` records the summed
-    raw per-repetition costs as ``traversal.*``/``sample.*`` counters
+    derived seed, so ``jobs`` parallelism (see :mod:`repro.runtime`) returns
+    bit-identical rows.  ``context`` supplies any of
+    ``experiment_seed``/``jobs``/``model``/``telemetry`` left at ``None``
+    (explicit kwargs win).  ``telemetry`` records the summed raw
+    per-repetition costs as ``traversal.*``/``sample.*`` counters
     (jobs-deterministic because the rows are bit-identical).
     """
     require_positive_int(num_repetitions, "num_repetitions")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    experiment_seed, jobs, model, telemetry, _ = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
-        executor=executor,
         model=model,
         telemetry=telemetry,
     )
-    from ..obs import as_telemetry
-
-    tel = as_telemetry(telemetry)
     if model is not None:
         resolve_model(model).validate(graph)
-    rep_seeds = [
-        experiment_seed * 1_000 + repetition for repetition in range(num_repetitions)
-    ]
+    return _traversal_cost(
+        graph,
+        estimator_factory,
+        k=k,
+        num_samples=num_samples,
+        num_repetitions=num_repetitions,
+        experiment_seed=experiment_seed,
+        jobs=jobs,
+        telemetry=telemetry,
+    )
+
+
+def _traversal_cost(
+    graph: InfluenceGraph,
+    estimator_factory: EstimatorFactory,
+    *,
+    k: int,
+    num_samples: int,
+    num_repetitions: int,
+    experiment_seed: int,
+    jobs: int | None,
+    telemetry,
+) -> TraversalCostRow:
+    """The body of :func:`per_sample_traversal_cost` for a resolved context.
+
+    Also the per-approach body of :func:`traversal_cost_table`, which
+    resolves the context and validates once for the whole table.  The
+    repetitions run through the greedy-run worker shared with
+    :func:`repro.experiments.trials.run_trials`; under ``jobs`` the worker
+    pool lives for this call only.
+    """
+    from ..obs import as_telemetry
     from ..runtime.chunking import chunk_spans, default_num_chunks
     from ..runtime.engine import executor_scope, instrumented_map
 
-    with tel.span("traversal.approach"), executor_scope(jobs, executor) as resolved:
+    tel = as_telemetry(telemetry)
+    rep_seeds = [
+        experiment_seed * 1_000 + repetition for repetition in range(num_repetitions)
+    ]
+    with tel.span("traversal.approach"), executor_scope(jobs) as resolved:
         spans = chunk_spans(
             num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
         )
         tasks = [
-            (graph, estimator_factory, k, num_samples, rep_seeds[start:stop])
+            (graph, k, estimator_factory, num_samples, rep_seeds[start:stop])
             for start, stop in spans
         ]
-        rows = [
-            row
+        results = [
+            result
             for chunk in instrumented_map(
-                resolved, _repetition_worker, tasks, telemetry=telemetry
+                resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
             )
-            for row in chunk
+            for result in chunk
         ]
 
-    if tel.enabled:
-        tel.incr("traversal.repetitions", len(rows))
-        for _, vertices, edges, stored_vertices, stored_edges in rows:
-            tel.incr("traversal.vertices", vertices)
-            tel.incr("traversal.edges", edges)
-            tel.incr("sample.vertices", stored_vertices)
-            tel.incr("sample.edges", stored_edges)
-    approach = rows[-1][0] if rows else "unknown"
-    vertex_costs = [row[1] for row in rows]
-    edge_costs = [row[2] for row in rows]
-    sample_vertices = [row[3] for row in rows]
-    sample_edges = [row[4] for row in rows]
+    tel.incr("traversal.repetitions", len(results))
+    for result in results:
+        tel.record_cost(result.cost)
+    costs = [result.cost for result in results]
     return TraversalCostRow(
         graph_name=graph.name,
-        approach=approach,
-        vertex_cost=float(np.mean(vertex_costs)),
-        edge_cost=float(np.mean(edge_costs)),
-        sample_vertices=float(np.mean(sample_vertices)),
-        sample_edges=float(np.mean(sample_edges)),
+        approach=results[-1].approach,
+        vertex_cost=float(np.mean([cost.traversal.vertices for cost in costs])),
+        edge_cost=float(np.mean([cost.traversal.edges for cost in costs])),
+        sample_vertices=float(np.mean([cost.sample_size.vertices for cost in costs])),
+        sample_edges=float(np.mean([cost.sample_size.edges for cost in costs])),
         num_repetitions=num_repetitions,
     )
 
@@ -184,55 +179,42 @@ def traversal_cost_table(
     experiment_seed: int | None = None,
     model: "str | DiffusionModel | None" = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     context: RunContext | None = None,
     telemetry=None,
 ) -> list[TraversalCostRow]:
     """Table 8 rows for one instance across several approaches.
 
-    ``context`` supplies any of ``experiment_seed``/``jobs``/``executor``/
-    ``model``/``telemetry`` left at ``None`` (explicit kwargs win).
+    ``context`` supplies any of ``experiment_seed``/``jobs``/``model``/
+    ``telemetry`` left at ``None`` (explicit kwargs win).  Each approach runs
+    :func:`per_sample_traversal_cost`'s body, with the context resolved and
+    the instance validated once for the whole table.
     """
-    from ..runtime.engine import executor_scope
-
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    require_positive_int(num_repetitions, "num_repetitions")
+    experiment_seed, jobs, model, telemetry, _ = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
-        executor=executor,
         model=model,
         telemetry=telemetry,
     )
     if model is not None:
         resolve_model(model).validate(graph)
     rows = []
-    with executor_scope(jobs, executor) as resolved:
-        for label, factory in factories.items():
-            # repro-lint: allow[CTX001] context was flattened by resolve_context
-            # above; jobs became the scoped executor and model was validated
-            # once for the whole table.
-            row = per_sample_traversal_cost(
-                graph,
-                factory,
-                k=k,
-                num_samples=num_samples,
-                num_repetitions=num_repetitions,
-                experiment_seed=experiment_seed,
-                executor=resolved,
-                telemetry=telemetry,
-            )
-            # Trust the estimator's own approach label but fall back to the key.
-            if row.approach == "unknown":
-                row = TraversalCostRow(
-                    graph_name=row.graph_name,
-                    approach=label,
-                    vertex_cost=row.vertex_cost,
-                    edge_cost=row.edge_cost,
-                    sample_vertices=row.sample_vertices,
-                    sample_edges=row.sample_edges,
-                    num_repetitions=row.num_repetitions,
-                )
-            rows.append(row)
+    for label, factory in factories.items():
+        row = _traversal_cost(
+            graph,
+            factory,
+            k=k,
+            num_samples=num_samples,
+            num_repetitions=num_repetitions,
+            experiment_seed=experiment_seed,
+            jobs=jobs,
+            telemetry=telemetry,
+        )
+        # Trust the estimator's own approach label but fall back to the key.
+        if row.approach == "unknown":
+            row = dataclasses.replace(row, approach=label)
+        rows.append(row)
     return rows
 
 

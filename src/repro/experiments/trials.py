@@ -33,7 +33,7 @@ from .seed_distribution import SeedSetDistribution
 EstimatorFactory = Callable[[int], InfluenceEstimator]
 
 
-def check_model_consistency(
+def check_trial_setup(
     graph: InfluenceGraph,
     estimator_factory: EstimatorFactory,
     num_samples: int,
@@ -41,7 +41,7 @@ def check_model_consistency(
     model: "str | DiffusionModel | None",
     context: str,
 ) -> None:
-    """Validate feasibility and reject cross-model experiment setups.
+    """Validate feasibility and reject cross-model or cross-graph setups.
 
     Shared by :func:`run_trials` and
     :func:`repro.experiments.sweeps.sweep_sample_numbers`.  A declared
@@ -49,7 +49,8 @@ def check_model_consistency(
     discover the factory's model binding (structural heuristics have none and
     are exempt); and the oracle must score under the same model the
     estimators sample — otherwise every reported influence would silently
-    use the wrong live-edge semantics.
+    use the wrong live-edge semantics — and for a graph with as many
+    vertices.
     """
     declared = resolve_model(model) if model is not None else None
     if declared is not None:
@@ -69,6 +70,10 @@ def check_model_consistency(
             f"{context} runs under the {expected!r} diffusion model but the "
             f"oracle scores under {oracle.model.name!r}; build the oracle "
             "with the same model"
+        )
+    if oracle.graph.num_vertices != graph.num_vertices:
+        raise ExperimentConfigurationError(
+            "oracle was built for a graph with a different number of vertices"
         )
 
 
@@ -142,23 +147,25 @@ class TrialSet:
         return float(np.mean(self.influences >= threshold))
 
 
-def _trials_chunk_worker(
+def _greedy_chunk_worker(
     task: tuple[InfluenceGraph, int, EstimatorFactory, int, Sequence[int]],
-) -> list[tuple[int, GreedyResult]]:
-    """Run one chunk of greedy trials; each trial is fixed by its own seed.
+) -> list[GreedyResult]:
+    """Run one chunk of greedy runs; each run is fixed by its own seed.
 
-    Module-level so it pickles into worker processes.  Oracle scoring stays
-    in the parent process: shipping the shared RR pool to every worker would
-    dwarf the trial work, and parent-side scoring guarantees identical seed
-    sets receive identical scores no matter where they were computed.
+    The one worker behind repeated trials and the Table 8 cost repetitions
+    (:mod:`repro.experiments.traversal`).  Module-level so it pickles into
+    worker processes.  Oracle scoring stays in the parent process: shipping
+    the shared RR pool to every worker would dwarf the trial work, and
+    parent-side scoring guarantees identical seed sets receive identical
+    scores no matter where they were computed.
     """
-    graph, k, estimator_factory, num_samples, chunk_seeds = task
-    results: list[tuple[int, GreedyResult]] = []
-    for trial_seed in chunk_seeds:
-        estimator = estimator_factory(num_samples)
-        result = greedy_maximize(graph, k, estimator, seed=RandomSource(trial_seed))
-        results.append((trial_seed, result))
-    return results
+    graph, k, estimator_factory, num_samples, run_seeds = task
+    return [
+        greedy_maximize(
+            graph, k, estimator_factory(num_samples), seed=RandomSource(run_seed)
+        )
+        for run_seed in run_seeds
+    ]
 
 
 def run_trials(
@@ -173,7 +180,6 @@ def run_trials(
     approach: str | None = None,
     model: "str | DiffusionModel | None" = None,
     jobs: int | None = None,
-    executor: "Executor | None" = None,
     context: RunContext | None = None,
     telemetry=None,
 ) -> TrialSet:
@@ -206,14 +212,14 @@ def run_trials(
         score seed sets with the wrong live-edge semantics.  The sampling
         itself follows the bindings in ``estimator_factory`` and ``oracle``
         (see :func:`repro.experiments.factories.estimator_factory`).
-    jobs, executor:
+    jobs:
         Optional parallelism (see :mod:`repro.runtime`).  Every trial is
         fully determined by its derived trial seed, so serial and parallel
         execution — and any worker count — produce bit-identical trial sets.
     context:
         Optional :class:`~repro.context.RunContext` supplying any of
-        ``experiment_seed``/``jobs``/``executor``/``model``/``telemetry``
-        left at their ``None`` defaults; explicit kwargs always win.
+        ``experiment_seed``/``jobs``/``model``/``telemetry`` left at their
+        ``None`` defaults; explicit kwargs always win.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; records a
         ``trials.count`` counter, mirrors every trial's cost report into the
@@ -224,49 +230,77 @@ def run_trials(
     require_positive_int(k, "k")
     require_positive_int(num_samples, "num_samples")
     require_positive_int(num_trials, "num_trials")
-    experiment_seed, jobs, executor, model, telemetry, _ = resolve_context(
+    experiment_seed, jobs, model, telemetry, _ = resolve_context(
         context,
         seed=experiment_seed,
         jobs=jobs,
-        executor=executor,
         model=model,
         telemetry=telemetry,
     )
+    check_trial_setup(graph, estimator_factory, num_samples, oracle, model, "trials")
+    return _run_trial_set(
+        graph,
+        k,
+        estimator_factory,
+        num_samples,
+        num_trials,
+        oracle=oracle,
+        experiment_seed=experiment_seed,
+        approach=approach,
+        jobs=jobs,
+        telemetry=telemetry,
+    )
+
+
+def _run_trial_set(
+    graph: InfluenceGraph,
+    k: int,
+    estimator_factory: EstimatorFactory,
+    num_samples: int,
+    num_trials: int,
+    *,
+    oracle: RRPoolOracle,
+    experiment_seed: int,
+    approach: str | None,
+    jobs: int | None,
+    telemetry,
+) -> TrialSet:
+    """The body of :func:`run_trials` for a resolved, validated configuration.
+
+    Also the per-point body of
+    :func:`repro.experiments.sweeps.sweep_sample_numbers`, which resolves
+    the context and runs :func:`check_trial_setup` once for its whole grid.
+    Under ``jobs`` the worker pool lives for this call only.
+    """
     from ..obs import as_telemetry
 
     tel = as_telemetry(telemetry)
-    check_model_consistency(graph, estimator_factory, num_samples, oracle, model, "trials")
-    if oracle.graph.num_vertices != graph.num_vertices:
-        raise ExperimentConfigurationError(
-            "oracle was built for a graph with a different number of vertices"
-        )
-
     seeds = trial_seeds(experiment_seed, num_trials)
     with tel.span("trials.run"):
-        if jobs is None and executor is None:
-            pairs = _trials_chunk_worker((graph, k, estimator_factory, num_samples, seeds))
+        if jobs is None:
+            results = _greedy_chunk_worker((graph, k, estimator_factory, num_samples, seeds))
         else:
             from ..runtime.chunking import chunk_spans, default_num_chunks
             from ..runtime.engine import executor_scope, instrumented_map
 
-            with executor_scope(jobs, executor) as resolved:
+            with executor_scope(jobs) as resolved:
                 spans = chunk_spans(num_trials, default_num_chunks(num_trials, resolved.jobs))
                 tasks = [
                     (graph, k, estimator_factory, num_samples, seeds[start:stop])
                     for start, stop in spans
                 ]
-                pairs = [
-                    pair
+                results = [
+                    result
                     for chunk in instrumented_map(
-                        resolved, _trials_chunk_worker, tasks, telemetry=telemetry
+                        resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
                     )
-                    for pair in chunk
+                    for result in chunk
                 ]
 
     tel.incr("trials.count", num_trials)
     label = approach
     outcomes: list[TrialOutcome] = []
-    for trial_seed, result in pairs:
+    for trial_seed, result in zip(seeds, results):
         if label is None:
             label = result.approach
         # Mirror each trial's cost accounting onto the telemetry layer: the

@@ -28,9 +28,9 @@ three layers:
 The determinism contract
 ------------------------
 
-For any entry point accepting ``jobs=``/``executor=``, the output is a pure
-function of the root seed and the task count: ``jobs=1`` and ``jobs=8``
-produce bit-identical results, as do different chunk sizes.  This is
+For any entry point accepting ``jobs=``, the output is a pure function of
+the root seed and the task count: ``jobs=1`` and ``jobs=8`` produce
+bit-identical results, as do different chunk sizes.  This is
 achieved by seeding *per task index*, not per worker or per chunk, and by
 merging chunk results (lists, integer cost counters) in chunk order, which
 makes every reduction exact.
@@ -38,8 +38,10 @@ makes every reduction exact.
 Passing ``jobs=None`` (the default everywhere) keeps the historical
 single-stream sequential behaviour, which draws all randomness from one
 generator and therefore differs from the split-stream ``jobs>=1`` path.
-Opting into the runtime (any non-``None`` ``jobs`` or an explicit executor)
-opts into the split-stream seeding contract.
+Opting into the runtime (any non-``None`` ``jobs``) opts into the
+split-stream seeding contract.  ``jobs`` is the only parallelism knob: each
+call that needs a worker pool opens it and closes it before returning, so no
+worker process outlives the call.
 """
 
 from .chunking import chunk_spans, default_num_chunks

@@ -2,10 +2,12 @@
 
 :func:`run_seeded_tasks` is the one entry point the hot paths use: it splits
 ``count`` seeded tasks into deterministic chunks, ships each chunk (with the
-root seed key and its index span) to an executor, and returns the per-chunk
-results in chunk order.  Workers derive each task's generator from
-``(root_key, task_index)`` via :func:`repro.runtime.seeding.child_generator`,
-so the outcome is independent of ``jobs`` and of the chunk layout.
+root seed key and its index span) to the executor for ``jobs``, and returns
+the per-chunk results in chunk order.  Workers derive each task's generator
+from ``(root_key, task_index)`` via
+:func:`repro.runtime.seeding.child_generator`, so the outcome is independent
+of ``jobs`` and of the chunk layout.  ``jobs`` is the only knob: every
+executor is opened and closed inside the call (:func:`executor_scope`).
 """
 
 from __future__ import annotations
@@ -25,19 +27,13 @@ SeededWorker = Callable[[Any, SeedKey, int, int], Any]
 
 
 @contextlib.contextmanager
-def executor_scope(
-    jobs: int | None = None, executor: Executor | None = None
-) -> Iterator[Executor]:
-    """Yield an executor for ``jobs``/``executor``, owning it when created here.
+def executor_scope(jobs: int | None = None) -> Iterator[Executor]:
+    """Yield an executor for ``jobs`` and close it when the scope exits.
 
-    * an explicit ``executor`` is yielded as-is and left open (caller-owned);
-    * ``jobs`` of ``None`` or ``1`` yields a :class:`SerialExecutor`;
-    * ``jobs > 1`` yields a :class:`ParallelExecutor` that is closed when the
-      scope exits, so no worker processes outlive the call.
+    ``jobs`` of ``None`` or ``1`` yields a :class:`SerialExecutor`;
+    ``jobs > 1`` yields a :class:`ParallelExecutor` whose pool is shut down on
+    exit, so no worker process outlives the call that opened it.
     """
-    if executor is not None:
-        yield executor
-        return
     if jobs is None or require_positive_int(jobs, "jobs") == 1:
         yield SerialExecutor()
         return
@@ -123,7 +119,6 @@ def run_seeded_tasks(
     root: Any,
     *,
     jobs: int | None = None,
-    executor: Executor | None = None,
     payload: Any = None,
     num_chunks: int | None = None,
     telemetry: Any = None,
@@ -142,8 +137,9 @@ def run_seeded_tasks(
     root:
         Seed root (int, ``SeedSequence``, or ``RandomSource``); normalised
         with :func:`repro.runtime.seeding.seed_key`.
-    jobs, executor:
-        Worker-count shorthand or an explicit (caller-owned) executor.
+    jobs:
+        Worker count; the pool lives for this call only (see
+        :func:`executor_scope`).
     payload:
         Picklable shared context (typically the graph) handed to every chunk.
     num_chunks:
@@ -161,7 +157,7 @@ def run_seeded_tasks(
     key = seed_key(root)
     if telemetry is not None and telemetry.enabled:
         telemetry.incr("runtime.tasks", count)  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
-    with executor_scope(jobs, executor) as resolved:
+    with executor_scope(jobs) as resolved:
         chunks = (
             default_num_chunks(count, resolved.jobs)
             if num_chunks is None
@@ -179,18 +175,17 @@ def run_tasks(
     tasks: Sequence[Any],
     *,
     jobs: int | None = None,
-    executor: Executor | None = None,
     telemetry: Any = None,
 ) -> list[Any]:
     """Map ``worker`` over explicit task descriptions (no seed splitting).
 
     For workloads whose per-task randomness is already fixed by the task
     itself (e.g. greedy trials carrying their own trial seed), this is a thin
-    ordered map over the resolved executor, instrumented when ``telemetry``
-    is enabled (see :func:`instrumented_map`).
+    ordered map over the executor for ``jobs``, instrumented when
+    ``telemetry`` is enabled (see :func:`instrumented_map`).
     """
     tasks = list(tasks)
     if telemetry is not None and telemetry.enabled:
         telemetry.incr("runtime.tasks", len(tasks))  # repro-lint: allow[TEL001] logical task count; lives with the other runtime.* dispatch metrics (trace-format compat)
-    with executor_scope(jobs, executor) as resolved:
+    with executor_scope(jobs) as resolved:
         return instrumented_map(resolved, worker, tasks, telemetry=telemetry)

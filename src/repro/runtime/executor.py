@@ -71,10 +71,11 @@ class ParallelExecutor(Executor):
     """Process-pool executor with lazy pool creation.
 
     The underlying :class:`concurrent.futures.ProcessPoolExecutor` is created
-    on first use and reused across ``map`` calls, so one executor instance
-    amortises worker start-up over e.g. an oracle build plus a whole sweep.
-    Tasks and the mapped callable must be picklable (module-level functions
-    and plain-data payloads).
+    on first use and reused across ``map`` calls of this instance.  The
+    library opens one per call that needs it, through
+    :func:`repro.runtime.engine.executor_scope`, and closes it before the
+    call returns.  Tasks and the mapped callable must be picklable
+    (module-level functions and plain-data payloads).
 
     Use as a context manager, or call :meth:`close` explicitly, to reap the
     worker processes.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.algorithms.exact import ExactEstimator
@@ -49,6 +52,27 @@ class TestGreedyMaximize:
             greedy_maximize(
                 star_graph, 1, ExactEstimator(), seed=0, candidate_vertices=(99,)
             )
+
+    @pytest.mark.parametrize(
+        "bad", [1.7, 2.0, True, np.bool_(False), "3", None], ids=repr
+    )
+    def test_candidate_non_integer_rejected_by_name(self, star_graph, bad):
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(bad))):
+            greedy_maximize(
+                star_graph, 1, ExactEstimator(), seed=0, candidate_vertices=(1, bad)
+            )
+
+    @pytest.mark.parametrize(
+        "candidates",
+        [(np.int64(2), np.int32(3)), (np.uint8(2), 3), np.array([3, 2])],
+        ids=["int64-int32", "uint8-int", "ndarray"],
+    )
+    def test_candidate_numpy_integers_accepted(self, star_graph, candidates):
+        result = greedy_maximize(
+            star_graph, 2, ExactEstimator(), seed=0, candidate_vertices=candidates
+        )
+        assert result.seed_set == (2, 3)
+        assert all(type(seed) is int for seed in result.seeds)
 
     def test_deterministic_given_seed(self, karate_uc01):
         a = greedy_maximize(karate_uc01, 4, RISEstimator(128), seed=42)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.estimation.oracle import RRPoolOracle
-from repro.exceptions import ExperimentConfigurationError
+from repro.exceptions import ExperimentConfigurationError, InvalidParameterError
 from repro.experiments.factories import estimator_factory
 from repro.experiments.sweeps import SweepResult, powers_of_two, sweep_sample_numbers
+from repro.experiments.trials import run_trials
 from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import star
 from repro.graphs.probability import assign_probabilities
 
 
@@ -90,6 +92,25 @@ class TestSweepSampleNumbers:
             sweep_sample_numbers(
                 graph, 1, estimator_factory("ris"), [], 5, oracle=oracle
             )
+
+    @pytest.mark.parametrize(
+        "grid", [[2.7, 8], [True, 8], [8, 0], [8, "16"], [8, None]], ids=repr
+    )
+    def test_invalid_sample_numbers_rejected(self, karate_sweep, grid):
+        graph, oracle, _ = karate_sweep
+        with pytest.raises(InvalidParameterError, match="sample_numbers entry"):
+            sweep_sample_numbers(
+                graph, 1, estimator_factory("ris"), grid, 5, oracle=oracle
+            )
+
+    def test_oracle_for_another_graph_rejected_like_run_trials(self, karate_sweep):
+        graph, _, _ = karate_sweep
+        star_oracle = RRPoolOracle(star(5), pool_size=100, seed=0)
+        factory = estimator_factory("ris")
+        with pytest.raises(ExperimentConfigurationError, match="number of vertices"):
+            run_trials(graph, 1, factory, 8, 2, oracle=star_oracle)
+        with pytest.raises(ExperimentConfigurationError, match="number of vertices"):
+            sweep_sample_numbers(graph, 1, factory, [8, 16], 2, oracle=star_oracle)
 
     def test_duplicate_sample_numbers_deduplicated(self, karate_sweep):
         graph, oracle, _ = karate_sweep

@@ -35,6 +35,11 @@ def _crashing_chunk_worker(payload: int, root_key: tuple, start: int, stop: int)
     os._exit(3)
 
 
+def _crashing_task(_task: int) -> None:
+    """Task callable that kills its worker process outright."""
+    os._exit(3)
+
+
 def _raising_worker(value: int) -> int:
     raise ValueError(f"bad task {value}")
 
@@ -94,16 +99,6 @@ class TestExecutorScope:
             assert resolved._pool is not None
         assert resolved._pool is None  # closed on scope exit
 
-    def test_explicit_executor_is_caller_owned(self):
-        pool = ParallelExecutor(2)
-        try:
-            with executor_scope(executor=pool) as resolved:
-                assert resolved is pool
-                resolved.map(_square, [1])
-            assert pool._pool is not None  # scope exit must not close it
-        finally:
-            pool.close()
-
 
 class TestEngine:
     def test_run_tasks_matches_serial(self):
@@ -127,19 +122,27 @@ class TestEngine:
 
 
 class TestWorkerCrash:
-    """A dead worker process must not poison a caller-owned executor."""
+    """A dead worker process must not poison the pool that ran it."""
 
-    def test_crash_raises_repro_error_and_pool_recovers(self):
+    @pytest.mark.parametrize("route", ["map", "run_seeded_tasks"])
+    def test_crash_raises_repro_error_and_pool_recovers(self, route, opened_pools):
         def collect(**kwargs):
             chunks = run_seeded_tasks(_sum_of_uniform_counts, 8, 0, payload=0, **kwargs)
             return [value for chunk in chunks for value in chunk]
 
-        with ParallelExecutor(2) as pool:
+        if route == "map":
+            pool = ParallelExecutor(2)
             with pytest.raises(ReproError, match="task 0 of 8") as caught:
-                run_seeded_tasks(_crashing_chunk_worker, 8, 0, executor=pool, num_chunks=8)
-            assert isinstance(caught.value.__cause__, BrokenProcessPool)
-            assert pool._pool is None  # the broken pool was shut down and dropped
-            assert collect(executor=pool) == collect(jobs=1)
+                pool.map(_crashing_task, range(8))
+        else:
+            with pytest.raises(ReproError, match="task 0 of 8") as caught:
+                run_seeded_tasks(_crashing_chunk_worker, 8, 0, jobs=2, num_chunks=8)
+            (pool,) = opened_pools
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert pool._pool is None  # the broken pool was shut down and dropped
+        with pool:
+            assert pool.map(_square, [3, 4]) == [9, 16]
+        assert collect(jobs=2) == collect(jobs=1)
 
     def test_worker_exception_propagates_unchanged(self):
         with ParallelExecutor(2) as pool:
