@@ -3,12 +3,16 @@
 Every estimator in this codebase spends its budget on thousands of
 near-identical randomized BFS traversals.  PR 4 vectorized *across the
 frontier* (one gather per BFS level); this module vectorizes *across
-simulations*: it samples up to :data:`LANES_PER_WORD` independent live-edge
-worlds into one ``uint64`` word per edge (bit ``w`` of ``live[e]`` = edge
-``e`` is live in world ``w``) and then runs a **single** whole-frontier BFS
-per 64-world batch, replacing activation sets with activation *masks* —
-``active[v]`` is the word of worlds in which ``v`` is active — and per-edge
-coin flips with bitwise AND/OR plus popcounts.
+simulations*: it runs a **single** whole-frontier BFS per batch of up to
+:data:`LANES_PER_WORD` worlds, replacing activation sets with activation
+*masks* — ``active[v]`` is the ``uint64`` word of worlds in which ``v`` is
+active.  Forward cascades sample every edge's liveness up front into one
+word per edge (bit ``w`` of ``live[e]`` = edge ``e`` is live in world
+``w``) and advance with bitwise AND/OR plus popcounts.  RR sets are sampled
+*lazily*: a reverse level draws liveness only for the in-edges of its newly
+active (vertex, world) pairs, through the model's per-level hook
+(:meth:`~repro.diffusion.models.DiffusionModel.live_in_edges`), so each
+examined (edge, world) pair is drawn once and no other edge is drawn at all.
 
 Draw-order contract (documented, intentionally *not* byte-identical to the
 scalar stream — see ``docs/DESIGN.md``):
@@ -21,16 +25,19 @@ scalar stream — see ``docs/DESIGN.md``):
   doubles of the stream), or ``generator.random((n, lanes))`` for LT
   threshold draws (vertex-major);
 * an RR-set word first draws its targets — one ``generator.integers(n,
-  size=lanes)`` call — and then its live words as above;
+  size=lanes)`` call — and then one draw call per level over the level's
+  (vertex, lane) pairs, ordered by ascending vertex and then lane: IC one
+  double per examined in-edge, LT one threshold per pair with in-degree > 0;
 * with a single ``rng``, words are consumed sequentially from its stream;
   under the runtime's split-stream contract, word ``i`` draws from the child
   stream of ``(seed, i)``, so any ``jobs`` value is bit-identical.
 
 The results are therefore deterministic given ``(seed, lane layout)`` and
 statistically exchangeable with the scalar path (same per-world live-edge
-distribution), but the two paths consume the PRNG differently: scalar
-kernels flip coins lazily for *examined* edges only, while bit-parallel
-words pre-sample every edge of the graph per world.  The scalar path stays
+distribution), but the two paths consume the PRNG differently: the scalar
+kernels draw per world, one RR set or cascade after another, while a
+bit-parallel word draws for all its lanes at once (and forward words
+pre-sample every edge of the graph per world).  The scalar path stays
 the default for reproduction runs; this fast path is opt-in via
 ``batch_mode="bitparallel"``.
 
@@ -71,6 +78,9 @@ HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 #: 16-bit population-count lookup table for the pre-numpy-2.0 fallback.
 _POPCOUNT16 = np.array([bin(value).count("1") for value in range(1 << 16)], dtype=np.uint8)
+
+#: ``_LANE_BITS[w]`` is the ``uint64`` word with only bit ``w`` set.
+_LANE_BITS = np.uint64(1) << np.arange(LANES_PER_WORD, dtype=np.uint64)
 
 
 def require_batch_mode(value: str) -> str:
@@ -223,16 +233,16 @@ def word_spans(count: int) -> list[tuple[int, int]]:
 
 
 # --------------------------------------------------------------------------- #
-# live-edge world sampling (the model-specific part)
+# live-edge sampling (the model-specific part): forward words up front,
+# reverse in-edges lazily, one BFS level at a time
 # --------------------------------------------------------------------------- #
 def ic_live_words(
     probs: np.ndarray, num_lanes: int, generator: np.random.Generator
 ) -> np.ndarray:
     """Sample ``num_lanes`` independent-cascade worlds over one edge array.
 
-    ``probs`` is a per-edge probability array in either CSR order (the same
-    function serves forward cascades over ``out_csr`` and reverse RR
-    generation over ``in_csr``).  Consumes exactly one
+    ``probs`` is a per-edge probability array (forward cascades pass
+    ``out_csr``'s, so the words align with the forward CSR).  Consumes exactly one
     ``generator.random((len(probs), num_lanes))`` call, edge-major — the
     draws land directly in the row-packed layout, skipping a transpose.
     """
@@ -258,38 +268,19 @@ def _segment_intervals(
 
 
 def lt_live_words(
-    graph: InfluenceGraph,
-    num_lanes: int,
-    generator: np.random.Generator,
-    *,
-    reverse: bool = False,
+    graph: InfluenceGraph, num_lanes: int, generator: np.random.Generator
 ) -> np.ndarray:
-    """Sample ``num_lanes`` linear-threshold worlds as per-edge words.
+    """Sample ``num_lanes`` linear-threshold worlds as forward-CSR edge words.
 
     Per world, each vertex draws one uniform threshold and keeps **at most
     one** in-edge — edge ``(u, v)`` iff the draw lands in that edge's
     sub-interval of ``[0, sum of v's incoming weights)``.  Consumes exactly
     one ``generator.random((n, num_lanes))`` call (vertex-major, one
-    threshold per vertex per world).
-
-    ``reverse=False`` returns words aligned with the **forward** CSR edge
-    order (for mask cascades over ``out_csr``); ``reverse=True`` aligns with
-    the **reverse** CSR order (for RR generation over ``in_csr``).  The two
-    orderings partition each vertex's incoming probability mass into the same
-    interval lengths but may order parallel edges differently, which is
-    immaterial: each call samples its own worlds.
+    threshold per vertex per world).  The words align with the **forward**
+    CSR edge order, for mask cascades over ``out_csr``.
     """
     require_lanes(num_lanes)
     draws = generator.random((graph.num_vertices, num_lanes))
-    if reverse:
-        in_indptr, _, in_probs = graph.in_csr
-        owner = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), np.diff(in_indptr)
-        )
-        lower, upper = _segment_intervals(in_indptr, in_probs)
-        gathered = draws[owner]
-        selected = (gathered >= lower[:, None]) & (gathered < upper[:, None])
-        return _pack_rows(selected)
     out_indptr, out_targets, out_probs = graph.out_csr
     # Group the forward edges by target to assign the per-target intervals,
     # then scatter the words back to forward-CSR positions.
@@ -303,6 +294,44 @@ def lt_live_words(
     words = np.empty(graph.num_edges, dtype=np.uint64)
     words[order] = _pack_rows(selected)
     return words
+
+
+def ic_live_in_edges(
+    graph: InfluenceGraph,
+    edges: np.ndarray,
+    degrees: np.ndarray,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """Independent-cascade liveness of one reverse level's examined in-edges.
+
+    ``edges`` lists reverse-CSR edge positions, one in-row per newly active
+    (vertex, world) pair in pair order (``degrees`` holds the row lengths).
+    Consumes exactly one ``generator.random(len(edges))`` call: one coin
+    flip per examined (edge, world) pair, in ``edges`` order.
+    """
+    return generator.random(edges.shape[0]) < graph.in_csr[2][edges]
+
+
+def lt_live_in_edges(
+    graph: InfluenceGraph,
+    edges: np.ndarray,
+    degrees: np.ndarray,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """Linear-threshold liveness of one reverse level's examined in-edges.
+
+    Same layout as :func:`ic_live_in_edges`.  Each pair with in-degree > 0
+    draws one threshold — one ``generator.random`` call over those pairs, in
+    pair order — and keeps the in-edge whose sub-interval of the cumulative
+    incoming weights holds it, if any (the rule of
+    :func:`~repro.diffusion.linear_threshold.sample_lt_rr_set`), so every
+    pair keeps **at most one** live in-edge.
+    """
+    rows = np.concatenate(([0], np.cumsum(degrees)))
+    lower, upper = _segment_intervals(rows, graph.in_csr[2][edges])
+    drawn = degrees[degrees > 0]
+    thresholds = np.repeat(generator.random(drawn.shape[0]), drawn)
+    return (thresholds >= lower) & (thresholds < upper)
 
 
 # --------------------------------------------------------------------------- #
@@ -343,45 +372,6 @@ def forward_cascade_masks(
     return active
 
 
-def reverse_rr_masks(
-    graph: InfluenceGraph,
-    targets: np.ndarray,
-    live_words: np.ndarray,
-    num_lanes: int,
-    *,
-    cost: TraversalCost | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run one 64-world reverse BFS; returns ``(membership words, weights)``.
-
-    ``targets`` assigns lane ``w`` its RR target ``targets[w]`` (lanes may
-    share a target vertex); ``live_words`` holds one word per **reverse-CSR**
-    edge.  The returned ``weights`` array gives each lane's RR-set weight —
-    the number of per-world coin flips, i.e. in-edges examined in that world
-    — matching the scalar convention.
-    """
-    require_lanes(num_lanes)
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape[0] != num_lanes:
-        raise InvalidParameterError(
-            f"targets must hold one vertex per lane ({num_lanes}), "
-            f"got {targets.shape[0]}"
-        )
-    indptr, sources, _ = graph.in_csr
-    if live_words.shape[0] != graph.num_edges:
-        raise InvalidParameterError(
-            f"live_words must hold one word per edge ({graph.num_edges}), "
-            f"got {live_words.shape[0]}"
-        )
-    active = np.zeros(graph.num_vertices, dtype=np.uint64)
-    lane_bits = np.uint64(1) << np.arange(num_lanes, dtype=np.uint64)
-    np.bitwise_or.at(active, targets, lane_bits)
-    frontier = np.unique(targets)
-    delta = active[frontier].copy()
-    weights = np.zeros(num_lanes, dtype=np.int64)
-    _mask_bfs(indptr, sources, live_words, active, frontier, delta, cost, weights=weights)
-    return active, weights
-
-
 def _mask_bfs(
     indptr: np.ndarray,
     endpoints: np.ndarray,
@@ -390,8 +380,6 @@ def _mask_bfs(
     frontier: np.ndarray,
     delta: np.ndarray,
     cost: TraversalCost | None,
-    *,
-    weights: np.ndarray | None = None,
 ) -> None:
     """Shared 64-world BFS over one CSR direction, updating ``active`` in place.
 
@@ -402,10 +390,8 @@ def _mask_bfs(
     gained bits as the next frontier.  Levels below the shared
     :func:`~repro.diffusion.frontier.use_scalar_frontier` threshold run a
     plain per-vertex Python-int loop instead of the batched gather — same
-    masks, smaller constant.  ``weights`` (reverse kernels) accumulates each
-    lane's examined-edge count in place.
+    masks, smaller constant.
     """
-    num_lanes = int(weights.shape[0]) if weights is not None else LANES_PER_WORD
     # Dense per-vertex accumulator for the batched branch: scatter-OR the
     # surviving bits here, then read the next frontier off its nonzeros.
     # Cheaper than np.unique + before/after snapshots on every level, and
@@ -425,12 +411,6 @@ def _mask_bfs(
             for vertex, word in zip(frontier.tolist(), delta.tolist()):
                 start, stop = int(indptr[vertex]), int(indptr[vertex + 1])
                 degree = stop - start
-                if weights is not None and degree:
-                    bits = word
-                    while bits:
-                        low = bits & -bits
-                        weights[low.bit_length() - 1] += degree
-                        bits ^= low
                 if cost is not None:
                     cost.add_edges(word.bit_count() * degree)
                 if degree == 0:
@@ -451,8 +431,6 @@ def _mask_bfs(
         if cost is not None:
             cost.add_vertices(int(popcount(delta).sum()))
             cost.add_edges(int(popcount(examined).sum()))
-        if weights is not None and total:
-            weights += lane_counts(examined, num_lanes)
         if total == 0:
             break
         new_words = examined
@@ -543,7 +521,7 @@ def batched_rr_sets(
     graph: InfluenceGraph,
     count: int,
     generators: Iterable[np.random.Generator],
-    reverse_words_fn,
+    live_in_edges,
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
@@ -552,31 +530,96 @@ def batched_rr_sets(
 
     ``generators`` yields one generator per word, as in
     :func:`batched_cascade_counts`.  Each word draws its lane targets first
-    (``generator.integers(n, size=lanes)``), then its live words via
-    ``reverse_words_fn(num_lanes, generator)`` — one word batch of
-    reverse-CSR live edges (the model hook).  Lane ``w``'s RR set is the
-    vertices whose membership word has bit ``w`` set; weights count the
-    per-world examined in-edges, matching the scalar convention.
+    (``generator.integers(n, size=lanes)``), then runs one lazy reverse BFS
+    over all its lanes: per level, ``live_in_edges(edges, degrees,
+    generator)`` (the model hook, see :func:`ic_live_in_edges`) decides
+    which in-edges of the level's newly active (vertex, lane) pairs are
+    live, so only examined (edge, world) pairs are ever drawn.  Lane ``w``'s
+    RR set holds the vertices activated in lane ``w``; its weight counts
+    the in-edges examined in that world, matching the scalar convention.
     """
-    if graph.num_vertices == 0:
-        raise ValueError("cannot sample an RR set from an empty graph")
+    num_vertices = graph.num_vertices
+    if num_vertices == 0:
+        raise InvalidParameterError("cannot sample an RR set from an empty graph")
+    indptr, sources, _ = graph.in_csr
+    in_degrees = np.diff(indptr)
+    active = np.zeros(num_vertices, dtype=np.uint64)
     rr_sets: list[RRSet] = []
-    total_size = 0
+    total_size = total_weight = 0
     for (_, lanes), generator in zip(word_spans(count), generators):
-        targets = generator.integers(graph.num_vertices, size=lanes).astype(np.int64)
-        words = reverse_words_fn(lanes, generator)
-        membership, weights = reverse_rr_masks(graph, targets, words, lanes, cost=cost)
-        bits = unpack_lanes(membership, lanes)
-        for lane in range(lanes):
-            members = np.flatnonzero(bits[lane])
-            total_size += int(members.shape[0])
+        targets = generator.integers(num_vertices, size=lanes).astype(np.int64)
+        vertices, pair_lanes = _reverse_word(
+            indptr, sources, targets, active, live_in_edges, generator
+        )
+        order = np.argsort(pair_lanes, kind="stable")
+        sizes = np.bincount(pair_lanes, minlength=lanes)
+        weights = np.bincount(
+            pair_lanes, weights=in_degrees[vertices], minlength=lanes
+        ).astype(np.int64)
+        members = vertices[order].tolist()
+        stops = np.cumsum(sizes).tolist()
+        for lane, (start, stop) in enumerate(zip([0] + stops, stops)):
             rr_sets.append(
                 RRSet(
                     target=int(targets[lane]),
-                    vertices=frozenset(members.tolist()),
+                    vertices=frozenset(members[start:stop]),
                     weight=int(weights[lane]),
                 )
             )
+        total_size += len(members)
+        total_weight += int(weights.sum())
+    if cost is not None:
+        cost.add_vertices(total_size)
+        cost.add_edges(total_weight)
     if sample_size is not None:
         sample_size.add_vertices(total_size)
     return rr_sets
+
+
+def _reverse_word(
+    indptr: np.ndarray,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    active: np.ndarray,
+    live_in_edges,
+    generator: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lazy reverse BFS of one word; returns its ``(vertex, lane)`` activations.
+
+    Lane ``w`` starts at ``targets[w]``.  A level holds the pairs that became
+    active last level, ordered by ascending vertex and then lane; it expands
+    each pair over its in-CSR row, asks ``live_in_edges`` which of those
+    edges are live, and ORs the lane bits of the live sources into
+    ``active`` (bit ``w`` of ``active[v]`` = ``v`` is in lane ``w``'s RR
+    set).  A (vertex, lane) pair activates at most once, so each (edge,
+    world) pair is examined — and drawn — at most once.  ``active`` is
+    all-zero on entry and is cleared again before returning.
+    """
+    lane_ids = np.argsort(targets, kind="stable")
+    vertices = targets[lane_ids]
+    np.bitwise_or.at(active, vertices, _LANE_BITS[lane_ids])
+    level_vertices: list[np.ndarray] = []
+    level_lanes: list[np.ndarray] = []
+    while vertices.size:
+        level_vertices.append(vertices)
+        level_lanes.append(lane_ids)
+        edges, degrees, total = frontier_edges(indptr, vertices)
+        if total == 0:
+            break
+        live = live_in_edges(edges, degrees, generator)
+        candidates = sources[edges[live]]
+        candidate_lanes = np.repeat(lane_ids, degrees)[live]
+        fresh = (active[candidates] & _LANE_BITS[candidate_lanes]) == 0
+        # A source reached by several live edges in one lane is one pair;
+        # the sorted keys give the next level its vertex-then-lane order
+        # (sort + neighbour mask: much cheaper than np.unique per level).
+        keys = np.sort(candidates[fresh] * LANES_PER_WORD + candidate_lanes[fresh])
+        if keys.size == 0:
+            break
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        vertices = keys // LANES_PER_WORD
+        lane_ids = keys % LANES_PER_WORD
+        np.bitwise_or.at(active, vertices, _LANE_BITS[lane_ids])
+    vertices = np.concatenate(level_vertices)
+    active[vertices] = 0
+    return vertices, np.concatenate(level_lanes)

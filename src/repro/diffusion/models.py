@@ -139,14 +139,22 @@ class DiffusionModel(abc.ABC):
             f"diffusion model {self.name!r} does not support batch_mode='bitparallel'"
         )
 
-    def reverse_live_words(
-        self, graph: InfluenceGraph, num_lanes: int, generator: np.random.Generator
+    def live_in_edges(
+        self,
+        graph: InfluenceGraph,
+        edges: np.ndarray,
+        degrees: np.ndarray,
+        generator: np.random.Generator,
     ) -> np.ndarray:
-        """Sample ``num_lanes`` live-edge worlds in **reverse-CSR** edge order.
+        """Decide which examined in-edges of one reverse BFS level are live.
 
-        One ``uint64`` word per edge of ``graph.in_csr``, consumed by the
-        bit-parallel RR-set kernel.  Same capability contract as
-        :meth:`forward_live_words`.
+        The per-level hook of the lazy bit-parallel RR-set kernel.  ``edges``
+        concatenates the **reverse-CSR** in-rows of the level's newly active
+        (vertex, world) pairs, in pair order, and ``degrees`` holds each
+        pair's row length; the result is a boolean mask over ``edges``.  Each
+        pair activates at most once per world, so each (edge, world) pair
+        reaches this hook at most once and a lazy draw here is exact.  Same
+        capability contract as :meth:`forward_live_words`.
         """
         raise InvalidParameterError(
             f"diffusion model {self.name!r} does not support batch_mode='bitparallel'"
@@ -215,7 +223,7 @@ class DiffusionModel(abc.ABC):
                 graph,
                 count,
                 generators,
-                partial(self.reverse_live_words, graph),
+                partial(self.live_in_edges, graph),
                 cost=cost,
                 sample_size=sample_size,
             )
@@ -473,8 +481,9 @@ class IndependentCascade(DiffusionModel):
         # over the forward-CSR probability array is the whole sampler.
         return _bp.ic_live_words(graph.out_csr[2], num_lanes, generator)
 
-    def reverse_live_words(self, graph, num_lanes, generator):
-        return _bp.ic_live_words(graph.in_csr[2], num_lanes, generator)
+    def live_in_edges(self, graph, edges, degrees, generator):
+        # One coin flip per examined (edge, world) pair, as in the scalar BFS.
+        return _bp.ic_live_in_edges(graph, edges, degrees, generator)
 
     def sample_snapshot(self, graph, rng, *, sample_size=None):
         return _ic_snapshots.sample_snapshot(graph, rng, sample_size=sample_size)
@@ -512,8 +521,10 @@ class LinearThreshold(DiffusionModel):
         # lands among the incoming-weight intervals.
         return _bp.lt_live_words(graph, num_lanes, generator)
 
-    def reverse_live_words(self, graph, num_lanes, generator):
-        return _bp.lt_live_words(graph, num_lanes, generator, reverse=True)
+    def live_in_edges(self, graph, edges, degrees, generator):
+        # One threshold per activated (vertex, world) pair keeps at most one
+        # of its in-edges, as in the scalar reverse walk.
+        return _bp.lt_live_in_edges(graph, edges, degrees, generator)
 
     def sample_snapshot(self, graph, rng, *, sample_size=None):
         return _lt.sample_lt_snapshot(graph, rng, sample_size=sample_size).to_snapshot()

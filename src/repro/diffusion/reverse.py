@@ -28,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .._validation import require_vertex
+from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from .costs import SampleSize, TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
@@ -72,7 +73,7 @@ def sample_rr_set(
     """
     generator = rng.generator if isinstance(rng, RandomSource) else rng
     if graph.num_vertices == 0:
-        raise ValueError("cannot sample an RR set from an empty graph")
+        raise InvalidParameterError("cannot sample an RR set from an empty graph")
     if target is None:
         chosen_target = int(generator.integers(graph.num_vertices))
     else:
@@ -212,7 +213,7 @@ def _sample_rr_sets_batch(
     RR set marks it with a fresh stamp value.
     """
     if graph.num_vertices == 0:
-        raise ValueError("cannot sample an RR set from an empty graph")
+        raise InvalidParameterError("cannot sample an RR set from an empty graph")
     in_csr = graph.in_csr
     num_vertices = graph.num_vertices
     visited_stamp = np.zeros(num_vertices, dtype=np.int64)

@@ -1,6 +1,6 @@
 """Tests for the bit-parallel cascade engine (64 worlds per machine word).
 
-Four layers of protection:
+Five layers of protection:
 
 * **Primitive correctness** — both popcount implementations (the
   ``np.bitwise_count`` fast path and the 16-bit lookup fallback) agree on
@@ -12,6 +12,10 @@ Four layers of protection:
   *different* from the scalar stream, so on probabilistic graphs we check
   distribution, not bytes: the bit-parallel Monte Carlo mean must fall
   inside a generous confidence interval of the scalar estimate.
+* **Lazy RR kernel** — each word's exact stream consumption (targets, then
+  IC one double per examined edge, LT one per activation with in-degree
+  > 0) against a twin generator, and the per-world cost, weight and
+  sample-size accounting.
 * **Seam behaviour** — ``batch_mode`` resolution (explicit, else scalar;
   the environment is never consulted), the split-stream jobs contract (any
   worker count bit-identical), and spec/context validation.
@@ -29,11 +33,13 @@ from hypothesis import strategies as st
 from repro.diffusion import bitparallel as bp
 from repro.diffusion.cascade import simulate_cascades, simulate_spread
 from repro.diffusion.costs import SampleSize, TraversalCost
+from repro.diffusion.frontier import frontier_edges
 from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.reverse import sample_rr_sets
 from repro.estimation.monte_carlo import monte_carlo_spread
-from repro.exceptions import InvalidParameterError, SpecValidationError
+from repro.exceptions import InvalidParameterError, ReproError, SpecValidationError
 from repro.graphs.datasets import load_dataset
+from repro.graphs.generators import directed_scale_free
 from repro.graphs.influence_graph import InfluenceGraph
 from repro.graphs.probability import assign_probabilities
 
@@ -51,6 +57,12 @@ def karate_certain(karate):
 @pytest.fixture(scope="module")
 def karate_iwc(karate):
     return assign_probabilities(karate, "iwc")
+
+
+@pytest.fixture(scope="module")
+def scale_free_iwc():
+    # Heavy-tailed in-degrees, and 66 of the 400 vertices have none.
+    return assign_probabilities(directed_scale_free(400, 3.0, seed=3), "iwc")
 
 
 # --------------------------------------------------------------------------- #
@@ -303,6 +315,15 @@ class TestDeterministicEquality:
                 graph, 4, np.random.default_rng(0), batch_mode="bitparallel"
             )
 
+    @pytest.mark.parametrize("batch_mode", ["scalar", "bitparallel"])
+    @pytest.mark.parametrize("model", [INDEPENDENT_CASCADE, LINEAR_THRESHOLD])
+    def test_empty_graph_rr_error_is_a_repro_error(self, model, batch_mode):
+        graph = InfluenceGraph(0, [], [], [])
+        with pytest.raises(ReproError, match="empty graph"):
+            model.sample_rr_sets(
+                graph, 4, np.random.default_rng(0), batch_mode=batch_mode
+            )
+
     def test_edgeless_graph_activates_only_seeds(self):
         isolated = InfluenceGraph(6, [], [], [])
         spread = simulate_spread(
@@ -363,25 +384,24 @@ class TestStatisticalEquivalence:
 
     def test_lt_at_most_one_live_in_edge_per_world(self, karate_iwc):
         # The LT live-edge distribution keeps at most one in-edge per vertex
-        # per world; check the invariant on both word alignments by grouping
-        # edges by their target vertex.
-        reverse_words = bp.lt_live_words(
-            karate_iwc, 64, np.random.default_rng(11), reverse=True
-        )
+        # per world.  Reverse: the lazy hook, asked about every vertex in 64
+        # lanes at once, keeps at most one edge of each (vertex, lane) row.
         in_indptr, _, _ = karate_iwc.in_csr
-        in_groups = [
-            reverse_words[in_indptr[v]:in_indptr[v + 1]]
-            for v in range(karate_iwc.num_vertices)
-        ]
-        forward_words = bp.lt_live_words(
-            karate_iwc, 64, np.random.default_rng(11), reverse=False
+        pairs = np.repeat(np.arange(karate_iwc.num_vertices), 64)
+        edges, degrees, _ = frontier_edges(in_indptr, pairs)
+        live = LINEAR_THRESHOLD.live_in_edges(
+            karate_iwc, edges, degrees, np.random.default_rng(11)
         )
+        kept = np.add.reduceat(live.astype(np.int64), np.cumsum(degrees) - degrees)
+        assert kept.max() == 1  # at most one, and the hook is not vacuous
+        # Forward: group the forward-CSR words by their target vertex.
+        forward_words = bp.lt_live_words(karate_iwc, 64, np.random.default_rng(11))
         _, out_targets, _ = karate_iwc.out_csr
         forward_groups = [
             forward_words[out_targets == v]
             for v in range(karate_iwc.num_vertices)
         ]
-        for segment in in_groups + forward_groups:
+        for segment in forward_groups:
             for i in range(segment.size):
                 for j in range(i + 1, segment.size):
                     assert int(segment[i] & segment[j]) == 0
@@ -434,6 +454,84 @@ class TestDrawOrderContract:
         total = estimate.mean * 70
         assert total == pytest.approx(round(total))
         assert 1.0 <= estimate.mean <= karate.num_vertices
+
+
+# --------------------------------------------------------------------------- #
+# lazy RR kernel: draw order and per-world accounting
+# --------------------------------------------------------------------------- #
+#: (model, graph fixture) pairs for the lazy RR-kernel tests: karate and a
+#: generated scale-free graph, each under a probability setting valid for
+#: the model.
+LAZY_RR_CASES = [
+    (INDEPENDENT_CASCADE, "karate_uc01"),
+    (INDEPENDENT_CASCADE, "scale_free_iwc"),
+    (LINEAR_THRESHOLD, "karate_iwc"),
+    (LINEAR_THRESHOLD, "scale_free_iwc"),
+]
+
+
+class TestLazyRRKernel:
+    @pytest.mark.parametrize("count", [64, 37])
+    @pytest.mark.parametrize(("model", "graph_fixture"), LAZY_RR_CASES)
+    def test_word_draw_order(self, request, model, graph_fixture, count):
+        # One word (full or partial): its targets, then IC one double per
+        # examined (edge, world) pair, LT one per (vertex, world) activation
+        # with in-degree > 0 -- and nothing else.
+        graph = request.getfixturevalue(graph_fixture)
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        cost = TraversalCost()
+        rr_sets = model.sample_rr_sets(
+            graph, count, rng, cost=cost, batch_mode="bitparallel"
+        )
+        targets = twin.integers(graph.num_vertices, size=count)
+        assert [rr_set.target for rr_set in rr_sets] == targets.tolist()
+        if model is INDEPENDENT_CASCADE:
+            doubles = cost.edges
+        else:
+            in_degrees = graph.in_degrees()
+            doubles = sum(
+                int(in_degrees[vertex] > 0)
+                for rr_set in rr_sets
+                for vertex in rr_set.vertices
+            )
+        assert doubles > count
+        twin.random(doubles)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(("model", "graph_fixture"), LAZY_RR_CASES)
+    def test_per_world_accounting(self, request, model, graph_fixture):
+        graph = request.getfixturevalue(graph_fixture)
+        cost, sample_size = TraversalCost(), SampleSize()
+        rr_sets = model.sample_rr_sets(
+            graph, 200, np.random.default_rng(22),
+            cost=cost, sample_size=sample_size, batch_mode="bitparallel",
+        )
+        sizes = sum(rr_set.size for rr_set in rr_sets)
+        weights = sum(rr_set.weight for rr_set in rr_sets)
+        assert cost.vertices == sizes
+        assert cost.edges == weights
+        assert sample_size.vertices == sizes
+        # Per world: the weight is the in-degree sum of the set's members.
+        in_degrees = graph.in_degrees()
+        for rr_set in rr_sets:
+            assert rr_set.target in rr_set.vertices
+            assert rr_set.weight == int(in_degrees[list(rr_set.vertices)].sum())
+
+    @pytest.mark.parametrize("model", [INDEPENDENT_CASCADE, LINEAR_THRESHOLD])
+    def test_size_and_weight_means_within_scalar_ci(self, scale_free_iwc, model):
+        samples = {
+            mode: model.sample_rr_sets(
+                scale_free_iwc, 4000, np.random.default_rng(23), batch_mode=mode
+            )
+            for mode in ("scalar", "bitparallel")
+        }
+        for field in ("size", "weight"):
+            scalar = np.array([getattr(s, field) for s in samples["scalar"]])
+            masks = np.array([getattr(s, field) for s in samples["bitparallel"]])
+            # Heavy-tailed (std above the mean), so the band is z=4 on the
+            # difference of two independent means, as for Monte Carlo above.
+            tolerance = 4.0 * math.sqrt(2.0 / scalar.size) * scalar.std()
+            assert masks.mean() == pytest.approx(scalar.mean(), abs=tolerance)
 
 
 # --------------------------------------------------------------------------- #
