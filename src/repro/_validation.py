@@ -27,6 +27,22 @@ def require_positive_int(value: int, name: str) -> int:
     return value
 
 
+def _real_or_raise(value: float, message: str) -> float:
+    """``value`` as a float if it is a real number, else raise with ``message``.
+
+    Nothing is cast: booleans, numpy booleans and strings such as ``"0.5"``
+    are rejected, and so is an int too large for a float.
+    """
+    if type(value) is float:  # the common case skips the ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(message)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameterError(message) from None
+
+
 def require_positive_real(value: float, name: str) -> float:
     """Return ``value`` as a float if it is a finite positive number, otherwise raise.
 
@@ -34,12 +50,7 @@ def require_positive_real(value: float, name: str) -> float:
     and the infinities, which no size or rate can take.
     """
     message = f"{name} must be a finite positive number, got {value!r}"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(message)
-    try:
-        as_float = float(value)
-    except OverflowError:  # an int too large for a float
-        raise InvalidParameterError(message) from None
+    as_float = _real_or_raise(value, message)
     if not (math.isfinite(as_float) and as_float > 0.0):
         raise InvalidParameterError(message)
     return as_float
@@ -60,10 +71,7 @@ def require_probability(value: float, name: str, *, allow_zero: bool = False) ->
     By default the accepted range is the half-open interval ``(0, 1]`` used
     for influence probabilities; ``allow_zero`` widens it to ``[0, 1]``.
     """
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
+    as_float = _real_or_raise(value, f"{name} must be a real number, got {value!r}")
     lower_ok = as_float >= 0.0 if allow_zero else as_float > 0.0
     if not lower_ok or as_float > 1.0:
         interval = "[0, 1]" if allow_zero else "(0, 1]"
@@ -73,10 +81,7 @@ def require_probability(value: float, name: str, *, allow_zero: bool = False) ->
 
 def require_fraction(value: float, name: str) -> float:
     """Return ``value`` if it lies strictly between 0 and 1, otherwise raise."""
-    try:
-        as_float = float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}") from exc
+    as_float = _real_or_raise(value, f"{name} must be a real number, got {value!r}")
     if not 0.0 < as_float < 1.0:
         raise InvalidParameterError(f"{name} must lie strictly in (0, 1), got {as_float}")
     return as_float

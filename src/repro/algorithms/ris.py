@@ -114,7 +114,7 @@ class RISEstimator(InfluenceEstimator):
     def spread(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> float:
         """Estimate ``Inf(seed_set)`` as ``n * F_R(seed_set)`` over all RR sets."""
         collection = self.collection
-        return self.graph.num_vertices * collection.fraction_covered(set(seed_set))
+        return self.graph.num_vertices * collection.fraction_covered(seed_set)
 
     @property
     def expected_rr_size(self) -> float:

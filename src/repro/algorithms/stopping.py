@@ -183,7 +183,7 @@ class AdaptiveRIS:
             # could have achieved on that collection.
             validation_sets = self._model.sample_rr_sets(graph, theta, validation_rng)
             validation = RRSetCollection(validation_sets, graph.num_vertices)
-            achieved = validation.fraction_covered(set(result.seed_set))
+            achieved = validation.fraction_covered(result.seed_set)
             selection_coverage = self._greedy_ceiling(estimator, k)
             # Greedy covers at least (1 - 1/e) of the best possible coverage
             # on the selection collection, so selection_coverage / (1 - 1/e)

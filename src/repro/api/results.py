@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -288,8 +288,3 @@ class TraversalResult(ExperimentResult):
                 f"(k={self.spec.k}, sample number {self.spec.num_samples})"
             ),
         )
-
-
-def result_rows(results: Sequence[ExperimentResult]) -> list[dict[str, Any]]:
-    """Flatten several results' payloads (convenience for batch reports)."""
-    return [result.to_dict() for result in results]

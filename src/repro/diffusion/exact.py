@@ -13,8 +13,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-import numpy as np
-
 from .._validation import normalize_seed_set, require_positive_int
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
@@ -77,14 +75,6 @@ def exact_spread(graph: InfluenceGraph, seeds: tuple[int, ...] | list[int] | set
             graph.num_vertices, adjacency, seed_tuple
         )
     return total
-
-
-def exact_single_vertex_spreads(graph: InfluenceGraph) -> np.ndarray:
-    """Exact ``Inf(v)`` for every vertex ``v`` (tiny graphs only)."""
-    return np.array(
-        [exact_spread(graph, (vertex,)) for vertex in range(graph.num_vertices)],
-        dtype=np.float64,
-    )
 
 
 def exact_optimal_seed_set(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import normalize_seed_set, require_positive_int, require_vertex
+from .._validation import normalize_seed_set, require_vertex
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from .cascade import CascadeResult
@@ -125,23 +125,6 @@ def simulate_lt_cascade(
                     next_frontier.append(target)
         frontier = next_frontier
     return CascadeResult(tuple(activated_order), len(activated_order))
-
-
-def simulate_lt_spread(
-    graph: InfluenceGraph,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    num_simulations: int,
-    rng: RandomSource | np.random.Generator,
-    *,
-    cost: TraversalCost | None = None,
-) -> float:
-    """Average activated count over ``num_simulations`` LT cascades."""
-    require_positive_int(num_simulations, "num_simulations")
-    generator = rng.generator if isinstance(rng, RandomSource) else rng
-    total = 0
-    for _ in range(num_simulations):
-        total += simulate_lt_cascade(graph, seeds, generator, cost=cost).num_activated
-    return total / num_simulations
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .._validation import require_vertex
+from .._validation import normalize_seed_set, require_vertex
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from .costs import SampleSize, TraversalCost
@@ -310,20 +310,17 @@ class RRSetCollection:
         require_vertex(vertex, self._num_vertices)
         return int(self._coverage[vertex])
 
-    def coverage_array(self) -> np.ndarray:
-        """Copy of the per-vertex alive-coverage counts."""
-        return self._coverage.copy()
-
-    def fraction_covered(self, seed_set: tuple[int, ...] | set[int]) -> float:
+    def fraction_covered(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> float:
         """``F_R(S)``: fraction of *all* RR sets intersecting ``seed_set``.
 
         Matches the paper's definition over the full collection (removal by
         Update is an implementation detail of marginal-coverage queries and
         does not change this quantity's meaning for a fixed collection).
+        The seed set is validated like every other seed-set query.
         """
+        seed_frozen = frozenset(normalize_seed_set(seed_set, self._num_vertices))
         if not self._rr_sets:
             return 0.0
-        seed_frozen = frozenset(seed_set)
         hit = sum(1 for rr_set in self._rr_sets if rr_set.intersects(seed_frozen))
         return hit / len(self._rr_sets)
 

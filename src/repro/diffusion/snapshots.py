@@ -16,7 +16,6 @@ examination and every scanned live out-edge counts one edge examination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,26 +42,6 @@ class Snapshot:
     def out_neighbors(self, vertex: int) -> np.ndarray:
         """Live out-neighbours of ``vertex`` in this snapshot."""
         return self.targets[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    @cached_property
-    def reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reverse CSR ``(indptr, sources)`` of the live edges, built once.
-
-        Computed lazily and cached on the instance (``cached_property`` writes
-        into ``__dict__``, which the frozen dataclass permits), so every
-        consumer that walks the snapshot backwards — the bottom-k sketches in
-        :mod:`repro.graphs.sketches`, reverse traversals in examples — shares
-        one CSR transpose instead of each rebuilding a Python list-of-lists.
-        """
-        counts = np.zeros(self.num_vertices, dtype=np.int64)
-        np.add.at(counts, self.targets, 1)
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(self.targets, kind="stable")
-        sources = np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
-        )[order]
-        return indptr, sources
 
 
 def snapshot_from_live_edges(
@@ -158,87 +137,26 @@ def reachable_set(
     return set(reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked))
 
 
-def reachability_scratch(num_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reusable ``(visited, slot)`` scratch pair for reachability queries.
-
-    Callers that issue many queries against snapshots of the same graph
-    (descendant counting, the bottom-k sketches) create one pair and pass it as ``scratch=``; the query then runs in time
-    proportional to the reached set instead of paying an O(num_vertices)
-    allocation and reset per call.  Not safe to share across threads.
-    """
-    return (
-        np.zeros(num_vertices, dtype=bool),
-        np.empty(num_vertices, dtype=np.int64),
-    )
-
-
 def reachable_vertices(
     snapshot: Snapshot,
     seeds: tuple[int, ...] | list[int] | set[int],
     *,
     cost: TraversalCost | None = None,
     blocked: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[int]:
     """Vertices reachable from ``seeds``, in BFS discovery order.
 
-    The list form of :func:`reachable_set`.  With ``scratch`` (see
-    :func:`reachability_scratch`) the visited marks are cleared again before
-    returning — touching only the reached entries — so repeated queries do no
-    per-call O(num_vertices) work.
+    The list form of :func:`reachable_set`: a whole-frontier BFS over the
+    live-edge CSR.  Each level scans all frontier out-edges with one gather,
+    filters blocked/visited targets, and first-hit-deduplicates the next
+    frontier (scalar per-vertex expansion below
+    :data:`SCALAR_FRONTIER_LIMIT`).  Cost totals are identical to the
+    historical per-vertex loop (one vertex examination per expanded vertex,
+    one edge examination per scanned live out-edge).
     """
     seed_tuple = normalize_seed_set(seeds, snapshot.num_vertices)
-    if scratch is None:
-        visited = np.zeros(snapshot.num_vertices, dtype=bool)
-        slot = np.empty(snapshot.num_vertices, dtype=np.int64)
-        return _reachable_into(snapshot, seed_tuple, visited, slot, cost, blocked)
-    visited, slot = scratch
-    reached = _reachable_into(snapshot, seed_tuple, visited, slot, cost, blocked)
-    visited[reached] = False
-    return reached
-
-
-def reachable_mask(
-    snapshot: Snapshot,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    *,
-    cost: TraversalCost | None = None,
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean reachability mask from ``seeds`` (the array form of
-    :func:`reachable_set`)."""
     visited = np.zeros(snapshot.num_vertices, dtype=bool)
     slot = np.empty(snapshot.num_vertices, dtype=np.int64)
-    _reachable_into(
-        snapshot,
-        normalize_seed_set(seeds, snapshot.num_vertices),
-        visited,
-        slot,
-        cost,
-        blocked,
-    )
-    return visited
-
-
-def _reachable_into(
-    snapshot: Snapshot,
-    seed_tuple: tuple[int, ...],
-    visited: np.ndarray,
-    slot: np.ndarray,
-    cost: TraversalCost | None,
-    blocked: np.ndarray | None,
-) -> list[int]:
-    """Whole-frontier BFS over the live-edge CSR, marking ``visited``.
-
-    Each level scans all frontier out-edges with one gather, filters
-    blocked/visited targets, and first-hit-deduplicates the next frontier
-    (scalar per-vertex expansion below :data:`SCALAR_FRONTIER_LIMIT`).  Cost
-    totals are identical to the historical per-vertex loop (one vertex
-    examination per expanded vertex, one edge examination per scanned live
-    out-edge).  ``visited`` must be ``False`` everywhere on entry; only
-    reached entries are set, and the returned discovery-order list names
-    exactly those entries.
-    """
     frontier: list[int] = (
         [seed for seed in seed_tuple if not blocked[seed]]
         if blocked is not None
@@ -293,29 +211,6 @@ def reachable_count(
     *,
     cost: TraversalCost | None = None,
     blocked: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> int:
-    """Number of vertices reachable from ``seeds`` in ``snapshot``.
-
-    Pass ``scratch`` (see :func:`reachability_scratch`) when issuing many
-    counts against snapshots of the same graph.
-    """
-    return len(
-        reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked, scratch=scratch)
-    )
-
-
-def single_source_reachability(
-    snapshot: Snapshot, *, cost: TraversalCost | None = None
-) -> np.ndarray:
-    """Reachable-set size from every single vertex (descendant counting).
-
-    This is the quadratic-in-the-worst-case computation the paper notes is the
-    bottleneck of Snapshot's first greedy iteration.  Returned as an integer
-    array of length ``num_vertices``.
-    """
-    counts = np.zeros(snapshot.num_vertices, dtype=np.int64)
-    scratch = reachability_scratch(snapshot.num_vertices)
-    for vertex in range(snapshot.num_vertices):
-        counts[vertex] = reachable_count(snapshot, (vertex,), cost=cost, scratch=scratch)
-    return counts
+    """Number of vertices reachable from ``seeds`` in ``snapshot``."""
+    return len(reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked))

@@ -50,21 +50,6 @@ class MonteCarloEstimate:
             return float("inf")
         return self.std / math.sqrt(self.num_simulations)
 
-    def confidence_interval(self, z: float = 1.96) -> tuple[float, float]:
-        """Normal-approximation confidence interval at the given z value.
-
-        With ``num_simulations <= 1`` there is no variance estimate, and the
-        infinite standard error would yield the uninformative
-        ``(-inf, inf)``; instead the interval degenerates to the point
-        estimate ``(mean, mean)``, making explicit that the estimate has a
-        location but no measured spread.  Callers needing a genuine interval
-        must run at least two simulations.
-        """
-        if self.num_simulations <= 1:
-            return (self.mean, self.mean)
-        radius = z * self.standard_error
-        return (self.mean - radius, self.mean + radius)
-
 
 def monte_carlo_spread(
     graph: InfluenceGraph,

@@ -4,8 +4,6 @@ from .comparison import (
     ComparablePoint,
     ComparableRatioCurve,
     comparable_ratio_curve,
-    median_comparable_number_ratio,
-    median_comparable_size_ratio,
 )
 from .convergence import (
     LeastSampleNumber,
@@ -25,8 +23,8 @@ from .factories import (
     estimator_factory,
     make_estimator,
 )
-from .reporting import ascii_sparkline, format_multi_series, format_series, format_table
-from .seed_distribution import SeedSetDistribution, entropy_of_counts, shannon_entropy
+from .reporting import format_multi_series, format_table
+from .seed_distribution import SeedSetDistribution, shannon_entropy
 from .sweeps import SweepResult, powers_of_two, sweep_sample_numbers
 from .traversal import (
     EqualAccuracyCostRow,
@@ -39,8 +37,6 @@ from .traversal import (
 from .trials import (
     TrialOutcome,
     TrialSet,
-    merge_trial_sets,
-    run_single_trial,
     run_trials,
 )
 
@@ -48,11 +44,8 @@ __all__ = [
     "TrialOutcome",
     "TrialSet",
     "run_trials",
-    "run_single_trial",
-    "merge_trial_sets",
     "SeedSetDistribution",
     "shannon_entropy",
-    "entropy_of_counts",
     "InfluenceDistribution",
     "near_optimal_probability",
     "mean_versus_statistics",
@@ -67,8 +60,6 @@ __all__ = [
     "ComparablePoint",
     "ComparableRatioCurve",
     "comparable_ratio_curve",
-    "median_comparable_number_ratio",
-    "median_comparable_size_ratio",
     "TraversalCostRow",
     "EqualAccuracyCostRow",
     "per_sample_traversal_cost",
@@ -80,7 +71,5 @@ __all__ = [
     "estimator_factory",
     "make_estimator",
     "format_table",
-    "format_series",
     "format_multi_series",
-    "ascii_sparkline",
 ]

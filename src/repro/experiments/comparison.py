@@ -148,17 +148,3 @@ def comparable_ratio_curve(
         target_approach=target.approach,
         points=tuple(points),
     )
-
-
-def median_comparable_number_ratio(
-    reference: SweepResult, target: SweepResult
-) -> float | None:
-    """Shortcut for the Table 6/7 "median comparable number ratio" cell."""
-    return comparable_ratio_curve(reference, target).median_number_ratio()
-
-
-def median_comparable_size_ratio(
-    reference: SweepResult, target: SweepResult
-) -> float | None:
-    """Shortcut for the Table 7 "median comparable size ratio" cell."""
-    return comparable_ratio_curve(reference, target).median_size_ratio()

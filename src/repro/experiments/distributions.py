@@ -90,16 +90,6 @@ class InfluenceDistribution:
             "max": round(self.maximum, 4),
         }
 
-    def is_better_than(self, other: "InfluenceDistribution") -> bool:
-        """The paper's ordering of influence distributions: compare means.
-
-        Section 5.2.3 argues that for a fixed instance the mean is a dominant
-        factor (SD and the 1st percentile track it regardless of approach), so
-        distribution ``I1`` is declared better than ``I2`` iff its mean is
-        larger.
-        """
-        return self.mean > other.mean
-
 
 def near_optimal_probability(
     values: Sequence[float] | np.ndarray,

@@ -67,26 +67,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    series: Mapping[int, float] | Mapping[int, object],
-    *,
-    x_label: str = "sample_number",
-    y_label: str = "value",
-    title: str | None = None,
-    log2_x: bool = True,
-) -> str:
-    """Format a (sample number -> value) mapping as a two-column text series.
-
-    With ``log2_x`` the x column is shown as ``2^e`` like the paper's axes.
-    """
-    rows = []
-    for x in sorted(series):
-        value = series[x]
-        x_render = f"2^{int(math.log2(x))}" if log2_x and x > 0 and (x & (x - 1)) == 0 else str(x)
-        rows.append({x_label: x_render, y_label: value})
-    return format_table(rows, columns=[x_label, y_label], title=title)
-
-
 def format_multi_series(
     named_series: Mapping[str, Mapping[int, float]],
     *,
@@ -104,22 +84,3 @@ def format_multi_series(
             row[name] = series.get(x)
         rows.append(row)
     return format_table(rows, columns=[x_label, *named_series.keys()], title=title)
-
-
-def ascii_sparkline(values: Sequence[float], *, width: int = 40) -> str:
-    """A crude one-line sparkline for quick visual inspection in terminals."""
-    if not values:
-        return ""
-    blocks = " ▁▂▃▄▅▆▇█"
-    lowest = min(values)
-    highest = max(values)
-    span = highest - lowest
-    picked = values
-    if len(values) > width:
-        step = len(values) / width
-        picked = [values[int(index * step)] for index in range(width)]
-    if span == 0:
-        return blocks[1] * len(picked)
-    return "".join(
-        blocks[1 + int((value - lowest) / span * (len(blocks) - 2))] for value in picked
-    )

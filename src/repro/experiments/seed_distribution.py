@@ -36,11 +36,6 @@ class SeedSetDistribution:
         """Number of distinct seed sets observed."""
         return len(self.counts)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """Whether all trials returned the same seed set."""
-        return self.support_size <= 1
-
     def probability(self, seed_set: tuple[int, ...]) -> float:
         """Empirical probability mass of ``seed_set``."""
         if self.num_trials == 0:
@@ -64,41 +59,12 @@ class SeedSetDistribution:
             total -= p * math.log2(p)
         return total
 
-    def max_possible_entropy(self) -> float:
-        """``log2(num_trials)``: the entropy ceiling imposed by the trial count."""
-        if self.num_trials <= 1:
-            return 0.0
-        return math.log2(self.num_trials)
-
     def top_seed_sets(self, count: int = 5) -> list[tuple[tuple[int, ...], float]]:
         """The ``count`` most frequent seed sets and their probabilities."""
         ordered = sorted(self.counts.items(), key=lambda item: (-item[1], item[0]))
         return [(seed_set, c / self.num_trials) for seed_set, c in ordered[:count]]
 
-    def total_variation_distance(self, other: "SeedSetDistribution") -> float:
-        """Total variation distance to another empirical distribution."""
-        support = set(self.counts) | set(other.counts)
-        distance = 0.0
-        # Sorted so the float accumulation order (and thus the last-ulp
-        # rounding) never depends on set hashing.
-        for seed_set in sorted(support):
-            distance += abs(self.probability(seed_set) - other.probability(seed_set))
-        return distance / 2.0
-
 
 def shannon_entropy(seed_sets: Iterable[tuple[int, ...]]) -> float:
     """Convenience wrapper: entropy of the empirical distribution of ``seed_sets``."""
     return SeedSetDistribution.from_seed_sets(seed_sets).entropy()
-
-
-def entropy_of_counts(counts: Iterable[int]) -> float:
-    """Entropy (bits) of a distribution given by non-negative integer counts."""
-    counts = [int(c) for c in counts if int(c) > 0]
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for count in counts:
-        p = count / total
-        entropy -= p * math.log2(p)
-    return entropy

@@ -140,12 +140,6 @@ class TrialSet:
                 totals[key] += value
         return {key: totals[key] / len(self.outcomes) for key in keys}
 
-    def quality_probability(self, threshold: float) -> float:
-        """Fraction of trials whose influence is at least ``threshold``."""
-        if not self.outcomes:
-            return 0.0
-        return float(np.mean(self.influences >= threshold))
-
 
 def _greedy_chunk_worker(
     task: tuple[InfluenceGraph, int, EstimatorFactory, int, Sequence[int]],
@@ -322,53 +316,4 @@ def _run_trial_set(
         num_samples=num_samples,
         k=k,
         outcomes=tuple(outcomes),
-    )
-
-
-def run_single_trial(
-    graph: InfluenceGraph,
-    k: int,
-    estimator: InfluenceEstimator,
-    *,
-    oracle: RRPoolOracle,
-    trial_seed: int = 0,
-) -> TrialOutcome:
-    """Run one greedy trial with an explicit estimator and trial seed."""
-    result = greedy_maximize(graph, k, estimator, seed=RandomSource(trial_seed))
-    return TrialOutcome(
-        seed_set=result.seed_set,
-        influence=oracle.spread(result.seed_set),
-        trial_seed=trial_seed,
-        cost=result.cost,
-    )
-
-
-def merge_trial_sets(trial_sets: Sequence[TrialSet]) -> TrialSet:
-    """Merge trial sets of the same configuration into one larger set.
-
-    Useful for incrementally extending ``T`` without re-running earlier trials.
-    """
-    if not trial_sets:
-        raise ExperimentConfigurationError("cannot merge an empty sequence of trial sets")
-    first = trial_sets[0]
-    for other in trial_sets[1:]:
-        same_configuration = (
-            other.graph_name == first.graph_name
-            and other.approach == first.approach
-            and other.num_samples == first.num_samples
-            and other.k == first.k
-        )
-        if not same_configuration:
-            raise ExperimentConfigurationError(
-                "trial sets with different configurations cannot be merged"
-            )
-    all_outcomes = tuple(
-        outcome for trial_set in trial_sets for outcome in trial_set.outcomes
-    )
-    return TrialSet(
-        graph_name=first.graph_name,
-        approach=first.approach,
-        num_samples=first.num_samples,
-        k=first.k,
-        outcomes=all_outcomes,
     )

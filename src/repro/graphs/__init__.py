@@ -8,16 +8,14 @@ from .datasets import (
     dataset_spec,
     list_datasets,
     load_dataset,
-    register_dataset,
 )
 from .influence_graph import EdgeView, InfluenceGraph
-from .io import read_edge_list, round_trip_equal, write_edge_list
+from .io import read_edge_list, write_edge_list
 from .probability import (
     PROBABILITY_MODELS,
     assign_probabilities,
     in_degree_weighted_cascade,
     out_degree_weighted_cascade,
-    probability_model_factory,
     trivalency,
     uniform_cascade,
 )
@@ -25,14 +23,8 @@ from .statistics import (
     NetworkStatistics,
     average_distance,
     clustering_coefficient,
-    degree_percentiles,
     network_statistics,
     weak_components,
-)
-from .sketches import (
-    bottom_k_reachability,
-    exact_descendant_counts,
-    pruned_bfs_counts,
 )
 from . import generators
 
@@ -43,29 +35,22 @@ __all__ = [
     "graph_from_edge_list",
     "read_edge_list",
     "write_edge_list",
-    "round_trip_equal",
     "DatasetSpec",
     "PAPER_DATASETS",
     "SMALL_DATASETS",
     "dataset_spec",
     "list_datasets",
     "load_dataset",
-    "register_dataset",
     "PROBABILITY_MODELS",
     "assign_probabilities",
     "uniform_cascade",
     "in_degree_weighted_cascade",
     "out_degree_weighted_cascade",
     "trivalency",
-    "probability_model_factory",
     "NetworkStatistics",
     "network_statistics",
     "clustering_coefficient",
     "average_distance",
-    "degree_percentiles",
     "weak_components",
-    "bottom_k_reachability",
-    "pruned_bfs_counts",
-    "exact_descendant_counts",
     "generators",
 ]

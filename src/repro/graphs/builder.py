@@ -85,11 +85,6 @@ class GraphBuilder:
         return self._on_duplicate == "allow"
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_edges_added(self) -> int:
-        """Number of edges accumulated so far."""
-        return len(self._sources)
-
     def add_edge(
         self,
         source: int,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..exceptions import InvalidParameterError, UnknownDatasetError
+from ..exceptions import UnknownDatasetError
 from .._validation import require_positive_real
 from . import generators
 from .builder import graph_from_edge_list
@@ -298,16 +298,3 @@ def load_dataset(name: str, *, scale: float = 1.0, seed: int = 0) -> InfluenceGr
         PRNG seed for synthetic proxies; ignored for real data.
     """
     return dataset_spec(name).build(scale=scale, seed=seed)
-
-
-def register_dataset(spec: DatasetSpec, *, overwrite: bool = False) -> None:
-    """Add a user-defined dataset to the registry.
-
-    Raises
-    ------
-    InvalidParameterError
-        If a dataset with the same name exists and ``overwrite`` is ``False``.
-    """
-    if not overwrite and spec.name in _REGISTRY:
-        raise InvalidParameterError(f"dataset {spec.name!r} is already registered")
-    _register(spec)

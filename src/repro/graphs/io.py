@@ -128,20 +128,3 @@ def _write(
             handle.write(f"{edge.source} {edge.target} {edge.probability:.17g}\n")
         else:
             handle.write(f"{edge.source} {edge.target}\n")
-
-
-def round_trip_equal(graph: InfluenceGraph, other: InfluenceGraph) -> bool:
-    """Return whether two graphs contain the same edge multiset with equal probabilities.
-
-    Unlike ``graph == other`` this ignores the display name, which changes on
-    write/read round trips.
-    """
-    if graph.num_vertices != other.num_vertices or graph.num_edges != other.num_edges:
-        return False
-    first = sorted(
-        (e.source, e.target, round(e.probability, 12)) for e in graph.edges()
-    )
-    second = sorted(
-        (e.source, e.target, round(e.probability, 12)) for e in other.edges()
-    )
-    return first == second

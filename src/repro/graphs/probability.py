@@ -21,8 +21,6 @@ All functions return a **new** graph; the input graph is never modified.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..exceptions import UnknownProbabilityModelError
@@ -120,15 +118,3 @@ def assign_probabilities(
             f"unknown probability model {model!r}; expected one of {PROBABILITY_MODELS}"
         )
     return result.with_name(f"{graph.name} ({model})")
-
-
-def probability_model_factory(model: str) -> Callable[[InfluenceGraph], InfluenceGraph]:
-    """Return a single-argument callable applying ``model`` to a graph.
-
-    Useful for sweeping models in experiment configurations.
-    """
-    def apply(graph: InfluenceGraph) -> InfluenceGraph:
-        return assign_probabilities(graph, model)
-
-    apply.__name__ = f"assign_{model.replace('.', '_')}"
-    return apply

@@ -150,18 +150,6 @@ def weak_components(graph: InfluenceGraph) -> list[list[int]]:
     return components
 
 
-def degree_percentiles(
-    graph: InfluenceGraph, percentiles: tuple[float, ...] = (50.0, 90.0, 99.0)
-) -> dict[str, dict[float, float]]:
-    """Percentiles of the out- and in-degree distributions."""
-    out_deg = graph.out_degrees()
-    in_deg = graph.in_degrees()
-    return {
-        "out": {p: float(np.percentile(out_deg, p)) for p in percentiles},
-        "in": {p: float(np.percentile(in_deg, p)) for p in percentiles},
-    }
-
-
 def network_statistics(
     graph: InfluenceGraph, *, max_distance_sources: int = 200, seed: int = 0
 ) -> NetworkStatistics:

@@ -1,9 +1,9 @@
 """CTX001: seam kwargs must be threaded through the call graph explicitly.
 
 The recurring cross-file bug class in this codebase: a function accepts one
-of the cross-cutting seam parameters (``rng``, ``jobs``, ``executor``,
-``model``, ``telemetry``, ``batch_mode``, ``context`` — the :data:`SEAMS`
-constant) and calls a callee that *also* accepts it, but
+of the cross-cutting seam parameters (``rng``, ``jobs``, ``model``,
+``telemetry``, ``batch_mode``, ``context`` — the :data:`SEAMS` constant)
+and calls a callee that *also* accepts it, but
 silently drops it — the callee falls back to its default and one layer of
 the stack runs unseeded / serial / unobserved.  PRs 3, 7, and 8 each fixed
 hand-found instances; this rule finds them statically.
@@ -36,7 +36,6 @@ __all__ = ["SEAMS", "SeamThreadingRule"]
 SEAMS: tuple[str, ...] = (
     "batch_mode",
     "context",
-    "executor",
     "jobs",
     "model",
     "rng",

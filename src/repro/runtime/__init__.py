@@ -50,7 +50,6 @@ from .executor import Executor, ParallelExecutor, SerialExecutor
 from .seeding import (
     child_generator,
     child_sequence,
-    child_sources,
     seed_key,
 )
 
@@ -66,5 +65,4 @@ __all__ = [
     "seed_key",
     "child_sequence",
     "child_generator",
-    "child_sources",
 ]

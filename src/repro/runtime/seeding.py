@@ -60,15 +60,3 @@ def child_sequence(key: SeedKey, index: int) -> np.random.SeedSequence:
 def child_generator(key: SeedKey, index: int) -> np.random.Generator:
     """A fresh PCG64 generator for task ``index`` under root ``key``."""
     return np.random.default_rng(child_sequence(key, index))
-
-
-def child_sources(
-    root: int | np.random.SeedSequence | RandomSource, count: int
-) -> list[RandomSource]:
-    """``count`` independent :class:`RandomSource` children of ``root``.
-
-    Convenience wrapper over :func:`seed_key`/:func:`child_sequence` for
-    callers that batch at a coarser granularity than the engine.
-    """
-    key = seed_key(root)
-    return [RandomSource(child_sequence(key, index)) for index in range(int(count))]

@@ -103,7 +103,6 @@ class TestWithinGreedy:
         # coverage in the built RR-set collection.
         estimator = RISEstimator(300)
         result = greedy_maximize(karate_uc01, 1, estimator, seed=11)
-        coverages = estimator.collection.coverage_array()
         # After Update the covered sets were removed; rebuild coverage by
         # re-counting membership over all sets.
         max_coverage = max(
@@ -114,4 +113,3 @@ class TestWithinGreedy:
             1 for rr_set in estimator.collection if result.seeds[0] in rr_set.vertices
         )
         assert chosen_coverage == max_coverage
-        del coverages

@@ -7,7 +7,6 @@ import pytest
 from repro.diffusion.exact import (
     MAX_EXACT_EDGES,
     exact_optimal_seed_set,
-    exact_single_vertex_spreads,
     exact_spread,
 )
 from repro.exceptions import InvalidParameterError
@@ -74,12 +73,6 @@ class TestExactSpread:
 
 
 class TestExactHelpers:
-    def test_single_vertex_spreads(self, probabilistic_diamond):
-        spreads = exact_single_vertex_spreads(probabilistic_diamond)
-        assert spreads[0] == pytest.approx(2.4375)
-        assert spreads[3] == pytest.approx(1.0)
-        assert spreads[1] == pytest.approx(1.5)
-
     def test_optimal_seed_set_star(self):
         graph = star(4)
         seeds, value = exact_optimal_seed_set(graph, 1)

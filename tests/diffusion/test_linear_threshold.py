@@ -11,14 +11,13 @@ from repro.diffusion.linear_threshold import (
     sample_lt_rr_set,
     sample_lt_snapshot,
     simulate_lt_cascade,
-    simulate_lt_spread,
     validate_lt_weights,
 )
+from repro.diffusion.models import LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.exceptions import InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.datasets import load_dataset
-from repro.graphs.generators import path, star
 from repro.graphs.probability import in_degree_weighted_cascade, uniform_cascade
 
 
@@ -72,12 +71,12 @@ class TestForwardSimulation:
 
     def test_unbiased_against_exact(self, lt_chain):
         exact = exact_lt_spread(lt_chain, (0,))
-        estimate = simulate_lt_spread(lt_chain, (0,), 6000, RandomSource(4))
+        estimate = LINEAR_THRESHOLD.simulate_spread(lt_chain, (0,), 6000, RandomSource(4))
         assert estimate == pytest.approx(exact, rel=0.05)
 
     def test_spread_monotone_in_seed_set(self, karate_lt):
-        small = simulate_lt_spread(karate_lt, (0,), 400, RandomSource(1))
-        large = simulate_lt_spread(karate_lt, (0, 33), 400, RandomSource(1))
+        small = LINEAR_THRESHOLD.simulate_spread(karate_lt, (0,), 400, RandomSource(1))
+        large = LINEAR_THRESHOLD.simulate_spread(karate_lt, (0, 33), 400, RandomSource(1))
         assert large > small
 
 

@@ -17,9 +17,7 @@ from repro.diffusion.linear_threshold import (
 from repro.diffusion.models import (
     INDEPENDENT_CASCADE,
     LINEAR_THRESHOLD,
-    DiffusionModel,
     IndependentCascade,
-    LinearThreshold,
     available_models,
     get_model,
     register_model,

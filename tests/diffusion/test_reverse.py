@@ -8,7 +8,6 @@ from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import RRSetCollection, sample_rr_set, sample_rr_sets
-from repro.graphs.generators import path, star
 
 
 class TestSampleRRSet:
@@ -130,12 +129,6 @@ class TestRRSetCollection:
         collection, rr_sets = self.make_collection(karate_uc01, count=10)
         assert len(collection) == 10
         assert list(collection) == rr_sets
-
-    def test_coverage_array(self, star_graph):
-        collection, _ = self.make_collection(star_graph, count=50, seed=1)
-        array = collection.coverage_array()
-        for vertex in range(star_graph.num_vertices):
-            assert array[vertex] == collection.coverage(vertex)
 
     def test_centre_dominates_star_coverage(self, star_graph):
         collection, _ = self.make_collection(star_graph, count=500, seed=2)

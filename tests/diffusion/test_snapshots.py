@@ -12,7 +12,6 @@ from repro.diffusion.snapshots import (
     reachable_set,
     sample_snapshot,
     sample_snapshots,
-    single_source_reachability,
 )
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.probability import uniform_cascade
@@ -99,16 +98,3 @@ class TestReachability:
         cost = TraversalCost()
         assert reachable_count(snapshot, (0,), cost=cost) == 1
         assert cost.edges == snapshot.num_live_edges == 0
-
-
-class TestSingleSourceReachability:
-    def test_deterministic_path(self, path_graph, rng):
-        snapshot = sample_snapshot(path_graph, rng)
-        counts = single_source_reachability(snapshot)
-        assert counts.tolist() == [4, 3, 2, 1]
-
-    def test_matches_individual_queries(self, karate_uc01):
-        snapshot = sample_snapshot(karate_uc01, RandomSource(4))
-        counts = single_source_reachability(snapshot)
-        for vertex in (0, 7, 33):
-            assert counts[vertex] == reachable_count(snapshot, (vertex,))

@@ -6,11 +6,7 @@ import pytest
 
 from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import ExperimentConfigurationError
-from repro.experiments.comparison import (
-    comparable_ratio_curve,
-    median_comparable_number_ratio,
-    median_comparable_size_ratio,
-)
+from repro.experiments.comparison import comparable_ratio_curve
 from repro.experiments.factories import estimator_factory
 from repro.experiments.sweeps import sweep_sample_numbers
 from repro.graphs.datasets import load_dataset
@@ -53,20 +49,20 @@ class TestComparableRatioCurve:
         # Paper Table 7: on Karate uc0.1 the RIS/Snapshot comparable number
         # ratio is around 32 (>> 1).
         _, snapshot_sweep, ris_sweep, _ = karate_sweeps
-        ratio = median_comparable_number_ratio(snapshot_sweep, ris_sweep)
+        ratio = comparable_ratio_curve(snapshot_sweep, ris_sweep).median_number_ratio()
         assert ratio is not None
         assert ratio > 1.0
 
     def test_oneshot_needs_at_least_as_many_as_snapshot(self, karate_sweeps):
         # Paper Table 6: Oneshot/Snapshot comparable ratio >= 1 (typically 1-32).
         _, snapshot_sweep, _, oneshot_sweep = karate_sweeps
-        ratio = median_comparable_number_ratio(snapshot_sweep, oneshot_sweep)
+        ratio = comparable_ratio_curve(snapshot_sweep, oneshot_sweep).median_number_ratio()
         assert ratio is not None
         assert ratio >= 0.5
 
     def test_size_ratio_defined_for_ris_vs_snapshot(self, karate_sweeps):
         _, snapshot_sweep, ris_sweep, _ = karate_sweeps
-        size_ratio = median_comparable_size_ratio(snapshot_sweep, ris_sweep)
+        size_ratio = comparable_ratio_curve(snapshot_sweep, ris_sweep).median_size_ratio()
         assert size_ratio is not None
         assert size_ratio > 0.0
 

@@ -55,12 +55,6 @@ class TestInfluenceDistribution:
         row = InfluenceDistribution.from_values([1.0, 2.0, 3.0]).as_row()
         assert {"mean", "std", "median", "p1", "p99"} <= set(row)
 
-    def test_is_better_than_compares_means(self):
-        better = InfluenceDistribution.from_values([10.0, 12.0])
-        worse = InfluenceDistribution.from_values([5.0, 20.0 - 14.0])
-        assert better.is_better_than(worse)
-        assert not worse.is_better_than(better)
-
 
 class TestNearOptimalProbability:
     def test_all_above_threshold(self):

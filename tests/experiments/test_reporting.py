@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.reporting import (
-    ascii_sparkline,
-    format_multi_series,
-    format_series,
-    format_table,
-)
+from repro.experiments.reporting import format_multi_series, format_table
 
 
 class TestFormatTable:
@@ -47,21 +42,6 @@ class TestFormatTable:
         assert "-" in format_table([{"x": None}]).splitlines()[-1]
 
 
-class TestFormatSeries:
-    def test_log2_axis(self):
-        text = format_series({1: 5.0, 2: 4.0, 1024: 0.0})
-        assert "2^0" in text
-        assert "2^10" in text
-
-    def test_non_power_of_two_rendered_verbatim(self):
-        text = format_series({3: 1.0}, log2_x=True)
-        assert "3" in text
-
-    def test_labels(self):
-        text = format_series({1: 2.0}, x_label="beta", y_label="entropy")
-        assert text.splitlines()[0].startswith("beta")
-
-
 class TestFormatMultiSeries:
     def test_columns_per_algorithm(self):
         text = format_multi_series(
@@ -74,21 +54,3 @@ class TestFormatMultiSeries:
         # Sample number 1 exists only for oneshot; ris column shows "-".
         first_data_row = text.splitlines()[3]
         assert "-" in first_data_row
-
-
-class TestSparkline:
-    def test_empty(self):
-        assert ascii_sparkline([]) == ""
-
-    def test_constant_series(self):
-        line = ascii_sparkline([3.0, 3.0, 3.0])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_monotone_series_ends_higher(self):
-        line = ascii_sparkline([0, 1, 2, 3, 4, 5])
-        assert line[0] != line[-1]
-
-    def test_width_cap(self):
-        line = ascii_sparkline(list(range(1000)), width=40)
-        assert len(line) == 40

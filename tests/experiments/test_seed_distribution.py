@@ -6,11 +6,7 @@ import math
 
 import pytest
 
-from repro.experiments.seed_distribution import (
-    SeedSetDistribution,
-    entropy_of_counts,
-    shannon_entropy,
-)
+from repro.experiments.seed_distribution import SeedSetDistribution, shannon_entropy
 
 
 class TestSeedSetDistribution:
@@ -22,7 +18,6 @@ class TestSeedSetDistribution:
 
     def test_degenerate_distribution(self):
         distribution = SeedSetDistribution.from_seed_sets([(5,)] * 10)
-        assert distribution.is_degenerate
         assert distribution.support_size == 1
         assert distribution.entropy() == 0.0
 
@@ -34,8 +29,7 @@ class TestSeedSetDistribution:
     def test_entropy_never_exceeds_log2_trials(self):
         seed_sets = [(index,) for index in range(10)]
         distribution = SeedSetDistribution.from_seed_sets(seed_sets)
-        assert distribution.entropy() <= distribution.max_possible_entropy() + 1e-12
-        assert distribution.max_possible_entropy() == pytest.approx(math.log2(10))
+        assert distribution.entropy() <= math.log2(distribution.num_trials) + 1e-12
 
     def test_mode(self):
         distribution = SeedSetDistribution.from_seed_sets([(0,), (0,), (1,)])
@@ -59,12 +53,6 @@ class TestSeedSetDistribution:
         assert distribution.mode() == ((), 0.0)
         assert distribution.probability((0,)) == 0.0
 
-    def test_total_variation_distance(self):
-        a = SeedSetDistribution.from_seed_sets([(0,), (0,), (1,), (1,)])
-        b = SeedSetDistribution.from_seed_sets([(0,), (0,), (0,), (0,)])
-        assert a.total_variation_distance(b) == pytest.approx(0.5)
-        assert a.total_variation_distance(a) == 0.0
-
     def test_two_equal_ties_entropy_one(self):
         # The paper's "plateau at entropy 1" situation: two seed sets chosen
         # with near-equal probability.
@@ -75,12 +63,3 @@ class TestSeedSetDistribution:
 class TestHelpers:
     def test_shannon_entropy_wrapper(self):
         assert shannon_entropy([(0,), (1,)]) == pytest.approx(1.0)
-
-    def test_entropy_of_counts(self):
-        assert entropy_of_counts([1, 1, 1, 1]) == pytest.approx(2.0)
-        assert entropy_of_counts([10]) == 0.0
-        assert entropy_of_counts([]) == 0.0
-        assert entropy_of_counts([0, 5, 0]) == 0.0
-
-    def test_entropy_of_counts_ignores_zeros(self):
-        assert entropy_of_counts([3, 0, 3]) == pytest.approx(1.0)

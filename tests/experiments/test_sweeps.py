@@ -7,7 +7,7 @@ import pytest
 from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import ExperimentConfigurationError, InvalidParameterError
 from repro.experiments.factories import estimator_factory
-from repro.experiments.sweeps import SweepResult, powers_of_two, sweep_sample_numbers
+from repro.experiments.sweeps import powers_of_two, sweep_sample_numbers
 from repro.experiments.trials import run_trials
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import star

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.ris import RISEstimator
-from repro.algorithms.snapshot import SnapshotEstimator
 from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import ExperimentConfigurationError, InvalidParameterError
 from repro.experiments.factories import estimator_factory
-from repro.experiments.trials import merge_trial_sets, run_single_trial, run_trials
+from repro.experiments.trials import run_trials
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +43,7 @@ class TestRunTrials:
             graph, 1, estimator_factory("snapshot"), 2, 8, oracle=oracle, experiment_seed=0
         )
         distribution = trial_set.seed_set_distribution()
-        assert distribution.is_degenerate
+        assert distribution.support_size == 1
         assert distribution.mode()[0] == (0,)
 
     def test_influences_scored_by_oracle(self, star_oracle):
@@ -54,7 +52,7 @@ class TestRunTrials:
             graph, 1, estimator_factory("ris"), 32, 5, oracle=oracle, experiment_seed=0
         )
         assert trial_set.mean_influence == pytest.approx(6.0)
-        assert trial_set.quality_probability(5.9) == 1.0
+        assert (trial_set.influences >= 5.9).all()
 
     def test_mean_cost_positive_for_sampling_methods(self, karate_uc01, karate_oracle):
         trial_set = run_trials(
@@ -121,47 +119,3 @@ class TestRunTrials:
             run_trials(graph, 1, estimator_factory("ris"), 0, 2, oracle=oracle)
         with pytest.raises(InvalidParameterError):
             run_trials(graph, 1, estimator_factory("ris"), 8, 0, oracle=oracle)
-
-
-class TestRunSingleTrial:
-    def test_explicit_estimator(self, star_oracle):
-        graph, oracle = star_oracle
-        outcome = run_single_trial(graph, 1, SnapshotEstimator(2), oracle=oracle, trial_seed=5)
-        assert outcome.seed_set == (0,)
-        assert outcome.influence == pytest.approx(6.0)
-        assert outcome.k == 1
-        assert outcome.trial_seed == 5
-
-
-class TestMergeTrialSets:
-    def test_merge_same_configuration(self, star_oracle):
-        graph, oracle = star_oracle
-        a = run_trials(graph, 1, estimator_factory("ris"), 16, 3, oracle=oracle, experiment_seed=1)
-        b = run_trials(graph, 1, estimator_factory("ris"), 16, 4, oracle=oracle, experiment_seed=2)
-        merged = merge_trial_sets([a, b])
-        assert merged.num_trials == 7
-        assert merged.approach == "ris"
-
-    def test_merge_mismatched_configuration_rejected(self, star_oracle):
-        graph, oracle = star_oracle
-        a = run_trials(graph, 1, estimator_factory("ris"), 16, 2, oracle=oracle)
-        b = run_trials(graph, 1, estimator_factory("ris"), 32, 2, oracle=oracle)
-        with pytest.raises(ExperimentConfigurationError):
-            merge_trial_sets([a, b])
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ExperimentConfigurationError):
-            merge_trial_sets([])
-
-
-class TestEstimatorReuseEquivalence:
-    def test_factory_instances_are_fresh(self, karate_uc01, karate_oracle):
-        # run_trials passes a fresh estimator per trial; using RISEstimator
-        # directly twice with the same seed must give the same outcome.
-        outcome_a = run_single_trial(
-            karate_uc01, 2, RISEstimator(128), oracle=karate_oracle, trial_seed=7
-        )
-        outcome_b = run_single_trial(
-            karate_uc01, 2, RISEstimator(128), oracle=karate_oracle, trial_seed=7
-        )
-        assert outcome_a.seed_set == outcome_b.seed_set

@@ -25,13 +25,6 @@ class TestGraphBuilder:
         assert GraphBuilder().build().num_vertices == 0
         assert GraphBuilder(3).build().num_vertices == 3
 
-    def test_num_edges_added(self):
-        builder = GraphBuilder()
-        assert builder.num_edges_added == 0
-        builder.add_edge(0, 1)
-        builder.add_edge(1, 2)
-        assert builder.num_edges_added == 2
-
     def test_default_probability_applied(self):
         builder = GraphBuilder(default_probability=0.25)
         builder.add_edge(0, 1)

@@ -8,11 +8,9 @@ from repro.exceptions import InvalidParameterError, UnknownDatasetError
 from repro.graphs.datasets import (
     PAPER_DATASETS,
     SMALL_DATASETS,
-    DatasetSpec,
     dataset_spec,
     list_datasets,
     load_dataset,
-    register_dataset,
 )
 from repro.graphs.karate_data import KARATE_NUM_DIRECTED_EDGES, KARATE_NUM_VERTICES
 
@@ -36,22 +34,6 @@ class TestRegistry:
             spec = dataset_spec(name)
             assert spec.description
             assert spec.substitution
-
-    def test_register_custom_dataset(self):
-        spec = DatasetSpec(
-            name="custom_test_only",
-            kind="synthetic",
-            paper_num_vertices=0,
-            paper_num_edges=0,
-            description="registered by a test",
-            substitution="n/a",
-            builder=lambda scale, seed: load_dataset("karate"),
-        )
-        register_dataset(spec)
-        assert "custom_test_only" in list_datasets()
-        with pytest.raises(InvalidParameterError):
-            register_dataset(spec)
-        register_dataset(spec, overwrite=True)
 
 
 class TestKarate:

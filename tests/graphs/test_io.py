@@ -6,9 +6,17 @@ import pytest
 
 from repro.exceptions import GraphConstructionError
 from repro.graphs.builder import GraphBuilder
-from repro.graphs.io import read_edge_list, round_trip_equal, write_edge_list
+from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.probability import assign_probabilities
 from repro.graphs.datasets import load_dataset
+
+
+def same_edges(graph, other):
+    """Equal edge multisets and probabilities, ignoring the display name."""
+    def key(g):
+        return sorted((e.source, e.target, round(e.probability, 12)) for e in g.edges())
+
+    return graph.num_vertices == other.num_vertices and key(graph) == key(other)
 
 
 @pytest.fixture
@@ -25,7 +33,7 @@ class TestWriteRead:
         path = tmp_path / "graph.txt"
         write_edge_list(sample_graph, path)
         loaded = read_edge_list(path, num_vertices=5)
-        assert round_trip_equal(sample_graph, loaded)
+        assert same_edges(sample_graph, loaded)
 
     def test_round_trip_without_probabilities(self, sample_graph, tmp_path):
         path = tmp_path / "graph.txt"
@@ -40,7 +48,7 @@ class TestWriteRead:
         path = tmp_path / "karate.txt"
         write_edge_list(graph, path)
         loaded = read_edge_list(path, num_vertices=graph.num_vertices)
-        assert round_trip_equal(graph, loaded)
+        assert same_edges(graph, loaded)
 
     def test_header_and_comments_ignored(self, sample_graph, tmp_path):
         path = tmp_path / "graph.txt"
@@ -48,7 +56,7 @@ class TestWriteRead:
         text = path.read_text()
         assert text.startswith("# first line")
         loaded = read_edge_list(path, num_vertices=5)
-        assert round_trip_equal(sample_graph, loaded)
+        assert same_edges(sample_graph, loaded)
 
     def test_name_defaults_to_stem(self, sample_graph, tmp_path):
         path = tmp_path / "mynetwork.txt"

@@ -14,7 +14,6 @@ from repro.graphs.probability import (
     assign_probabilities,
     in_degree_weighted_cascade,
     out_degree_weighted_cascade,
-    probability_model_factory,
     trivalency,
     uniform_cascade,
 )
@@ -126,7 +125,3 @@ class TestAssignProbabilities:
     def test_name_suffix(self, small_graph):
         graph = assign_probabilities(small_graph, "iwc")
         assert graph.name == "small (iwc)"
-
-    def test_factory_matches_direct_call(self, small_graph):
-        factory = probability_model_factory("uc0.1")
-        assert factory(small_graph) == assign_probabilities(small_graph, "uc0.1")

@@ -10,7 +10,6 @@ from repro.graphs.generators import complete, path, star
 from repro.graphs.statistics import (
     average_distance,
     clustering_coefficient,
-    degree_percentiles,
     network_statistics,
     weak_components,
 )
@@ -112,15 +111,3 @@ class TestNetworkStatistics:
         graph = assign_probabilities(load_dataset("karate"), "uc0.1")
         stats = network_statistics(graph)
         assert stats.expected_live_edges == pytest.approx(15.6)
-
-
-class TestDegreePercentiles:
-    def test_star_percentiles(self):
-        result = degree_percentiles(star(9), percentiles=(50.0, 100.0))
-        assert result["out"][100.0] == 9
-        assert result["in"][100.0] == 1
-
-    def test_keys_present(self):
-        result = degree_percentiles(load_dataset("karate"))
-        assert set(result) == {"out", "in"}
-        assert set(result["out"]) == {50.0, 90.0, 99.0}

@@ -7,44 +7,7 @@ self-clean gate (reverting a fix re-fires ORD001 in
 
 from __future__ import annotations
 
-import math
-
-from repro.experiments.seed_distribution import SeedSetDistribution
 from repro.graphs.generators import barabasi_albert, directed_scale_free
-from repro.graphs.sketches import exact_descendant_counts, pruned_bfs_counts
-from repro.diffusion.random_source import RandomSource
-from repro.diffusion.snapshots import sample_snapshot
-from repro.graphs.probability import assign_probabilities
-
-
-def _distribution(counts: dict[tuple[int, ...], int]) -> SeedSetDistribution:
-    total = sum(counts.values())
-    return SeedSetDistribution(counts=counts, num_trials=total)
-
-
-class TestTotalVariationDistance:
-    """TVD accumulates floats over the union support in sorted order."""
-
-    def test_known_value(self):
-        a = _distribution({(0,): 3, (1,): 1})
-        b = _distribution({(0,): 1, (2,): 3})
-        # |3/4 - 1/4| + |1/4 - 0| + |0 - 3/4| = 0.5 + 0.25 + 0.75 = 1.5
-        assert a.total_variation_distance(b) == 0.75
-
-    def test_symmetry_and_identity(self):
-        a = _distribution({(0, 3): 2, (1, 2): 5, (4, 7): 3})
-        b = _distribution({(1, 2): 4, (5, 6): 6})
-        assert a.total_variation_distance(b) == b.total_variation_distance(a)
-        assert a.total_variation_distance(a) == 0.0
-
-    def test_matches_sorted_fsum(self):
-        a = _distribution({(i,): i + 1 for i in range(37)})
-        b = _distribution({(i,): 38 - i for i in range(5, 42)})
-        support = sorted(set(a.counts) | set(b.counts))
-        expected = math.fsum(
-            abs(a.probability(s) - b.probability(s)) for s in support
-        ) / 2.0
-        assert abs(a.total_variation_distance(b) - expected) < 1e-15
 
 
 #: Post-fix edge-list pins (length, position-weighted checksum mod 1e9+7).
@@ -83,20 +46,3 @@ class TestGeneratorEdgeOrder:
         assert [tuple(a.tolist()) for a in first.edge_arrays()] == [
             tuple(a.tolist()) for a in second.edge_arrays()
         ]
-
-
-class TestSketchHubOrder:
-    """Hub processing order is sorted; estimates stay hub-order independent."""
-
-    def test_estimates_repeatable_and_bounded_by_exact(self):
-        graph = assign_probabilities(directed_scale_free(60, 3.0, seed=2), "uc0.3")
-        snapshot = sample_snapshot(graph, RandomSource(9))
-        first = pruned_bfs_counts(snapshot, hub_count=6)
-        second = pruned_bfs_counts(snapshot, hub_count=6)
-        assert first.tolist() == second.tolist()
-        exact = exact_descendant_counts(snapshot)
-        assert exact.shape == first.shape
-        # Pruned counts are upper bounds on the exact counts, capped at n.
-        assert all(
-            exact[v] <= first[v] <= snapshot.num_vertices for v in range(60)
-        )

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 import repro
 from repro import (
     EstimatorSpec,

@@ -10,7 +10,6 @@ from repro.exceptions import InvalidParameterError
 from repro.runtime.seeding import (
     child_generator,
     child_sequence,
-    child_sources,
     seed_key,
 )
 
@@ -91,11 +90,3 @@ class TestChildDerivation:
             derived = child_sequence(key, index)
             assert derived.entropy == child.entropy
             assert tuple(derived.spawn_key) == tuple(child.spawn_key)
-
-    def test_child_sources_wraps_random_source(self):
-        sources = child_sources(9, 3)
-        assert len(sources) == 3
-        assert all(isinstance(source, RandomSource) for source in sources)
-        again = child_sources(9, 3)
-        for first, second in zip(sources, again):
-            assert first.uniform() == second.uniform()

@@ -24,7 +24,7 @@ from repro import (
     powers_of_two,
     sweep_sample_numbers,
 )
-from repro.experiments.comparison import median_comparable_number_ratio
+from repro.experiments.comparison import comparable_ratio_curve
 from repro.experiments.convergence import least_sample_number, reference_spread_from_sweep
 from repro.experiments.factories import estimator_factory
 from repro.experiments.traversal import traversal_cost_table
@@ -109,18 +109,18 @@ class TestInfluenceDistributionConvergence:
 
 class TestComparableRatios:
     def test_snapshot_not_worse_than_oneshot(self, karate_sweeps):
-        ratio = median_comparable_number_ratio(
+        ratio = comparable_ratio_curve(
             karate_sweeps["snapshot"], karate_sweeps["oneshot"]
-        )
+        ).median_number_ratio()
         # Paper Table 6 (karate, k=1): comparable ratio of Oneshot to Snapshot
         # is around 1-2, never below ~1/2.
         assert ratio is not None
         assert ratio >= 0.5
 
     def test_ris_needs_many_more_samples_than_snapshot(self, karate_sweeps):
-        ratio = median_comparable_number_ratio(
+        ratio = comparable_ratio_curve(
             karate_sweeps["snapshot"], karate_sweeps["ris"]
-        )
+        ).median_number_ratio()
         # Paper Table 7 (karate uc0.1, k=1): ratio about 32.
         assert ratio is not None
         assert ratio >= 4.0

@@ -3,22 +3,10 @@
 from __future__ import annotations
 
 import re
+
 import numpy as np
 import pytest
 
-from repro.algorithms.exact import ExactEstimator
-from repro.algorithms.oneshot import OneshotEstimator
-from repro.algorithms.ris import RISEstimator
-from repro.algorithms.snapshot import SnapshotEstimator
-from repro.diffusion.random_source import RandomSource
-from repro.diffusion.snapshots import (
-    reachable_count,
-    reachable_mask,
-    reachable_set,
-    reachable_vertices,
-    sample_snapshot,
-)
-from repro.estimation.oracle import RRPoolOracle
 from repro._validation import (
     normalize_seed_set,
     require_choice,
@@ -28,6 +16,18 @@ from repro._validation import (
     require_probability,
     require_vertex,
 )
+from repro.algorithms.exact import ExactEstimator
+from repro.algorithms.oneshot import OneshotEstimator
+from repro.algorithms.ris import RISEstimator
+from repro.algorithms.snapshot import SnapshotEstimator
+from repro.diffusion.random_source import RandomSource
+from repro.diffusion.snapshots import (
+    reachable_count,
+    reachable_set,
+    reachable_vertices,
+    sample_snapshot,
+)
+from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import (
     EstimatorStateError,
     ExperimentConfigurationError,
@@ -39,6 +39,7 @@ from repro.exceptions import (
     UnknownDatasetError,
     UnknownProbabilityModelError,
 )
+from repro.graphs.builder import GraphBuilder
 
 
 class TestRequirePositiveInt:
@@ -71,6 +72,14 @@ class TestRequireNonNegativeInt:
             require_non_negative_int(-1, "x")
 
 
+#: Values ``float()`` would accept but no probability or fraction should be.
+NON_REAL_VALUES = [
+    pytest.param(True, id="bool"),
+    pytest.param(np.bool_(True), id="numpy-bool"),
+    pytest.param("0.5", id="str"),
+]
+
+
 class TestRequireProbability:
     def test_accepts_half_open_interval(self):
         assert require_probability(1.0, "p") == 1.0
@@ -91,6 +100,21 @@ class TestRequireProbability:
         with pytest.raises(InvalidParameterError):
             require_probability("high", "p")
 
+    @pytest.mark.parametrize("value", NON_REAL_VALUES)
+    def test_rejects_bools_and_strings_uncast(self, value):
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(value))):
+            require_probability(value, "p")
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(value))):
+            require_probability(value, "p", allow_zero=True)
+
+    def test_accepts_numpy_reals(self):
+        assert require_probability(np.float32(0.5), "p") == 0.5
+        assert require_probability(np.int64(1), "p") == 1.0
+
+    def test_builder_rejects_string_probability(self):
+        with pytest.raises(InvalidParameterError, match="'0.5'"):
+            GraphBuilder(2).add_edge(0, 1, "0.5")
+
 
 class TestRequireFraction:
     def test_accepts_interior_points(self):
@@ -101,6 +125,11 @@ class TestRequireFraction:
             require_fraction(0.0, "eps")
         with pytest.raises(InvalidParameterError):
             require_fraction(1.0, "eps")
+
+    @pytest.mark.parametrize("value", NON_REAL_VALUES)
+    def test_rejects_bools_and_strings_uncast(self, value):
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(value))):
+            require_fraction(value, "eps")
 
 
 class TestRequireVertexAndSeedSet:
@@ -188,9 +217,6 @@ SEED_SURFACES = {
         sample_snapshot(g, RandomSource(1)), [v]
     ),
     "reachable_set": lambda g, v: reachable_set(sample_snapshot(g, RandomSource(1)), [v]),
-    "reachable_mask": lambda g, v: reachable_mask(
-        sample_snapshot(g, RandomSource(1)), [v]
-    ).tolist(),
     "oracle.spread": lambda g, v: RRPoolOracle(g, pool_size=50, seed=1).spread([v]),
     "snapshot.naive.estimate": lambda g, v: _built(SnapshotEstimator(3), g).estimate((), v),
     "snapshot.reduce.estimate": lambda g, v: _built(
@@ -200,6 +226,7 @@ SEED_SURFACES = {
     "snapshot.update": lambda g, v: _built(SnapshotEstimator(3), g).update(v),
     "oneshot.estimate": lambda g, v: _built(OneshotEstimator(2), g).estimate((), v),
     "ris.estimate": lambda g, v: _built(RISEstimator(20), g).estimate((), v),
+    "ris.spread": lambda g, v: _built(RISEstimator(20), g).spread([v]),
     "exact.estimate": lambda g, v: _built(ExactEstimator(), g).estimate((), v),
 }
 
