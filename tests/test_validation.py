@@ -20,13 +20,25 @@ from repro.algorithms.exact import ExactEstimator
 from repro.algorithms.oneshot import OneshotEstimator
 from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
+from repro.diffusion.cascade import simulate_cascade, simulate_spread
+from repro.diffusion.exact import exact_spread
+from repro.diffusion.linear_threshold import (
+    exact_lt_spread,
+    lt_reachable_set,
+    sample_lt_snapshot,
+    simulate_lt_cascade,
+)
+from repro.diffusion.models import INDEPENDENT_CASCADE
 from repro.diffusion.random_source import RandomSource
+from repro.diffusion.reverse import RRSetCollection
+from repro.diffusion.snapshot_lanes import SnapshotLanes
 from repro.diffusion.snapshots import (
     reachable_count,
     reachable_set,
     reachable_vertices,
     sample_snapshot,
 )
+from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import (
     EstimatorStateError,
@@ -217,6 +229,22 @@ SEED_SURFACES = {
         sample_snapshot(g, RandomSource(1)), [v]
     ),
     "reachable_set": lambda g, v: reachable_set(sample_snapshot(g, RandomSource(1)), [v]),
+    "snapshot_lanes.reachable_count": lambda g, v: SnapshotLanes(
+        [sample_snapshot(g, RandomSource(1))]
+    ).reachable_count([v]),
+    "rr_collection.fraction_covered": lambda g, v: RRSetCollection.from_sampling(
+        g, 20, RandomSource(1)
+    ).fraction_covered([v]),
+    "simulate_cascade": lambda g, v: simulate_cascade(g, [v], RandomSource(1)),
+    "simulate_spread": lambda g, v: simulate_spread(g, [v], 4, RandomSource(1)),
+    "bitparallel.simulate_spread": lambda g, v: INDEPENDENT_CASCADE.simulate_spread(
+        g, [v], 4, RandomSource(1), batch_mode="bitparallel"
+    ),
+    "monte_carlo_spread": lambda g, v: monte_carlo_spread(g, [v], 4, seed=1),
+    "exact_spread": lambda g, v: exact_spread(g, [v]),
+    "simulate_lt_cascade": lambda g, v: simulate_lt_cascade(g, [v], RandomSource(1)),
+    "lt_reachable_set": lambda g, v: lt_reachable_set(sample_lt_snapshot(g, RandomSource(1)), [v]),
+    "exact_lt_spread": lambda g, v: exact_lt_spread(g, [v]),
     "oracle.spread": lambda g, v: RRPoolOracle(g, pool_size=50, seed=1).spread([v]),
     "snapshot.naive.estimate": lambda g, v: _built(SnapshotEstimator(3), g).estimate((), v),
     "snapshot.reduce.estimate": lambda g, v: _built(
