@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .._validation import normalize_seed_set
-from ..graphs.influence_graph import InfluenceGraph
+from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
 from .random_source import RandomSource
@@ -66,78 +66,73 @@ def simulate_cascade(
         Optional traversal-cost accumulator updated in place.
     """
     generator = rng.generator if isinstance(rng, RandomSource) else rng
-    seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
-    active = np.zeros(graph.num_vertices, dtype=bool)
-    slot = np.empty(graph.num_vertices, dtype=np.int64)
-    return _cascade_kernel(graph.out_csr, seed_tuple, generator, active, slot, cost)
+    return _simulate_cascades_batch(graph, seeds, (generator,), cost=cost)[0]
 
 
 def _cascade_kernel(
+    out_rows: CsrRows,
     out_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     seed_tuple: tuple[int, ...],
     generator: np.random.Generator,
-    active: np.ndarray,
+    active: bytearray,
     slot: np.ndarray,
-    cost: TraversalCost | None,
-) -> CascadeResult:
-    """Whole-frontier vectorized IC cascade over forward CSR.
+) -> tuple[list[int], int]:
+    """Hybrid whole-frontier IC cascade; returns ``(activation order, edges examined)``.
 
     One uniform vector is drawn per BFS level, covering the frontier's edges
     in the frontier's vertex-then-edge order — byte-identical PRNG stream
     consumption to the historical per-vertex loop (see
-    :mod:`repro.diffusion.frontier` for the draw-order contract).  ``active``
-    must be all-``False`` on entry (only activated entries are set, so batch
-    callers can reset it cheaply); ``slot`` is integer scratch of length
-    ``num_vertices``.
+    :mod:`repro.diffusion.frontier` for the draw-order contract).  Small
+    levels walk the Python-list ``out_rows``; large ones gather over
+    ``out_csr`` with numpy.  ``active`` must be all-zero on entry (only
+    activated entries are set, so batch callers can reset it cheaply);
+    ``slot`` is integer scratch of length ``num_vertices``.  Every activated
+    vertex is expanded once, so the vertex cost is the order's length.
     """
-    indptr, targets, probs = out_csr
+    row_targets, row_probs = out_rows
     activated_order: list[int] = list(seed_tuple)
-    # The frontier lives as a Python list; it only round-trips through numpy
-    # on the (large) levels that take the vectorized path.
     frontier: list[int] = list(seed_tuple)
     for seed in frontier:
-        active[seed] = True
+        active[seed] = 1
+    edges = 0
 
     while frontier:
         if use_scalar_frontier(frontier):
-            # Small frontier: the plain per-vertex loop beats the batched
-            # gather's fixed overhead.  Identical draws either way.
-            next_frontier: list[int] = []
-            edges_scanned = 0
+            total = 0
             for vertex in frontier:
-                start, stop = indptr[vertex], indptr[vertex + 1]
-                degree = stop - start
-                if degree == 0:
-                    continue
-                edges_scanned += int(degree)
-                draws = generator.random(degree)
-                live = draws < probs[start:stop]
-                for target in targets[start:stop][live].tolist():
-                    if not active[target]:
-                        active[target] = True
-                        next_frontier.append(target)
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(edges_scanned)
-        else:
-            frontier_array = np.asarray(frontier, dtype=np.int64)
-            edge_indices, _, total = frontier_edges(indptr, frontier_array)
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(total)
+                total += len(row_targets[vertex])
             if total == 0:
                 break
+            edges += total
+            # zip takes the rows first, so a row's end never consumes a draw.
+            draws = iter(generator.random(total).tolist())
+            next_frontier: list[int] = []
+            for vertex in frontier:
+                for target, probability, draw in zip(
+                    row_targets[vertex], row_probs[vertex], draws
+                ):
+                    if draw < probability and not active[target]:
+                        active[target] = 1
+                        next_frontier.append(target)
+        else:
+            indptr, targets, probs = out_csr
+            frontier_array = np.asarray(frontier, dtype=np.int64)
+            edge_indices, _, total = frontier_edges(indptr, frontier_array)
+            if total == 0:
+                break
+            edges += total
+            active_view = np.frombuffer(active, dtype=np.bool_)
             draws = generator.random(total)
             live_edges = edge_indices[draws < probs[edge_indices]]
             candidates = targets[live_edges]
-            candidates = candidates[~active[candidates]]
+            candidates = candidates[~active_view[candidates]]
             new_vertices = first_hit(candidates, slot)
-            active[new_vertices] = True
+            active_view[new_vertices] = True
             next_frontier = new_vertices.tolist()
         activated_order.extend(next_frontier)
         frontier = next_frontier
 
-    return CascadeResult(tuple(activated_order), len(activated_order))
+    return activated_order, edges
 
 
 def simulate_cascades(
@@ -166,30 +161,45 @@ def simulate_cascades(
     )
 
 
+def _as_result(activated_order: list[int]) -> CascadeResult:
+    return CascadeResult(tuple(activated_order), len(activated_order))
+
+
 def _simulate_cascades_batch(
     graph: InfluenceGraph,
     seeds: tuple[int, ...] | list[int] | set[int],
     generators: Iterable[np.random.Generator],
     *,
     cost: TraversalCost | None = None,
-) -> list[CascadeResult]:
+    finish: Callable[[list[int]], object] = _as_result,
+) -> list:
     """Batched IC cascades, one per generator, with reused scratch buffers.
 
     Byte-identical to one :func:`simulate_cascade` call per generator — the
-    batch only amortizes per-call overhead (one seed normalization, one CSR
-    unpack, reused activation/scratch buffers; the ``active`` mask is reset
-    by clearing only the activated entries, so small cascades on large graphs
-    never pay an O(n) refill).
+    batch only amortizes per-call overhead: one seed normalization, one
+    row/CSR unpack, and ``active`` bytes reset by clearing only the
+    activated entries, so small cascades on large graphs never pay an O(n)
+    refill.  Costs are summed in local ints and added to ``cost`` once.
+    Each activation order is mapped through ``finish``: a
+    :class:`CascadeResult` by default, ``len`` for the count-only spread.
     """
     seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
+    out_rows = graph.out_rows
     out_csr = graph.out_csr
-    active = np.zeros(graph.num_vertices, dtype=bool)
+    active = bytearray(graph.num_vertices)
     slot = np.empty(graph.num_vertices, dtype=np.int64)
-    results: list[CascadeResult] = []
+    vertices = edges = 0
+    results = []
     for generator in generators:
-        result = _cascade_kernel(out_csr, seed_tuple, generator, active, slot, cost)
-        active[list(result.activated)] = False
-        results.append(result)
+        order, examined = _cascade_kernel(out_rows, out_csr, seed_tuple, generator, active, slot)
+        for vertex in order:
+            active[vertex] = 0
+        vertices += len(order)
+        edges += examined
+        results.append(finish(order))
+    if cost is not None:
+        cost.add_vertices(vertices)
+        cost.add_edges(edges)
     return results
 
 

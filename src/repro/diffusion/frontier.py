@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Frontier sizes below this are expanded with the scalar per-vertex loop
-#: instead of the batched gather: the vectorized path has a fixed ~10-numpy-op
-#: overhead per BFS level, which loses to the plain loop when a level holds
-#: only a handful of vertices (the common case on small graphs and in the
-#: tails of every BFS).  Both paths consume the PRNG stream identically, so
-#: the switch is invisible to results — it only moves the constant factor.
+#: Frontier sizes below this are expanded with a plain Python loop instead of
+#: the batched gather: the vectorized path has a fixed ~10-numpy-op overhead
+#: per BFS level, which loses to the loop when a level holds only a handful
+#: of vertices (the common case on small graphs and in the tails of every
+#: BFS).  Both paths consume the PRNG stream identically, so the switch is
+#: invisible to results — it only moves the constant factor.
 SCALAR_FRONTIER_LIMIT = 16
 
 #: Shared empty index array, so zero-degree frontiers avoid an allocation.
@@ -40,13 +40,16 @@ _EMPTY_INDEX.setflags(write=False)
 
 
 def use_scalar_frontier(frontier) -> bool:
-    """True when ``frontier`` is small enough for the per-vertex loop.
+    """True when ``frontier`` is small enough for the plain Python loop.
 
     The single hybrid-dispatch policy shared by every BFS kernel (forward
     cascades, reverse RR generation, snapshot reachability, and the
     bit-parallel mask kernels): levels below :data:`SCALAR_FRONTIER_LIMIT`
-    take the plain loop, larger levels the batched gather.  Accepts anything
-    with a length (list or array frontier).
+    take the plain loop, larger levels the batched gather.  In the scalar
+    IC kernels the small-level loop walks the graph's Python-list rows
+    (:attr:`~repro.graphs.influence_graph.InfluenceGraph.out_rows` /
+    ``in_rows``) against one ``random(total)`` draw for the whole level.
+    Accepts anything with a length (list or array frontier).
     """
     return len(frontier) < SCALAR_FRONTIER_LIMIT
 

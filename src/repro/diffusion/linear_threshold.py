@@ -176,22 +176,26 @@ def sample_lt_snapshot(
     *,
     sample_size: SampleSize | None = None,
 ) -> LTSnapshot:
-    """Draw one LT live-edge graph (at most one in-edge per vertex)."""
+    """Draw one LT live-edge graph (at most one in-edge per vertex).
+
+    Each vertex with in-degree > 0, in id order, takes one uniform draw and
+    keeps the first in-edge whose running probability sum exceeds it.  The
+    draws come from one ``random(k)`` call over those ``k`` vertices, which
+    consumes the stream exactly as ``k`` scalar ``random()`` calls would.
+    """
     generator = rng.generator if isinstance(rng, RandomSource) else rng
-    parent = np.full(graph.num_vertices, -1, dtype=np.int64)
-    for vertex in graph.vertices:
-        sources = graph.in_neighbors(vertex)
-        if sources.shape[0] == 0:
-            continue
-        probabilities = graph.in_probabilities(vertex)
-        draw = float(generator.random())
+    row_sources, row_probs = graph.in_rows
+    choosers = np.flatnonzero(graph.in_degrees()).tolist()
+    draws = generator.random(len(choosers)).tolist()
+    parent = [-1] * graph.num_vertices
+    for vertex, draw in zip(choosers, draws):
         cumulative = 0.0
-        for offset in range(sources.shape[0]):
-            cumulative += float(probabilities[offset])
+        for source, probability in zip(row_sources[vertex], row_probs[vertex]):
+            cumulative += probability
             if draw < cumulative:
-                parent[vertex] = int(sources[offset])
+                parent[vertex] = source
                 break
-    snapshot = LTSnapshot(parent)
+    snapshot = LTSnapshot(np.array(parent, dtype=np.int64))
     if sample_size is not None:
         sample_size.add_edges(snapshot.num_live_edges)
     return snapshot

@@ -178,6 +178,19 @@ class DiffusionModel(abc.ABC):
             for generator in generators
         ]
 
+    def _scalar_counts(
+        self, graph: InfluenceGraph, seeds, generators, *, cost: TraversalCost | None = None
+    ) -> list[int]:
+        """Scalar kernel hook: the activated count of each :meth:`_scalar_cascades` cascade.
+
+        IC overrides it with a count-only kernel that builds no
+        :class:`CascadeResult`.
+        """
+        return [
+            result.num_activated
+            for result in self._scalar_cascades(graph, seeds, generators, cost=cost)
+        ]
+
     def _scalar_rr_sets(
         self,
         graph: InfluenceGraph,
@@ -212,10 +225,7 @@ class DiffusionModel(abc.ABC):
             return _bp.batched_cascade_counts(
                 graph, seeds, count, generators, partial(self.forward_live_words, graph), cost=cost
             ).tolist()
-        return [
-            result.num_activated
-            for result in self._scalar_cascades(graph, seeds, generators, cost=cost)
-        ]
+        return self._scalar_counts(graph, seeds, generators, cost=cost)
 
     def _rr_kernel(self, graph, bitparallel, count, generators, cost, sample_size):
         if bitparallel:
@@ -470,6 +480,11 @@ class IndependentCascade(DiffusionModel):
         # Batched kernel: identical draws, amortized per-call overhead
         # (one seed normalization, one CSR unpack, reused scratch buffers).
         return _ic_cascade._simulate_cascades_batch(graph, seeds, generators, cost=cost)
+
+    def _scalar_counts(self, graph, seeds, generators, *, cost=None):
+        return _ic_cascade._simulate_cascades_batch(
+            graph, seeds, generators, cost=cost, finish=len
+        )
 
     def _scalar_rr_sets(self, graph, generators, *, cost=None, sample_size=None):
         return _ic_reverse._sample_rr_sets_batch(

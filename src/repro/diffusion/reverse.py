@@ -22,6 +22,7 @@ of vertices) is what RIS stores, so sample size accumulates vertices.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .._validation import normalize_seed_set, require_vertex
 from ..exceptions import InvalidParameterError
-from ..graphs.influence_graph import InfluenceGraph
+from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import SampleSize, TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
 from .random_source import RandomSource
@@ -78,77 +79,78 @@ def sample_rr_set(
         chosen_target = int(generator.integers(graph.num_vertices))
     else:
         chosen_target = require_vertex(target, graph.num_vertices, name="target")
-    visited_stamp = np.zeros(graph.num_vertices, dtype=np.int64)
+    visited_stamp = array("q", bytes(8 * graph.num_vertices))
     slot = np.empty(graph.num_vertices, dtype=np.int64)
-    rr_set = _rr_kernel(graph.in_csr, chosen_target, generator, visited_stamp, 1, slot, cost)
+    rr_set = _rr_kernel(
+        graph.in_rows, graph.in_csr, chosen_target, generator, visited_stamp, 1, slot
+    )
+    if cost is not None:
+        cost.add_vertices(rr_set.size)
+        cost.add_edges(rr_set.weight)
     if sample_size is not None:
         sample_size.add_vertices(rr_set.size)
     return rr_set
 
 
 def _rr_kernel(
+    in_rows: CsrRows,
     in_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     chosen_target: int,
     generator: np.random.Generator,
-    visited_stamp: np.ndarray,
+    visited_stamp: array,
     stamp: int,
     slot: np.ndarray,
-    cost: TraversalCost | None,
 ) -> RRSet:
-    """Whole-frontier vectorized reverse BFS over the in-edge CSR.
+    """Hybrid whole-frontier reverse BFS over the in-edges.
 
     The FIFO queue of the historical loop is exactly level-order BFS, so one
     uniform vector per level — covering the frontier's in-edges in the same
     vertex-then-edge order — consumes the PRNG stream byte-for-byte
-    identically (see :mod:`repro.diffusion.frontier`).  ``visited_stamp`` is
-    an int scratch array marking visited vertices with ``stamp``; batch
-    callers bump ``stamp`` per RR set instead of clearing the array.  ``slot``
-    is integer scratch of length ``num_vertices``.
+    identically (see :mod:`repro.diffusion.frontier`).  Small levels walk
+    the Python-list ``in_rows``; large ones gather over ``in_csr`` with
+    numpy.  ``visited_stamp`` is an ``array('q')`` marking visited vertices
+    with ``stamp``; batch callers bump ``stamp`` per RR set instead of
+    clearing it.  ``slot`` is integer scratch of length ``num_vertices``.
+    Every member is expanded once, so the set's traversal cost is its size
+    in vertices and its weight in edges.
     """
-    indptr, sources, probs = in_csr
+    row_sources, row_probs = in_rows
     visited_stamp[chosen_target] = stamp
     members: list[int] = [chosen_target]
-    # The frontier lives as a Python list; it only round-trips through numpy
-    # on the (large) levels that take the vectorized path.
     frontier: list[int] = [chosen_target]
     weight = 0
     while frontier:
         if use_scalar_frontier(frontier):
-            # Small frontier (the overwhelmingly common case for RR sets):
-            # plain per-vertex expansion.  Identical draws either way.
-            next_frontier: list[int] = []
-            edges_scanned = 0
+            total = 0
             for vertex in frontier:
-                start, stop = indptr[vertex], indptr[vertex + 1]
-                degree = int(stop - start)
-                if degree == 0:
-                    continue
-                edges_scanned += degree
-                draws = generator.random(degree)
-                live = draws < probs[start:stop]
-                for source in sources[start:stop][live].tolist():
-                    if visited_stamp[source] != stamp:
-                        visited_stamp[source] = stamp
-                        next_frontier.append(source)
-            weight += edges_scanned
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(edges_scanned)
-        else:
-            frontier_array = np.asarray(frontier, dtype=np.int64)
-            edge_indices, _, total = frontier_edges(indptr, frontier_array)
-            weight += total
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(total)
+                total += len(row_sources[vertex])
             if total == 0:
                 break
+            weight += total
+            # zip takes the rows first, so a row's end never consumes a draw.
+            draws = iter(generator.random(total).tolist())
+            next_frontier: list[int] = []
+            for vertex in frontier:
+                for source, probability, draw in zip(
+                    row_sources[vertex], row_probs[vertex], draws
+                ):
+                    if draw < probability and visited_stamp[source] != stamp:
+                        visited_stamp[source] = stamp
+                        next_frontier.append(source)
+        else:
+            indptr, sources, probs = in_csr
+            frontier_array = np.asarray(frontier, dtype=np.int64)
+            edge_indices, _, total = frontier_edges(indptr, frontier_array)
+            if total == 0:
+                break
+            weight += total
+            stamp_view = np.frombuffer(visited_stamp, dtype=np.int64)
             draws = generator.random(total)
             live_edges = edge_indices[draws < probs[edge_indices]]
             candidates = sources[live_edges]
-            candidates = candidates[visited_stamp[candidates] != stamp]
+            candidates = candidates[stamp_view[candidates] != stamp]
             new_vertices = first_hit(candidates, slot)
-            visited_stamp[new_vertices] = stamp
+            stamp_view[new_vertices] = stamp
             next_frontier = new_vertices.tolist()
         members.extend(next_frontier)
         frontier = next_frontier
@@ -208,23 +210,29 @@ def _sample_rr_sets_batch(
 
     Byte-identical to one :func:`sample_rr_set` call per generator (one shared
     stream repeated, or one stream per set — the runtime chunk workers'
-    form).  The batch amortizes per-call overhead: one CSR unpack, and
+    form).  The batch amortizes per-call overhead: one row/CSR unpack, and
     shared visited/scratch arrays — the visited array is never cleared, each
-    RR set marks it with a fresh stamp value.
+    RR set marks it with a fresh stamp value.  Sizes and weights are summed
+    in local ints and added to the accumulators once.
     """
     if graph.num_vertices == 0:
         raise InvalidParameterError("cannot sample an RR set from an empty graph")
+    in_rows = graph.in_rows
     in_csr = graph.in_csr
     num_vertices = graph.num_vertices
-    visited_stamp = np.zeros(num_vertices, dtype=np.int64)
+    visited_stamp = array("q", bytes(8 * num_vertices))
     slot = np.empty(num_vertices, dtype=np.int64)
     rr_sets: list[RRSet] = []
-    total_size = 0
+    total_size = total_weight = 0
     for stamp, generator in enumerate(generators, start=1):
         chosen_target = int(generator.integers(num_vertices))
-        rr_set = _rr_kernel(in_csr, chosen_target, generator, visited_stamp, stamp, slot, cost)
+        rr_set = _rr_kernel(in_rows, in_csr, chosen_target, generator, visited_stamp, stamp, slot)
         total_size += rr_set.size
+        total_weight += rr_set.weight
         rr_sets.append(rr_set)
+    if cost is not None:
+        cost.add_vertices(total_size)
+        cost.add_edges(total_weight)
     if sample_size is not None:
         sample_size.add_vertices(total_size)
     return rr_sets

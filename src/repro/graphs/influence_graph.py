@@ -24,6 +24,22 @@ from ..exceptions import GraphConstructionError, InvalidProbabilityError
 from .._validation import require_vertex
 
 
+#: Per-vertex adjacency rows ``(endpoints, probabilities)`` as Python lists.
+CsrRows = tuple[list[list[int]], list[list[float]]]
+
+
+def _csr_rows(indptr: np.ndarray, endpoints: np.ndarray, probabilities: np.ndarray) -> CsrRows:
+    """Split a CSR adjacency into per-vertex Python-list rows."""
+    bounds = indptr.tolist()
+    endpoint_list = endpoints.tolist()
+    probability_list = probabilities.tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    return (
+        [endpoint_list[start:stop] for start, stop in spans],
+        [probability_list[start:stop] for start, stop in spans],
+    )
+
+
 @dataclass(frozen=True)
 class EdgeView:
     """A single directed edge with its influence probability."""
@@ -118,6 +134,8 @@ class InfluenceGraph:
         # and transpose() can be reconstructed cheaply.
         self._edge_sources = src[forward_order].astype(np.int64, copy=True)
         self._transpose_cache: "InfluenceGraph | None" = None
+        self._out_rows: "CsrRows | None" = None
+        self._in_rows: "CsrRows | None" = None
 
         for array in (
             self._out_indptr,
@@ -209,6 +227,29 @@ class InfluenceGraph:
     def in_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Reverse CSR triple ``(indptr, sources, probabilities)``."""
         return self._in_indptr, self._in_sources, self._in_probs
+
+    @property
+    def out_rows(self) -> CsrRows:
+        """Forward adjacency as per-vertex Python lists ``(targets, probabilities)``.
+
+        ``targets[v]`` and ``probabilities[v]`` are ``v``'s forward-CSR row.
+        The scalar kernels walk these instead of numpy slices, because
+        indexing a numpy scalar from Python costs about 100 ns per edge.
+        Built on first use and cached; pickling drops the cache.
+        """
+        if self._out_rows is None:
+            self._out_rows = _csr_rows(self._out_indptr, self._out_targets, self._out_probs)
+        return self._out_rows
+
+    @property
+    def in_rows(self) -> CsrRows:
+        """Reverse adjacency as per-vertex Python lists ``(sources, probabilities)``.
+
+        The in-edge counterpart of :attr:`out_rows`, with the same caching.
+        """
+        if self._in_rows is None:
+            self._in_rows = _csr_rows(self._in_indptr, self._in_sources, self._in_probs)
+        return self._in_rows
 
     # ------------------------------------------------------------------ #
     # iteration and derived graphs
@@ -302,11 +343,16 @@ class InfluenceGraph:
     # dunder helpers
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        # Drop the cached transpose so pickling a graph (e.g. shipping it to
-        # parallel-runtime workers) never doubles the payload.
+        # Drop the cached transpose and rows so pickling a graph (e.g.
+        # shipping it to parallel-runtime workers) never grows the payload.
+        # The row keys are left out entirely; __setstate__ restores them empty.
         state = self.__dict__.copy()
         state["_transpose_cache"] = None
+        del state["_out_rows"], state["_in_rows"]
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _out_rows=None, _in_rows=None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

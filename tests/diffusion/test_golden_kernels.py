@@ -7,7 +7,9 @@ Two layers of protection against draw-order drift:
   verbatim from the pre-vectorization code) bit-for-bit: activation order,
   RR-set contents and weights, traversal-cost totals, and PRNG stream
   consumption, across graphs whose frontiers cross the scalar/vectorized
-  threshold in both directions.
+  threshold in both directions.  Whole batches (serial, one generator per
+  task unit, and ``jobs=2``) are held to the same loops, down to the next
+  ``random()`` and ``integers(n)`` of every generator afterwards.
 * **Pinned goldens** — concrete values captured from the pre-refactor code on
   karate and a random scale-free graph.  These catch the failure mode the
   reference comparison cannot: both implementations drifting together.
@@ -27,9 +29,13 @@ from repro.diffusion._reference import (
     sample_rr_set_reference,
     simulate_cascade_reference,
 )
-from repro.diffusion.cascade import simulate_cascade, simulate_cascades
+from repro.diffusion import cascade as cascade_module
+from repro.diffusion import reverse as reverse_module
+from repro.diffusion.cascade import simulate_cascade, simulate_cascades, simulate_spread
 from repro.diffusion.costs import SampleSize, TraversalCost
-from repro.diffusion.models import LINEAR_THRESHOLD
+from repro.diffusion.frontier import SCALAR_FRONTIER_LIMIT, use_scalar_frontier
+from repro.diffusion.linear_threshold import sample_lt_snapshot
+from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import sample_rr_set, sample_rr_sets
 from repro.diffusion.snapshots import (
@@ -41,6 +47,7 @@ from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import directed_scale_free
 from repro.graphs.probability import assign_probabilities
+from repro.runtime.seeding import child_generator, seed_key
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +162,164 @@ class TestReferenceEquivalence:
         ]
 
 
+def _graph(name):
+    """karate (every BFS level small) or a scale-free graph whose levels cross the limit."""
+    if name == "karate":
+        return assign_probabilities(load_dataset("karate"), "uc0.1")
+    return assign_probabilities(directed_scale_free(300, average_out_degree=6.0, seed=7), "uc0.2")
+
+
+def _reference_cascades(graph, seeds, generators):
+    cost = TraversalCost()
+    results = [
+        simulate_cascade_reference(graph, seeds, generator, cost=cost) for generator in generators
+    ]
+    return results, cost
+
+
+def _reference_rr_sets(graph, generators):
+    cost, size = TraversalCost(), SampleSize()
+    rr_sets = [
+        sample_rr_set_reference(graph, generator, cost=cost, sample_size=size)
+        for generator in generators
+    ]
+    return rr_sets, cost, size
+
+
+def _next_draws(generator, num_vertices):
+    return generator.random(), int(generator.integers(num_vertices))
+
+
+def _rr_key(rr_set):
+    return rr_set.target, rr_set.vertices, rr_set.weight
+
+
+BATCH_SEEDS = (0, 5)
+BATCH_COUNT = 40
+GRAPH_NAMES = ("karate", "scale_free")
+
+
+class TestBatchedKernelsMatchReference:
+    """Batched scalar kernels == the reference loops, generator state included."""
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_level_sizes_cover_both_branches(self, name, monkeypatch):
+        sizes = []
+
+        def recording(frontier):
+            sizes.append(len(frontier))
+            return use_scalar_frontier(frontier)
+
+        monkeypatch.setattr(cascade_module, "use_scalar_frontier", recording)
+        monkeypatch.setattr(reverse_module, "use_scalar_frontier", recording)
+        graph = _graph(name)
+        simulate_cascades(graph, BATCH_SEEDS, BATCH_COUNT, RandomSource(17))
+        forward_sizes, sizes[:] = list(sizes), []
+        sample_rr_sets(graph, BATCH_COUNT, RandomSource(17))
+        for level_sizes in (forward_sizes, sizes):
+            assert min(level_sizes) < SCALAR_FRONTIER_LIMIT
+            crossed = max(level_sizes) >= SCALAR_FRONTIER_LIMIT
+            assert crossed == (name == "scale_free")
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_serial_cascades(self, name):
+        graph = _graph(name)
+        batch_rng, reference_rng = RandomSource(17).generator, RandomSource(17).generator
+        cost = TraversalCost()
+        batch = simulate_cascades(graph, BATCH_SEEDS, BATCH_COUNT, batch_rng, cost=cost)
+        reference, reference_cost = _reference_cascades(
+            graph, BATCH_SEEDS, [reference_rng] * BATCH_COUNT
+        )
+        assert [r.activated for r in batch] == [r.activated for r in reference]
+        assert cost == reference_cost
+        assert _next_draws(batch_rng, graph.num_vertices) == _next_draws(
+            reference_rng, graph.num_vertices
+        )
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_serial_rr_sets(self, name):
+        graph = _graph(name)
+        batch_rng, reference_rng = RandomSource(23).generator, RandomSource(23).generator
+        cost, size = TraversalCost(), SampleSize()
+        batch = sample_rr_sets(graph, BATCH_COUNT, batch_rng, cost=cost, sample_size=size)
+        reference, reference_cost, reference_size = _reference_rr_sets(
+            graph, [reference_rng] * BATCH_COUNT
+        )
+        assert list(map(_rr_key, batch)) == list(map(_rr_key, reference))
+        assert (cost, size) == (reference_cost, reference_size)
+        assert _next_draws(batch_rng, graph.num_vertices) == _next_draws(
+            reference_rng, graph.num_vertices
+        )
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_per_unit_generators(self, name):
+        """The chunk workers' form: one generator per task unit, each left where the loop leaves it."""
+        graph = _graph(name)
+        key = seed_key(31)
+
+        def units():
+            return [child_generator(key, index) for index in range(BATCH_COUNT)]
+
+        batch_units, reference_units = units(), units()
+        cost = TraversalCost()
+        counts = INDEPENDENT_CASCADE._count_kernel(
+            graph, BATCH_SEEDS, False, BATCH_COUNT, batch_units, cost, SampleSize()
+        )
+        reference, reference_cost = _reference_cascades(graph, BATCH_SEEDS, reference_units)
+        assert counts == [r.num_activated for r in reference]
+        assert cost == reference_cost
+        batch_units, reference_units = units(), units()
+        cost, size = TraversalCost(), SampleSize()
+        rr_sets = INDEPENDENT_CASCADE._rr_kernel(
+            graph, False, BATCH_COUNT, batch_units, cost, size
+        )
+        reference_sets, reference_cost, reference_size = _reference_rr_sets(
+            graph, reference_units
+        )
+        assert list(map(_rr_key, rr_sets)) == list(map(_rr_key, reference_sets))
+        assert (cost, size) == (reference_cost, reference_size)
+        for batch_unit, reference_unit in zip(batch_units, reference_units):
+            assert _next_draws(batch_unit, graph.num_vertices) == _next_draws(
+                reference_unit, graph.num_vertices
+            )
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_jobs_two(self, name):
+        graph = _graph(name)
+        key = seed_key(31)
+        cost = TraversalCost()
+        counts = INDEPENDENT_CASCADE._activation_counts(
+            graph, BATCH_SEEDS, BATCH_COUNT, 31, None, cost=cost, jobs=2
+        )
+        reference, reference_cost = _reference_cascades(
+            graph, BATCH_SEEDS, [child_generator(key, i) for i in range(BATCH_COUNT)]
+        )
+        assert counts == [r.num_activated for r in reference]
+        assert cost == reference_cost
+        cost, size = TraversalCost(), SampleSize()
+        rr_sets = sample_rr_sets(graph, BATCH_COUNT, 31, cost=cost, sample_size=size, jobs=2)
+        reference_sets, reference_cost, reference_size = _reference_rr_sets(
+            graph, [child_generator(key, i) for i in range(BATCH_COUNT)]
+        )
+        assert list(map(_rr_key, rr_sets)) == list(map(_rr_key, reference_sets))
+        assert (cost, size) == (reference_cost, reference_size)
+
+    @pytest.mark.parametrize("name", GRAPH_NAMES)
+    def test_scalar_spread_is_reference_mean(self, name):
+        graph = _graph(name)
+        spread_rng, reference_rng = RandomSource(8).generator, RandomSource(8).generator
+        cost = TraversalCost()
+        spread = simulate_spread(graph, BATCH_SEEDS, BATCH_COUNT, spread_rng, cost=cost)
+        reference, reference_cost = _reference_cascades(
+            graph, BATCH_SEEDS, [reference_rng] * BATCH_COUNT
+        )
+        assert spread == sum(r.num_activated for r in reference) / BATCH_COUNT
+        assert cost == reference_cost
+        assert _next_draws(spread_rng, graph.num_vertices) == _next_draws(
+            reference_rng, graph.num_vertices
+        )
+
+
 #: Values captured from the pre-refactor per-vertex loops (RandomSource(11),
 #: seeds (0, 5), iwc probabilities) — see the module docstring.
 KARATE_CASCADE_GOLDEN = (
@@ -260,6 +425,21 @@ class TestLinearThresholdGoldens:
     def test_lt_rr_set_pinned(self, karate):
         rr_set = LINEAR_THRESHOLD.sample_rr_set(karate, RandomSource(14))
         assert (rr_set.target, sorted(rr_set.vertices), rr_set.weight) == (5, [5, 6], 8)
+
+    def test_lt_snapshot_pinned(self, karate, scale_free):
+        generator = RandomSource(16).generator
+        snapshot = sample_lt_snapshot(karate, generator)
+        assert snapshot.parent.tolist() == [
+            11, 7, 0, 2, 6, 0, 16, 3, 0, 33, 0, 0, 0, 3, 33, 33, 6, 0, 32, 0,
+            33, 0, 33, 29, 25, 24, 33, 23, 33, 32, 1, 32, 29, 29,
+        ]
+        assert generator.random() == 0.14893145498491134
+        # 14 of the 300 vertices have no in-edge and take no draw.
+        generator = RandomSource(16).generator
+        parent = sample_lt_snapshot(scale_free, generator).parent.tolist()
+        assert parent[:12] == [274, 150, 122, 51, 185, 68, 291, 287, 12, 296, 91, 170]
+        assert (parent.count(-1), sum(parent)) == (14, 41869)
+        assert generator.random() == 0.7637280755336298
 
     def test_lt_jobs_equal(self, karate):
         jobs_one = LINEAR_THRESHOLD.sample_rr_sets(karate, 20, RandomSource(15), jobs=1)

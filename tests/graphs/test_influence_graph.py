@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,47 @@ class TestDerivedGraphs:
         a = make_triangle()
         b = InfluenceGraph(3, [0, 1, 2], [1, 2, 0], [0.5, 0.25, 0.5])
         assert a != b
+
+
+class TestAdjacencyRows:
+    """The lazy Python-list rows the scalar kernels walk."""
+
+    def test_rows_match_csr(self):
+        graph = InfluenceGraph(4, [0, 0, 2, 3, 1], [1, 2, 1, 1, 3], [0.5, 0.25, 1.0, 0.75, 0.125])
+        for rows, neighbors, probabilities in (
+            (graph.out_rows, graph.out_neighbors, graph.out_probabilities),
+            (graph.in_rows, graph.in_neighbors, graph.in_probabilities),
+        ):
+            endpoints, probs = rows
+            assert endpoints == [neighbors(v).tolist() for v in graph.vertices]
+            assert probs == [probabilities(v).tolist() for v in graph.vertices]
+            assert all(type(p) is float for row in probs for p in row)
+
+    def test_rows_are_cached(self):
+        graph = make_triangle()
+        assert graph.out_rows is graph.out_rows
+        assert graph.in_rows is graph.in_rows
+
+    def test_pickle_size_unchanged_by_rows(self):
+        graph = make_triangle()
+        before = len(pickle.dumps(graph))
+        graph.out_rows, graph.in_rows
+        assert len(pickle.dumps(graph)) == before
+        restored = pickle.loads(pickle.dumps(graph))
+        assert restored == graph
+        assert restored.out_rows == graph.out_rows
+        assert restored.in_rows == graph.in_rows
+
+    def test_derived_graphs_build_their_own_rows(self):
+        graph = make_triangle()
+        graph.out_rows, graph.in_rows
+        updated = graph.with_probabilities([0.1, 0.2, 0.3])
+        assert updated.out_rows[1] == [[0.1], [0.2], [0.3]]
+        assert updated.in_rows[1] == [[0.3], [0.1], [0.2]]
+        transposed = graph.transpose()
+        assert transposed.out_rows == graph.in_rows
+        assert transposed.in_rows == graph.out_rows
+        assert graph.out_rows[1] == [[0.5], [0.25], [1.0]]
 
 
 class TestEdgeOrderInvariance:
