@@ -75,18 +75,17 @@ class RISEstimator(InfluenceEstimator):
     def build(self, graph: InfluenceGraph, rng: RandomSource) -> None:
         """Generate ``theta`` RR sets by reverse simulation.
 
-        Sampling feeds the indexed collection directly through the batched
-        entry point (:meth:`RRSetCollection.from_sampling`), amortizing
+        Sampling fills the flat collection directly through the batched
+        entry point (:meth:`DiffusionModel.sample_rr_store`), amortizing
         per-set overhead while keeping the draws byte-identical to ``theta``
         single :meth:`DiffusionModel.sample_rr_set` calls.
         """
         self._model.validate(graph)
         self._reset_accounting(graph)
-        self._collection = RRSetCollection.from_sampling(
+        self._collection = self._model.sample_rr_store(
             graph,
             self.num_samples,
             rng,
-            model=self._model,
             cost=self._build_cost,
             sample_size=self._sample_size,
             jobs=self._jobs,

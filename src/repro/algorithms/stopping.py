@@ -34,7 +34,6 @@ from typing import Callable
 from .._validation import require_fraction, require_positive_int
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
-from ..diffusion.reverse import RRSetCollection
 from ..estimation.oracle import RRPoolOracle
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
@@ -181,8 +180,7 @@ class AdaptiveRIS:
             # Inf(S)/n, while the greedy ceiling on the selection collection
             # (sum of the k largest coverages) upper-bounds what any k-set
             # could have achieved on that collection.
-            validation_sets = self._model.sample_rr_sets(graph, theta, validation_rng)
-            validation = RRSetCollection(validation_sets, graph.num_vertices)
+            validation = self._model.sample_rr_store(graph, theta, validation_rng)
             achieved = validation.fraction_covered(result.seed_set)
             selection_coverage = self._greedy_ceiling(estimator, k)
             # Greedy covers at least (1 - 1/e) of the best possible coverage

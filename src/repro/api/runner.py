@@ -92,6 +92,8 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         graph, spec.k, estimator, seed=context.seed, context=context
     )
     tel.record_cost(greedy.cost)
+    # Free the estimator's samples (e.g. RIS's RR sets) before the pool is built.
+    del estimator
     oracle = RRPoolOracle(
         graph,
         pool_size=spec.pool_size,

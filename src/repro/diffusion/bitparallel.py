@@ -59,7 +59,7 @@ from ..graphs.influence_graph import InfluenceGraph
 from .cascade import CascadeResult
 from .costs import SampleSize, TraversalCost
 from .frontier import frontier_edges, use_scalar_frontier
-from .reverse import RRSet
+from .reverse import RRArrays, concat_rr_arrays
 
 #: Number of simulated worlds packed into one ``uint64`` machine word.
 LANES_PER_WORD = 64
@@ -525,8 +525,8 @@ def batched_rr_sets(
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
-) -> list[RRSet]:
-    """``count`` bit-parallel RR sets (shared :class:`RRSet` type).
+) -> RRArrays:
+    """``count`` bit-parallel RR sets as flat :data:`~repro.diffusion.reverse.RRArrays`.
 
     ``generators`` yields one generator per word, as in
     :func:`batched_cascade_counts`.  Each word draws its lane targets first
@@ -537,6 +537,7 @@ def batched_rr_sets(
     live, so only examined (edge, world) pairs are ever drawn.  Lane ``w``'s
     RR set holds the vertices activated in lane ``w``; its weight counts
     the in-edges examined in that world, matching the scalar convention.
+    Each word contributes its activated vertices sorted by lane as members.
     """
     num_vertices = graph.num_vertices
     if num_vertices == 0:
@@ -544,36 +545,24 @@ def batched_rr_sets(
     indptr, sources, _ = graph.in_csr
     in_degrees = np.diff(indptr)
     active = np.zeros(num_vertices, dtype=np.uint64)
-    rr_sets: list[RRSet] = []
-    total_size = total_weight = 0
+    words: list[RRArrays] = []
     for (_, lanes), generator in zip(word_spans(count), generators):
         targets = generator.integers(num_vertices, size=lanes).astype(np.int64)
         vertices, pair_lanes = _reverse_word(
             indptr, sources, targets, active, live_in_edges, generator
         )
-        order = np.argsort(pair_lanes, kind="stable")
         sizes = np.bincount(pair_lanes, minlength=lanes)
-        weights = np.bincount(
-            pair_lanes, weights=in_degrees[vertices], minlength=lanes
-        ).astype(np.int64)
-        members = vertices[order].tolist()
-        stops = np.cumsum(sizes).tolist()
-        for lane, (start, stop) in enumerate(zip([0] + stops, stops)):
-            rr_sets.append(
-                RRSet(
-                    target=int(targets[lane]),
-                    vertices=frozenset(members[start:stop]),
-                    weight=int(weights[lane]),
-                )
-            )
-        total_size += len(members)
-        total_weight += int(weights.sum())
+        weights = np.bincount(pair_lanes, weights=in_degrees[vertices], minlength=lanes)
+        members = vertices[np.argsort(pair_lanes, kind="stable")]
+        words.append((targets, sizes, members, weights.astype(np.int64)))
+    arrays = concat_rr_arrays(words)
+    total_size = int(arrays[2].size)
     if cost is not None:
         cost.add_vertices(total_size)
-        cost.add_edges(total_weight)
+        cost.add_edges(int(arrays[3].sum()))
     if sample_size is not None:
         sample_size.add_vertices(total_size)
-    return rr_sets
+    return arrays
 
 
 def _reverse_word(

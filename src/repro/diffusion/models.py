@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from . import snapshots as _ic_snapshots
 from .cascade import CascadeResult
 from .costs import SampleSize, TraversalCost
 from .random_source import RandomSource
-from .reverse import RRSet
+from .reverse import RRArrays, RRSet, RRSetCollection
 from .snapshots import Snapshot
 
 
@@ -198,16 +198,17 @@ class DiffusionModel(abc.ABC):
         *,
         cost: TraversalCost | None = None,
         sample_size: SampleSize | None = None,
-    ) -> list[RRSet]:
-        """Scalar kernel hook: one RR set per entry of ``generators``.
+    ) -> RRArrays:
+        """Scalar kernel hook: one RR set per entry of ``generators``, as flat arrays.
 
-        Same contract as :meth:`_scalar_cascades`; IC overrides it with a
-        batched kernel that reuses scratch buffers across the whole batch.
+        Same contract as :meth:`_scalar_cascades`.  The default converts the
+        :meth:`sample_rr_set` results once; IC overrides it with a batched
+        kernel that appends to the arrays and reuses scratch buffers.
         """
-        return [
+        return _ic_reverse.rr_arrays(
             self.sample_rr_set(graph, generator, cost=cost, sample_size=sample_size)
             for generator in generators
-        ]
+        )
 
     # ------------------------------------------------------------------ #
     # batch kernels: ``(bitparallel, count, generators, cost, sample_size)``,
@@ -257,7 +258,8 @@ class DiffusionModel(abc.ABC):
         sample_size: SampleSize | None = None,
         jobs: int | None = None,
         telemetry=None,
-    ) -> list:
+        merge=lambda chunks: list(chain.from_iterable(chunks)),
+    ):
         """The one seeded dispatch behind every plural sampler and Monte-Carlo.
 
         Validates ``count`` and ``rng`` and records the deterministic
@@ -265,8 +267,8 @@ class DiffusionModel(abc.ABC):
         Serially the kernel's task units all draw from ``rng``'s one stream.
         Under ``jobs`` unit ``i`` draws from the child stream of
         ``(rng, i)`` in :func:`_seeded_chunk_worker`, and chunk results and
-        accumulators merge in chunk order, so any worker count is
-        bit-identical.
+        accumulators merge in chunk order (``merge`` joins the chunk
+        results; lists by default), so any worker count is bit-identical.
         """
         bitparallel = _bp.resolve_batch_mode(batch_mode) == _bp.BITPARALLEL
         require_positive_int(count, "count")
@@ -292,7 +294,7 @@ class DiffusionModel(abc.ABC):
 
         from ..runtime.engine import run_seeded_tasks
 
-        results: list = []
+        chunks: list = []
         for chunk, chunk_cost, chunk_size in run_seeded_tasks(
             _seeded_chunk_worker,
             tasks,
@@ -301,12 +303,12 @@ class DiffusionModel(abc.ABC):
             payload=(kernel, count, bitparallel),
             telemetry=telemetry,
         ):
-            results.extend(chunk)
+            chunks.append(chunk)
             if cost is not None:
                 cost.merge(chunk_cost)
             if sample_size is not None:
                 sample_size.merge(chunk_size)
-        return results
+        return merge(chunks)
 
     # ------------------------------------------------------------------ #
     # plural samplers
@@ -394,7 +396,7 @@ class DiffusionModel(abc.ABC):
             telemetry=telemetry,
         )
 
-    def sample_rr_sets(
+    def sample_rr_store(
         self,
         graph: InfluenceGraph,
         count: int,
@@ -405,8 +407,8 @@ class DiffusionModel(abc.ABC):
         jobs: int | None = None,
         telemetry=None,
         batch_mode: str | None = None,
-    ) -> list[RRSet]:
-        """Generate ``count`` independent RR sets.
+    ) -> RRSetCollection:
+        """Generate ``count`` independent RR sets into one flat :class:`RRSetCollection`.
 
         With ``jobs=None`` (the default), all sets are drawn sequentially
         from ``rng``'s single stream.  Passing ``jobs`` switches to the
@@ -422,9 +424,11 @@ class DiffusionModel(abc.ABC):
         (own draw-order contract, see :mod:`repro.diffusion.bitparallel`);
         under ``jobs`` the runtime's task unit becomes the
         **word** index — word ``i`` draws from the child stream of
-        ``(rng, i)`` — so any worker count is bit-identical.
+        ``(rng, i)`` — so any worker count is bit-identical.  The kernels
+        emit :data:`~repro.diffusion.reverse.RRArrays`, and chunk results
+        concatenate in chunk order.
         """
-        return self._run_seeded(
+        arrays = self._run_seeded(
             partial(self._rr_kernel, graph),
             count,
             rng,
@@ -434,7 +438,13 @@ class DiffusionModel(abc.ABC):
             sample_size=sample_size,
             jobs=jobs,
             telemetry=telemetry,
+            merge=_ic_reverse.concat_rr_arrays,
         )
+        return RRSetCollection.from_arrays(arrays, graph.num_vertices)
+
+    def sample_rr_sets(self, graph: InfluenceGraph, count: int, rng, **options) -> list[RRSet]:
+        """The RR sets of :meth:`sample_rr_store` (same arguments) as :class:`RRSet` objects."""
+        return list(self.sample_rr_store(graph, count, rng, **options))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .._validation import normalize_seed_set, require_vertex
+from .._validation import normalize_seed_set, require_non_negative_int, require_vertex
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import SampleSize, TraversalCost
@@ -49,9 +50,41 @@ class RRSet:
         """Number of vertices in the RR set."""
         return len(self.vertices)
 
-    def intersects(self, seed_set: set[int] | frozenset[int] | tuple[int, ...]) -> bool:
-        """Whether the RR set shares a vertex with ``seed_set``."""
-        return not self.vertices.isdisjoint(seed_set)
+
+#: RR sets as flat ``int64`` arrays ``(targets, sizes, members, weights)``, the
+#: output of every RR batch kernel: set ``i`` has target ``targets[i]``,
+#: weight ``weights[i]`` and the ``sizes[i]`` members that follow those of
+#: sets ``0..i-1`` in ``members``.
+RRArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def rr_arrays(rr_sets: Iterable[RRSet]) -> RRArrays:
+    """``RRSet`` objects as :data:`RRArrays`."""
+    rr_sets = list(rr_sets)
+    return (
+        np.array([rr_set.target for rr_set in rr_sets], dtype=np.int64),
+        np.array([rr_set.size for rr_set in rr_sets], dtype=np.int64),
+        np.fromiter(chain.from_iterable(rr_set.vertices for rr_set in rr_sets), dtype=np.int64),
+        np.array([rr_set.weight for rr_set in rr_sets], dtype=np.int64),
+    )
+
+
+def concat_rr_arrays(chunks: list[RRArrays]) -> RRArrays:
+    """Several :data:`RRArrays` as one, their sets in chunk order."""
+    return tuple(np.concatenate(column) for column in zip(*chunks))
+
+
+def covered_count(index: tuple[np.ndarray, np.ndarray], seeds: tuple[int, ...]) -> int:
+    """Number of distinct sets listed in the inverted-index rows of ``seeds``.
+
+    ``index`` is the CSR ``(indptr, set_ids)`` of :attr:`RRSetCollection.index`;
+    one seed's count is its row length, more seeds take a unique over their rows.
+    """
+    indptr, set_ids = index
+    if len(seeds) == 1:
+        return int(indptr[seeds[0] + 1] - indptr[seeds[0]])
+    positions, _, _ = frontier_edges(indptr, np.asarray(seeds, dtype=np.int64))
+    return int(np.unique(set_ids[positions]).size)
 
 
 def sample_rr_set(
@@ -81,9 +114,10 @@ def sample_rr_set(
         chosen_target = require_vertex(target, graph.num_vertices, name="target")
     visited_stamp = array("q", bytes(8 * graph.num_vertices))
     slot = np.empty(graph.num_vertices, dtype=np.int64)
-    rr_set = _rr_kernel(
+    members, weight = _rr_kernel(
         graph.in_rows, graph.in_csr, chosen_target, generator, visited_stamp, 1, slot
     )
+    rr_set = RRSet(target=chosen_target, vertices=frozenset(members), weight=weight)
     if cost is not None:
         cost.add_vertices(rr_set.size)
         cost.add_edges(rr_set.weight)
@@ -100,8 +134,8 @@ def _rr_kernel(
     visited_stamp: array,
     stamp: int,
     slot: np.ndarray,
-) -> RRSet:
-    """Hybrid whole-frontier reverse BFS over the in-edges.
+) -> tuple[list[int], int]:
+    """Hybrid whole-frontier reverse BFS over the in-edges; returns ``(members, weight)``.
 
     The FIFO queue of the historical loop is exactly level-order BFS, so one
     uniform vector per level — covering the frontier's in-edges in the same
@@ -155,7 +189,7 @@ def _rr_kernel(
         members.extend(next_frontier)
         frontier = next_frontier
 
-    return RRSet(target=chosen_target, vertices=frozenset(members), weight=weight)
+    return members, weight
 
 
 def sample_rr_sets(
@@ -182,8 +216,8 @@ def sample_rr_sets(
     ``jobs`` the split-stream task unit becomes the word index).
 
     The split-stream dispatch lives in one place —
-    :meth:`repro.diffusion.models.DiffusionModel.sample_rr_sets` — and this
-    function is the IC shorthand for it.
+    :meth:`repro.diffusion.models.DiffusionModel.sample_rr_store` — and this
+    function is the IC shorthand for listing its sets.
     """
     from .models import INDEPENDENT_CASCADE
 
@@ -205,15 +239,16 @@ def _sample_rr_sets_batch(
     *,
     cost: TraversalCost | None = None,
     sample_size: SampleSize | None = None,
-) -> list[RRSet]:
+) -> RRArrays:
     """Batched RR-set generation, one set per generator, with reused scratch buffers.
 
     Byte-identical to one :func:`sample_rr_set` call per generator (one shared
     stream repeated, or one stream per set — the runtime chunk workers'
     form).  The batch amortizes per-call overhead: one row/CSR unpack, and
     shared visited/scratch arrays — the visited array is never cleared, each
-    RR set marks it with a fresh stamp value.  Sizes and weights are summed
-    in local ints and added to the accumulators once.
+    RR set marks it with a fresh stamp value.  Each set is appended to the
+    flat :data:`RRArrays` columns (``array('q')``, 8 bytes a member), and
+    the sizes and weights are added to the accumulators once.
     """
     if graph.num_vertices == 0:
         raise InvalidParameterError("cannot sample an RR set from an empty graph")
@@ -222,101 +257,98 @@ def _sample_rr_sets_batch(
     num_vertices = graph.num_vertices
     visited_stamp = array("q", bytes(8 * num_vertices))
     slot = np.empty(num_vertices, dtype=np.int64)
-    rr_sets: list[RRSet] = []
-    total_size = total_weight = 0
+    targets, sizes, members, weights = (array("q") for _ in range(4))
     for stamp, generator in enumerate(generators, start=1):
         chosen_target = int(generator.integers(num_vertices))
-        rr_set = _rr_kernel(in_rows, in_csr, chosen_target, generator, visited_stamp, stamp, slot)
-        total_size += rr_set.size
-        total_weight += rr_set.weight
-        rr_sets.append(rr_set)
+        rr_members, weight = _rr_kernel(
+            in_rows, in_csr, chosen_target, generator, visited_stamp, stamp, slot
+        )
+        targets.append(chosen_target)
+        sizes.append(len(rr_members))
+        members.extend(rr_members)
+        weights.append(weight)
     if cost is not None:
-        cost.add_vertices(total_size)
-        cost.add_edges(total_weight)
+        cost.add_vertices(len(members))
+        cost.add_edges(sum(weights))
     if sample_size is not None:
-        sample_size.add_vertices(total_size)
-    return rr_sets
+        sample_size.add_vertices(len(members))
+    return tuple(
+        np.frombuffer(column, dtype=np.int64) for column in (targets, sizes, members, weights)
+    )
 
 
 class RRSetCollection:
-    """A collection of RR sets with an inverted vertex -> set-index index.
+    """RR sets in one flat store with an inverted vertex -> set index.
 
-    The inverted index makes both coverage counting (Estimate) and covered-set
-    removal (Update) proportional to the number of affected sets rather than
-    to the whole collection, which is how practical RIS implementations work.
+    Set ``i`` has target ``targets[i]``, weight ``weights[i]`` and members
+    ``members[offsets[i]:offsets[i + 1]]``.  The inverted index is the CSR
+    :attr:`index`, a stable argsort of ``members``: vertex ``v``'s sets, in
+    ascending order, are ``set_ids[indptr[v]:indptr[v + 1]]``.  Coverage
+    counts start as its row lengths; Update marks a vertex's alive sets dead
+    and decrements their members' coverage in one vectorized step, so both
+    Estimate and Update cost the affected sets, not the whole collection.
+    :class:`RRSet` objects are built only when the collection is iterated.
     """
 
-    def __init__(self, rr_sets: list[RRSet], num_vertices: int) -> None:
-        self._rr_sets = list(rr_sets)
-        self._num_vertices = int(num_vertices)
-        self._alive = np.ones(len(self._rr_sets), dtype=bool)
-        self._coverage = np.zeros(num_vertices, dtype=np.int64)
-        self._index: list[list[int]] = [[] for _ in range(num_vertices)]
-        for set_index, rr_set in enumerate(self._rr_sets):
-            for vertex in rr_set.vertices:
-                self._index[vertex].append(set_index)
-                self._coverage[vertex] += 1
+    def __init__(self, rr_sets: Iterable[RRSet], num_vertices: int) -> None:
+        self._store(rr_arrays(rr_sets), num_vertices)
 
     @classmethod
-    def from_sampling(
-        cls,
-        graph: InfluenceGraph,
-        count: int,
-        rng: RandomSource | np.random.Generator,
-        *,
-        model: "str | DiffusionModel | None" = None,
-        cost: TraversalCost | None = None,
-        sample_size: SampleSize | None = None,
-        jobs: int | None = None,
-        batch_mode: str | None = None,
-    ) -> "RRSetCollection":
-        """Sample ``count`` RR sets and build the indexed collection directly.
+    def from_arrays(cls, arrays: RRArrays, num_vertices: int) -> "RRSetCollection":
+        """The collection of the RR sets in ``arrays`` (a batch kernel's output)."""
+        collection = cls.__new__(cls)
+        collection._store(arrays, num_vertices)
+        return collection
 
-        The batch entry point behind :meth:`RISEstimator.build
-        <repro.algorithms.ris.RISEstimator.build>`: samples go through the
-        model's batched generator (buffer-reusing sequential kernel by
-        default, the runtime's split-stream chunks with ``jobs``,
-        the 64-worlds-per-word kernel with ``batch_mode="bitparallel"``) and
-        feed the inverted index without an intermediate caller-side pass.
-        """
-        from .models import resolve_model
-
-        rr_sets = resolve_model(model).sample_rr_sets(
-            graph,
-            count,
-            rng,
-            cost=cost,
-            sample_size=sample_size,
-            jobs=jobs,
-            batch_mode=batch_mode,
+    def _store(self, arrays: RRArrays, num_vertices: int) -> None:
+        num_vertices = require_non_negative_int(num_vertices, "num_vertices")
+        targets, sizes, members, weights = (np.asarray(a, dtype=np.int64) for a in arrays)
+        outside = (members < 0) | (members >= num_vertices)
+        if outside.any():
+            raise InvalidParameterError(
+                f"RR-set member {members[outside][0]} is out of range for a graph "
+                f"with {num_vertices} vertices"
+            )
+        self._num_vertices = num_vertices
+        self._targets, self._members, self._weights = targets, members, weights
+        self._offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self._coverage = np.bincount(members, minlength=num_vertices)
+        set_ids = np.repeat(np.arange(sizes.size), sizes)
+        self._index = (
+            np.concatenate(([0], np.cumsum(self._coverage))),
+            set_ids[np.argsort(members, kind="stable")],
         )
-        return cls(rr_sets, graph.num_vertices)
+        self._alive = np.ones(sizes.size, dtype=bool)
 
     # ------------------------------------------------------------------ #
     @property
     def num_total(self) -> int:
         """Total number of RR sets originally inserted."""
-        return len(self._rr_sets)
+        return int(self._targets.size)
 
     @property
     def num_alive(self) -> int:
         """Number of RR sets not yet removed by Update."""
-        return int(self._alive.sum())
+        return int(np.count_nonzero(self._alive))
 
     @property
     def total_size(self) -> int:
         """Total number of stored vertices over all RR sets (the RIS sample size)."""
-        return sum(rr_set.size for rr_set in self._rr_sets)
+        return int(self._members.size)
 
     @property
     def total_weight(self) -> int:
         """Total weight (coin flips spent) over all RR sets."""
-        return sum(rr_set.weight for rr_set in self._rr_sets)
+        return int(self._weights.sum())
+
+    @property
+    def index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inverted index as the CSR ``(indptr, set_ids)`` over vertices."""
+        return self._index
 
     def coverage(self, vertex: int) -> int:
         """Number of alive RR sets containing ``vertex``."""
-        require_vertex(vertex, self._num_vertices)
-        return int(self._coverage[vertex])
+        return int(self._coverage[require_vertex(vertex, self._num_vertices)])
 
     def fraction_covered(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> float:
         """``F_R(S)``: fraction of *all* RR sets intersecting ``seed_set``.
@@ -326,11 +358,10 @@ class RRSetCollection:
         does not change this quantity's meaning for a fixed collection).
         The seed set is validated like every other seed-set query.
         """
-        seed_frozen = frozenset(normalize_seed_set(seed_set, self._num_vertices))
-        if not self._rr_sets:
+        seeds = normalize_seed_set(seed_set, self._num_vertices)
+        if not len(self):
             return 0.0
-        hit = sum(1 for rr_set in self._rr_sets if rr_set.intersects(seed_frozen))
-        return hit / len(self._rr_sets)
+        return covered_count(self._index, seeds) / len(self)
 
     def remove_covered_by(self, vertex: int) -> int:
         """Remove all alive RR sets containing ``vertex`` (RIS Update).
@@ -339,18 +370,22 @@ class RRSetCollection:
         vertices are decremented accordingly so subsequent coverage queries
         return marginal coverage with respect to the chosen seeds.
         """
-        require_vertex(vertex, self._num_vertices)
-        removed = 0
-        for set_index in self._index[vertex]:
-            if self._alive[set_index]:
-                self._alive[set_index] = False
-                removed += 1
-                for member in self._rr_sets[set_index].vertices:
-                    self._coverage[member] -= 1
-        return removed
+        vertex = require_vertex(vertex, self._num_vertices)
+        indptr, set_ids = self._index
+        sets = set_ids[indptr[vertex] : indptr[vertex + 1]]
+        sets = sets[self._alive[sets]]
+        self._alive[sets] = False
+        positions, _, _ = frontier_edges(self._offsets, sets)
+        np.subtract.at(self._coverage, self._members[positions], 1)
+        return int(sets.size)
 
     def __len__(self) -> int:
-        return len(self._rr_sets)
+        return int(self._targets.size)
 
-    def __iter__(self):
-        return iter(self._rr_sets)
+    def __iter__(self) -> Iterator[RRSet]:
+        members = self._members.tolist()
+        offsets = self._offsets.tolist()
+        for target, weight, start, stop in zip(
+            self._targets.tolist(), self._weights.tolist(), offsets, offsets[1:]
+        ):
+            yield RRSet(target=target, vertices=frozenset(members[start:stop]), weight=weight)

@@ -27,6 +27,7 @@ from .._validation import normalize_seed_set, require_positive_int
 from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
+from ..diffusion.reverse import covered_count
 from ..graphs.influence_graph import InfluenceGraph
 
 
@@ -77,10 +78,11 @@ class RRPoolOracle:
 
     Notes
     -----
-    Scoring a seed set costs ``O(sum of RR-set hits)`` thanks to an inverted
-    vertex -> pool-index mapping; scoring many seed sets against the same pool
-    is therefore cheap, which is exactly the paper's use case (10^3 trials
-    times tens of sample numbers all scored against one pool).
+    Scoring a seed set costs ``O(sum of RR-set hits)`` thanks to the pool
+    store's inverted vertex -> pool-index CSR, the only part of it kept;
+    scoring many seed sets against the same pool is therefore cheap, which
+    is exactly the paper's use case (10^3 trials times tens of sample
+    numbers all scored against one pool).
     """
 
     #: z-value for a two-sided 99% confidence interval (as used in the paper).
@@ -113,47 +115,18 @@ class RRPoolOracle:
         self._model = resolve_model(model)
         self._model.validate(graph)
         self._pool_size = require_positive_int(pool_size, "pool_size")
-        self._membership: list[list[int]] = [[] for _ in range(graph.num_vertices)]
-        total_size = 0
         with tel.span("oracle.build"):
-            if jobs is None:
-                # Default sequential path: generate in bounded batches through
-                # the model's batched kernel (byte-identical single-stream
-                # draws; with batch_mode="bitparallel", whole 64-world words)
-                # and discard each batch once indexed, so peak memory stays
-                # the membership index plus one batch rather than the whole
-                # pool.
-                rng = RandomSource(seed)
-                pool_index = 0
-                while pool_index < self._pool_size:
-                    batch = min(4096, self._pool_size - pool_index)
-                    for rr_set in self._model.sample_rr_sets(
-                        graph, batch, rng, telemetry=telemetry, batch_mode=batch_mode
-                    ):
-                        total_size += rr_set.size
-                        for vertex in rr_set.vertices:
-                            self._membership[vertex].append(pool_index)
-                        pool_index += 1
-            else:
-                # Parallel pool generation under the runtime's split-stream
-                # contract (bit-identical for any worker count, but a different
-                # pool than the sequential single-stream draw above).
-                rr_sets = self._model.sample_rr_sets(
-                    graph,
-                    self._pool_size,
-                    RandomSource(seed),
-                    jobs=jobs,
-                    telemetry=telemetry,
-                    batch_mode=batch_mode,
-                )
-                for pool_index, rr_set in enumerate(rr_sets):
-                    total_size += rr_set.size
-                    for vertex in rr_set.vertices:
-                        self._membership[vertex].append(pool_index)
+            # One call samples the whole pool (in bounded batches it would
+            # draw the same sets); only the store's inverted index is kept.
+            pool = self._model.sample_rr_store(
+                graph, self._pool_size, RandomSource(seed),
+                jobs=jobs, telemetry=telemetry, batch_mode=batch_mode,
+            )
+        self._index = pool.index
+        self._total_size = pool.total_size
         if tel.enabled:
             tel.incr("oracle.rr_sets", self._pool_size)
-            tel.incr("oracle.rr_vertices", total_size)
-        self._total_size = total_size
+            tel.incr("oracle.rr_vertices", self._total_size)
 
     # ------------------------------------------------------------------ #
     @property
@@ -188,12 +161,7 @@ class RRPoolOracle:
     def coverage_count(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> int:
         """Number of pool RR sets intersecting ``seed_set``."""
         seeds = normalize_seed_set(seed_set, self._graph.num_vertices)
-        if len(seeds) == 1:
-            return len(self._membership[seeds[0]])
-        covered: set[int] = set()
-        for vertex in seeds:
-            covered.update(self._membership[vertex])
-        return len(covered)
+        return covered_count(self._index, seeds)
 
     def spread(self, seed_set: tuple[int, ...] | list[int] | set[int]) -> float:
         """Unbiased spread estimate ``n * F_R(seed_set)``."""
@@ -211,9 +179,7 @@ class RRPoolOracle:
 
     def single_vertex_spreads(self) -> np.ndarray:
         """Spread estimates ``Inf(v)`` for every vertex, as an array of length n."""
-        counts = np.array(
-            [len(members) for members in self._membership], dtype=np.float64
-        )
+        counts = np.diff(self._index[0]).astype(np.float64)
         return self._graph.num_vertices * counts / self._pool_size
 
     def top_vertices(self, count: int = 3) -> list[tuple[int, float]]:

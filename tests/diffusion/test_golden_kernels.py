@@ -37,7 +37,7 @@ from repro.diffusion.frontier import SCALAR_FRONTIER_LIMIT, use_scalar_frontier
 from repro.diffusion.linear_threshold import sample_lt_snapshot
 from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
-from repro.diffusion.reverse import sample_rr_set, sample_rr_sets
+from repro.diffusion.reverse import RRSetCollection, sample_rr_set, sample_rr_sets
 from repro.diffusion.snapshots import (
     reachable_count,
     reachable_set,
@@ -270,8 +270,9 @@ class TestBatchedKernelsMatchReference:
         assert cost == reference_cost
         batch_units, reference_units = units(), units()
         cost, size = TraversalCost(), SampleSize()
-        rr_sets = INDEPENDENT_CASCADE._rr_kernel(
-            graph, False, BATCH_COUNT, batch_units, cost, size
+        rr_sets = RRSetCollection.from_arrays(
+            INDEPENDENT_CASCADE._rr_kernel(graph, False, BATCH_COUNT, batch_units, cost, size),
+            graph.num_vertices,
         )
         reference_sets, reference_cost, reference_size = _reference_rr_sets(
             graph, reference_units

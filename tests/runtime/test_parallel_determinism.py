@@ -60,6 +60,7 @@ class TestSamplingDeterminism:
         from functools import partial
 
         from repro.diffusion.models import INDEPENDENT_CASCADE, _seeded_chunk_worker
+        from repro.diffusion.reverse import RRSetCollection, concat_rr_arrays
         from repro.runtime.engine import run_seeded_tasks
 
         kernel = partial(INDEPENDENT_CASCADE._rr_kernel, karate_uc01)
@@ -69,7 +70,8 @@ class TestSamplingDeterminism:
                 _seeded_chunk_worker, 30, 5, jobs=1,
                 payload=(kernel, 30, False), num_chunks=num_chunks,
             )
-            return [r.vertices for chunk in chunks for r in chunk[0]]
+            arrays = concat_rr_arrays([chunk for chunk, _, _ in chunks])
+            return [r.vertices for r in RRSetCollection.from_arrays(arrays, 34)]
 
         assert flatten(1) == flatten(7) == flatten(30)
 

@@ -30,7 +30,7 @@ from repro.diffusion.linear_threshold import (
 )
 from repro.diffusion.models import INDEPENDENT_CASCADE
 from repro.diffusion.random_source import RandomSource
-from repro.diffusion.reverse import RRSetCollection
+from repro.diffusion.reverse import RRSet, RRSetCollection
 from repro.diffusion.snapshot_lanes import SnapshotLanes
 from repro.diffusion.snapshots import (
     reachable_count,
@@ -232,7 +232,7 @@ SEED_SURFACES = {
     "snapshot_lanes.reachable_count": lambda g, v: SnapshotLanes(
         [sample_snapshot(g, RandomSource(1))]
     ).reachable_count([v]),
-    "rr_collection.fraction_covered": lambda g, v: RRSetCollection.from_sampling(
+    "rr_collection.fraction_covered": lambda g, v: INDEPENDENT_CASCADE.sample_rr_store(
         g, 20, RandomSource(1)
     ).fraction_covered([v]),
     "simulate_cascade": lambda g, v: simulate_cascade(g, [v], RandomSource(1)),
@@ -270,6 +270,33 @@ class TestSeedSurfaces:
     def test_accepts_numpy_integer_vertex(self, surface, two_hubs_graph):
         expected = SEED_SURFACES[surface](two_hubs_graph, 4)
         assert SEED_SURFACES[surface](two_hubs_graph, np.int64(4)) == expected
+
+
+class TestRRSetCollectionInputs:
+    """The store rejects what numpy would silently wrap or cast."""
+
+    @pytest.mark.parametrize("num_vertices", [3.0, True, "3", None, np.float64(3.0)])
+    def test_rejects_non_int_num_vertices(self, num_vertices):
+        with pytest.raises(InvalidParameterError, match=re.escape(repr(num_vertices))):
+            RRSetCollection([RRSet(target=0, vertices=frozenset({0}), weight=0)], num_vertices)
+
+    def test_rejects_negative_num_vertices(self):
+        with pytest.raises(InvalidParameterError, match="-1"):
+            RRSetCollection([], -1)
+
+    @pytest.mark.parametrize("member", [-1, 3, 7])
+    def test_rejects_member_outside_range(self, member):
+        rr_set = RRSet(target=0, vertices=frozenset({0, member}), weight=1)
+        with pytest.raises(InvalidParameterError, match=f"member {member} "):
+            RRSetCollection([rr_set], 3)
+        arrays = tuple(np.array(column) for column in ([0], [2], [0, member], [1]))
+        with pytest.raises(InvalidParameterError, match=f"member {member} "):
+            RRSetCollection.from_arrays(arrays, 3)
+
+    def test_accepts_every_vertex_of_the_range(self):
+        rr_set = RRSet(target=2, vertices=frozenset({0, 1, 2}), weight=2)
+        collection = RRSetCollection([rr_set], 3)
+        assert [collection.coverage(v) for v in range(3)] == [1, 1, 1]
 
 
 class TestRequireChoice:
