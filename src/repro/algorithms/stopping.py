@@ -73,12 +73,12 @@ def estimate_opt_lower_bound(
     log_n = max(math.log(n), 1.0)
     for i in range(1, rounds + 1):
         batch = min(int((6 * log_n + 6) * (2 ** i)), 10_000)
-        rr_sets = diffusion.sample_rr_sets(graph, batch, rng)
+        weights = diffusion.sample_rr_store(graph, batch, rng).weights.tolist()
         # kappa(R) = 1 - (1 - w(R)/m)^k measures how likely a random k-set is
         # to intersect R through its edges (Tang et al. 2014, Algorithm 2).
         total_kappa = 0.0
-        for rr_set in rr_sets:
-            width_fraction = min(1.0, rr_set.weight / m)
+        for weight in weights:
+            width_fraction = min(1.0, weight / m)
             total_kappa += 1.0 - (1.0 - width_fraction) ** k
         mean_kappa = total_kappa / batch
         if mean_kappa > 1.0 / (2 ** i):

@@ -24,7 +24,7 @@ from .._validation import normalize_seed_set
 from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
-from .random_source import RandomSource
+from .random_source import DrawStream, RandomSource, draw_streams
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,22 @@ def _cascade_kernel(
     out_rows: CsrRows,
     out_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     seed_tuple: tuple[int, ...],
-    generator: np.random.Generator,
+    stream: DrawStream,
     active: bytearray,
     slot: np.ndarray,
 ) -> tuple[list[int], int]:
     """Hybrid whole-frontier IC cascade; returns ``(activation order, edges examined)``.
 
-    One uniform vector is drawn per BFS level, covering the frontier's edges
-    in the frontier's vertex-then-edge order — byte-identical PRNG stream
-    consumption to the historical per-vertex loop (see
-    :mod:`repro.diffusion.frontier` for the draw-order contract).  Small
-    levels walk the Python-list ``out_rows``; large ones gather over
-    ``out_csr`` with numpy.  ``active`` must be all-zero on entry (only
-    activated entries are set, so batch callers can reset it cheaply);
-    ``slot`` is integer scratch of length ``num_vertices``.  Every activated
-    vertex is expanded once, so the vertex cost is the order's length.
+    Each BFS level takes its frontier's edge draws from ``stream`` in the
+    frontier's vertex-then-edge order — the same draws, in the same order,
+    as the historical per-vertex loop (see :mod:`repro.diffusion.frontier`
+    for the draw-order contract).  Small levels walk the Python-list
+    ``out_rows`` against the stream's draw iterator; large ones gather over
+    ``out_csr`` with numpy against an array of draws.  ``active`` must be
+    all-zero on entry (only activated entries are set, so batch callers can
+    reset it cheaply); ``slot`` is integer scratch of length
+    ``num_vertices``.  Every activated vertex is expanded once, so the
+    vertex cost is the order's length.
     """
     row_targets, row_probs = out_rows
     activated_order: list[int] = list(seed_tuple)
@@ -105,7 +106,7 @@ def _cascade_kernel(
                 break
             edges += total
             # zip takes the rows first, so a row's end never consumes a draw.
-            draws = iter(generator.random(total).tolist())
+            draws = stream.reserve(total)
             next_frontier: list[int] = []
             for vertex in frontier:
                 for target, probability, draw in zip(
@@ -122,7 +123,7 @@ def _cascade_kernel(
                 break
             edges += total
             active_view = np.frombuffer(active, dtype=np.bool_)
-            draws = generator.random(total)
+            draws = stream.array(total)
             live_edges = edge_indices[draws < probs[edge_indices]]
             candidates = targets[live_edges]
             candidates = candidates[~active_view[candidates]]
@@ -177,11 +178,12 @@ def _simulate_cascades_batch(
 
     Byte-identical to one :func:`simulate_cascade` call per generator — the
     batch only amortizes per-call overhead: one seed normalization, one
-    row/CSR unpack, and ``active`` bytes reset by clearing only the
-    activated entries, so small cascades on large graphs never pay an O(n)
-    refill.  Costs are summed in local ints and added to ``cost`` once.
-    Each activation order is mapped through ``finish``: a
-    :class:`CascadeResult` by default, ``len`` for the count-only spread.
+    row/CSR unpack, one :class:`DrawStream` per distinct generator, and
+    ``active`` bytes reset by clearing only the activated entries, so small
+    cascades on large graphs never pay an O(n) refill.  Costs are summed in
+    local ints and added to ``cost`` once.  Each activation order is mapped
+    through ``finish``: a :class:`CascadeResult` by default, ``len`` for the
+    count-only spread.
     """
     seed_tuple = normalize_seed_set(seeds, graph.num_vertices)
     out_rows = graph.out_rows
@@ -190,8 +192,8 @@ def _simulate_cascades_batch(
     slot = np.empty(graph.num_vertices, dtype=np.int64)
     vertices = edges = 0
     results = []
-    for generator in generators:
-        order, examined = _cascade_kernel(out_rows, out_csr, seed_tuple, generator, active, slot)
+    for stream in draw_streams(generators):
+        order, examined = _cascade_kernel(out_rows, out_csr, seed_tuple, stream, active, slot)
         for vertex in order:
             active[vertex] = 0
         vertices += len(order)

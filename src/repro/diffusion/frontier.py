@@ -11,15 +11,19 @@ expansions over a CSR adjacency.  Each of them needs the same two primitives:
   is activated exactly once, by its *first* discovering edge, preserving the
   exact activation order the historical per-vertex loops produced.
 
-Draw-order contract (why vectorization is PRNG-transparent): numpy's
-``Generator.random`` fills doubles sequentially from the underlying PCG64
-bitstream, so ``random(k)`` followed by ``random(j)`` yields exactly the same
-numbers, elementwise, as one ``random(k + j)`` call (and ``random(0)``
-consumes nothing).  A kernel that draws one uniform vector per BFS level —
-covering the frontier's edges in the same vertex-then-edge order the serial
-loop used — therefore consumes the generator's stream byte-for-byte
-identically to per-vertex draws.  ``tests/diffusion/test_golden_kernels.py``
-pins this equivalence against the reference loops; see ``docs/DESIGN.md``.
+Draw-order contract (why vectorization is PRNG-transparent): every uniform
+is one 64-bit word of the generator's PCG64 stream, taken in order, so
+``random(k)`` followed by ``random(j)`` yields exactly the same numbers,
+elementwise, as one ``random(k + j)`` call (and ``random(0)`` consumes
+nothing).  A kernel that takes a BFS level's draws together — covering the
+frontier's edges in the same vertex-then-edge order the serial loop used —
+therefore consumes the stream identically to per-vertex draws.  The scalar
+IC kernels take them from a
+:class:`~repro.diffusion.random_source.DrawStream`, which prefetches the
+words in blocks and hands the generator back where per-call draws would
+leave it, so they make no numpy call per level or per RR-set target.
+``tests/diffusion/test_golden_kernels.py`` pins this equivalence against
+the reference loops; see ``docs/DESIGN.md``.
 """
 
 from __future__ import annotations
@@ -30,8 +34,12 @@ import numpy as np
 #: the batched gather: the vectorized path has a fixed ~10-numpy-op overhead
 #: per BFS level, which loses to the loop when a level holds only a handful
 #: of vertices (the common case on small graphs and in the tails of every
-#: BFS).  Both paths consume the PRNG stream identically, so the switch is
-#: invisible to results — it only moves the constant factor.
+#: BFS).  In the scalar IC kernels the loop's draws now come from a
+#: ``DrawStream`` iterator with no numpy call at all, so the loop is cheaper
+#: than when this limit was tuned against a per-level ``random(total)``;
+#: the limit has not been retuned since.  Both paths consume the PRNG stream
+#: identically, so the switch is invisible to results — it only moves the
+#: constant factor.
 SCALAR_FRONTIER_LIMIT = 16
 
 #: Shared empty index array, so zero-degree frontiers avoid an allocation.
@@ -48,8 +56,9 @@ def use_scalar_frontier(frontier) -> bool:
     take the plain loop, larger levels the batched gather.  In the scalar
     IC kernels the small-level loop walks the graph's Python-list rows
     (:attr:`~repro.graphs.influence_graph.InfluenceGraph.out_rows` /
-    ``in_rows``) against one ``random(total)`` draw for the whole level.
-    Accepts anything with a length (list or array frontier).
+    ``in_rows``) against the draw stream's persistent iterator, and a large
+    level reads its draws as one array of the stream's block.  Accepts
+    anything with a length (list or array frontier).
     """
     return len(frontier) < SCALAR_FRONTIER_LIMIT
 

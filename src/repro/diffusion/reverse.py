@@ -34,7 +34,7 @@ from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import SampleSize, TraversalCost
 from .frontier import first_hit, frontier_edges, use_scalar_frontier
-from .random_source import RandomSource
+from .random_source import DrawStream, RandomSource, draw_streams
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,15 @@ def sample_rr_set(
     generator = rng.generator if isinstance(rng, RandomSource) else rng
     if graph.num_vertices == 0:
         raise InvalidParameterError("cannot sample an RR set from an empty graph")
-    if target is None:
-        chosen_target = int(generator.integers(graph.num_vertices))
-    else:
-        chosen_target = require_vertex(target, graph.num_vertices, name="target")
+    if target is not None:
+        target = require_vertex(target, graph.num_vertices, name="target")
     visited_stamp = array("q", bytes(8 * graph.num_vertices))
     slot = np.empty(graph.num_vertices, dtype=np.int64)
-    members, weight = _rr_kernel(
-        graph.in_rows, graph.in_csr, chosen_target, generator, visited_stamp, 1, slot
-    )
+    with DrawStream(generator) as stream:
+        chosen_target = stream.integers(graph.num_vertices) if target is None else target
+        members, weight = _rr_kernel(
+            graph.in_rows, graph.in_csr, chosen_target, stream, visited_stamp, 1, slot
+        )
     rr_set = RRSet(target=chosen_target, vertices=frozenset(members), weight=weight)
     if cost is not None:
         cost.add_vertices(rr_set.size)
@@ -130,21 +130,22 @@ def _rr_kernel(
     in_rows: CsrRows,
     in_csr: tuple[np.ndarray, np.ndarray, np.ndarray],
     chosen_target: int,
-    generator: np.random.Generator,
+    stream: DrawStream,
     visited_stamp: array,
     stamp: int,
     slot: np.ndarray,
 ) -> tuple[list[int], int]:
     """Hybrid whole-frontier reverse BFS over the in-edges; returns ``(members, weight)``.
 
-    The FIFO queue of the historical loop is exactly level-order BFS, so one
-    uniform vector per level — covering the frontier's in-edges in the same
-    vertex-then-edge order — consumes the PRNG stream byte-for-byte
-    identically (see :mod:`repro.diffusion.frontier`).  Small levels walk
-    the Python-list ``in_rows``; large ones gather over ``in_csr`` with
-    numpy.  ``visited_stamp`` is an ``array('q')`` marking visited vertices
-    with ``stamp``; batch callers bump ``stamp`` per RR set instead of
-    clearing it.  ``slot`` is integer scratch of length ``num_vertices``.
+    The FIFO queue of the historical loop is exactly level-order BFS, so
+    taking each level's in-edge draws from ``stream`` in the same
+    vertex-then-edge order consumes the PRNG stream identically (see
+    :mod:`repro.diffusion.frontier`).  Small levels walk the Python-list
+    ``in_rows`` against the stream's draw iterator; large ones gather over
+    ``in_csr`` with numpy against an array of draws.  ``visited_stamp`` is
+    an ``array('q')`` marking visited vertices with ``stamp``; batch callers
+    bump ``stamp`` per RR set instead of clearing it.  ``slot`` is integer
+    scratch of length ``num_vertices``.
     Every member is expanded once, so the set's traversal cost is its size
     in vertices and its weight in edges.
     """
@@ -162,7 +163,7 @@ def _rr_kernel(
                 break
             weight += total
             # zip takes the rows first, so a row's end never consumes a draw.
-            draws = iter(generator.random(total).tolist())
+            draws = stream.reserve(total)
             next_frontier: list[int] = []
             for vertex in frontier:
                 for source, probability, draw in zip(
@@ -179,7 +180,7 @@ def _rr_kernel(
                 break
             weight += total
             stamp_view = np.frombuffer(visited_stamp, dtype=np.int64)
-            draws = generator.random(total)
+            draws = stream.array(total)
             live_edges = edge_indices[draws < probs[edge_indices]]
             candidates = sources[live_edges]
             candidates = candidates[stamp_view[candidates] != stamp]
@@ -244,11 +245,12 @@ def _sample_rr_sets_batch(
 
     Byte-identical to one :func:`sample_rr_set` call per generator (one shared
     stream repeated, or one stream per set — the runtime chunk workers'
-    form).  The batch amortizes per-call overhead: one row/CSR unpack, and
-    shared visited/scratch arrays — the visited array is never cleared, each
-    RR set marks it with a fresh stamp value.  Each set is appended to the
-    flat :data:`RRArrays` columns (``array('q')``, 8 bytes a member), and
-    the sizes and weights are added to the accumulators once.
+    form).  The batch amortizes per-call overhead: one row/CSR unpack, one
+    :class:`DrawStream` per distinct generator, and shared visited/scratch
+    arrays — the visited array is never cleared, each RR set marks it with
+    a fresh stamp value.  Each set is appended to the flat :data:`RRArrays`
+    columns (``array('q')``, 8 bytes a member), and the sizes and weights
+    are added to the accumulators once.
     """
     if graph.num_vertices == 0:
         raise InvalidParameterError("cannot sample an RR set from an empty graph")
@@ -258,10 +260,10 @@ def _sample_rr_sets_batch(
     visited_stamp = array("q", bytes(8 * num_vertices))
     slot = np.empty(num_vertices, dtype=np.int64)
     targets, sizes, members, weights = (array("q") for _ in range(4))
-    for stamp, generator in enumerate(generators, start=1):
-        chosen_target = int(generator.integers(num_vertices))
+    for stamp, stream in enumerate(draw_streams(generators), start=1):
+        chosen_target = stream.integers(num_vertices)
         rr_members, weight = _rr_kernel(
-            in_rows, in_csr, chosen_target, generator, visited_stamp, stamp, slot
+            in_rows, in_csr, chosen_target, stream, visited_stamp, stamp, slot
         )
         targets.append(chosen_target)
         sizes.append(len(rr_members))
@@ -340,6 +342,13 @@ class RRSetCollection:
     def total_weight(self) -> int:
         """Total weight (coin flips spent) over all RR sets."""
         return int(self._weights.sum())
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each RR set's weight (coin flips spent), in set order; read-only."""
+        weights = self._weights.view()
+        weights.flags.writeable = False
+        return weights
 
     @property
     def index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,16 @@ class TestOptLowerBound:
         with pytest.raises(InvalidParameterError):
             estimate_opt_lower_bound(karate_uc01, 0)
 
+    @pytest.mark.parametrize(
+        ("k", "seed", "bound", "theta"),
+        [(1, 0, 1.2936311000827125, 4635), (3, 1, 3.0643387424708965, 3913)],
+    )
+    def test_pinned_values(self, karate_uc01, k, seed, bound, theta):
+        # Exact KPT values: the RR weights are summed left to right, so any
+        # change in sampling or summation order shows here.
+        assert estimate_opt_lower_bound(karate_uc01, k, seed=seed) == bound
+        assert determine_theta(karate_uc01, k, epsilon=0.2, seed=seed) == theta
+
 
 class TestDetermineTheta:
     def test_positive_integer(self, karate_uc01):

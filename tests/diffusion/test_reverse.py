@@ -93,6 +93,12 @@ class TestRRSetCollection:
         assert collection.total_size == sum(r.size for r in rr_sets)
         assert collection.total_weight == sum(r.weight for r in rr_sets)
 
+    def test_weights_column_is_read_only(self, karate_uc01):
+        collection, rr_sets = self.make_collection(karate_uc01)
+        assert collection.weights.tolist() == [r.weight for r in rr_sets]
+        with pytest.raises(ValueError):
+            collection.weights[0] = 0
+
     def test_coverage_matches_membership(self, karate_uc01):
         collection, rr_sets = self.make_collection(karate_uc01)
         for vertex in (0, 16, 33):

@@ -30,7 +30,7 @@ from repro.diffusion.linear_threshold import (
 )
 from repro.diffusion.models import INDEPENDENT_CASCADE
 from repro.diffusion.random_source import RandomSource
-from repro.diffusion.reverse import RRSet, RRSetCollection
+from repro.diffusion.reverse import RRSet, RRSetCollection, sample_rr_set, sample_rr_sets
 from repro.diffusion.snapshot_lanes import SnapshotLanes
 from repro.diffusion.snapshots import (
     reachable_count,
@@ -297,6 +297,36 @@ class TestRRSetCollectionInputs:
         rr_set = RRSet(target=2, vertices=frozenset({0, 1, 2}), weight=2)
         collection = RRSetCollection([rr_set], 3)
         assert [collection.coverage(v) for v in range(3)] == [1, 1, 1]
+
+
+def _mt19937():
+    return np.random.Generator(np.random.MT19937(0))
+
+
+#: Scalar IC entry points handed a generator over a bit generator whose raw
+#: words are not PCG64's, as ``graph -> result``.
+NON_PCG64_SURFACES = {
+    "simulate_cascade": lambda g: simulate_cascade(g, [0], _mt19937()),
+    "simulate_spread": lambda g: simulate_spread(g, [0], 4, _mt19937()),
+    "sample_rr_set": lambda g: sample_rr_set(g, _mt19937()),
+    "sample_rr_set.target": lambda g: sample_rr_set(g, _mt19937(), target=0),
+    "sample_rr_sets": lambda g: sample_rr_sets(g, 4, _mt19937()),
+}
+
+
+class TestNonPCG64Generators:
+    """The scalar kernels decode PCG64 words, so another bit generator is refused."""
+
+    @pytest.mark.parametrize("surface", sorted(NON_PCG64_SURFACES))
+    def test_rejected_naming_the_bit_generator(self, surface, two_hubs_graph):
+        with pytest.raises(InvalidParameterError, match="MT19937"):
+            NON_PCG64_SURFACES[surface](two_hubs_graph)
+
+    def test_monte_carlo_spread_takes_no_generator(self, two_hubs_graph):
+        # Its seed is an int or RandomSource (always PCG64); a generator is
+        # refused before any draw.
+        with pytest.raises(InvalidParameterError, match="Generator"):
+            monte_carlo_spread(two_hubs_graph, [0], 4, seed=_mt19937())
 
 
 class TestRequireChoice:
