@@ -96,9 +96,10 @@ def test_table9_equal_accuracy_cost(benchmark, instance_cache, oracle_cache):
     by_network: dict[str, dict[str, float]] = {}
     for row in rows:
         by_network.setdefault(row["network"], {})[row["algorithm"]] = row["cost_per_gamma"]
-    # Oneshot is never the cheapest option (Section 6).
+    # Section 6: "Oneshot is never the cheapest" — some other approach costs
+    # less per unit gamma on every network.
     for network, costs in by_network.items():
-        assert costs["oneshot"] >= min(costs.values()), network
+        assert costs["oneshot"] > min(costs["snapshot"], costs["ris"]), network
     # On the large sparse low-probability proxy, RIS beats Oneshot decisively.
     youtube = by_network["com_youtube (iwc)"]
     assert youtube["ris"] < youtube["oneshot"]

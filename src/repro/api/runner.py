@@ -88,9 +88,7 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         # The estimator spec's own batch_mode wins over the context's.
         batch_mode=spec.estimator.batch_mode or context.batch_mode,
     )(spec.estimator.num_samples)
-    greedy = greedy_maximize(
-        graph, spec.k, estimator, seed=context.seed, context=context
-    )
+    greedy = greedy_maximize(graph, spec.k, estimator, context=context)
     tel.record_cost(greedy.cost)
     # Free the estimator's samples (e.g. RIS's RR sets) before the pool is built.
     del estimator
@@ -99,7 +97,6 @@ def _run_maximize(spec: MaximizeSpec) -> MaximizeResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
         context=context,
     )
     with tel.span("oracle.score"):
@@ -117,7 +114,6 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
         context=context,
     )
     trial_set = run_trials(
@@ -131,10 +127,8 @@ def _run_trials(spec: TrialsSpec) -> TrialsResult:
         spec.estimator.num_samples,
         spec.num_trials,
         oracle=oracle,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        telemetry=context.telemetry,
+        context=context,
     )
     return TrialsResult(spec=spec, graph_name=graph.name, trial_set=trial_set)
 
@@ -147,7 +141,6 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         pool_size=spec.pool_size,
         seed=context.seed + 1,
         model=diffusion,
-        jobs=context.jobs,
         context=context,
     )
     # Parallelism is applied at the trial level (the coarsest grain); the
@@ -159,10 +152,8 @@ def _run_sweep(spec: SweepSpec) -> SweepResult:
         spec.grid(),
         num_trials=spec.num_trials,
         oracle=oracle,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        telemetry=context.telemetry,
+        context=context,
     )
     return SweepResult(spec=spec, graph_name=graph.name, sweep=sweep)
 
@@ -181,10 +172,8 @@ def _run_traversal(spec: TraversalSpec) -> TraversalResult:
         k=spec.k,
         num_samples=spec.num_samples,
         num_repetitions=spec.repetitions,
-        experiment_seed=context.seed,
         model=diffusion,
-        jobs=context.jobs,
-        telemetry=context.telemetry,
+        context=context,
     )
     return TraversalResult(spec=spec, graph_name=graph.name, rows=tuple(rows))
 

@@ -11,10 +11,7 @@ Shipped per-module rules (see :data:`repro.lint.registry.BUILTIN_RULE_IDS`):
 RNG001    ambient randomness outside the sanctioned seeding modules
 RNG002    rng-threaded functions constructing fresh generators
 ORD001    set / unsorted-directory iteration order feeding results
-PKL001    unpicklable workers at the executor seam
 TEL001    counter names breaking the deterministic-naming convention
-SPEC001   spec dataclass fields invisible to to_dict/from_dict
-TME001    wall-clock reads outside the observability layer
 ========  ==============================================================
 
 Shipped whole-program rules (:data:`~repro.lint.registry.BUILTIN_PROJECT_RULE_IDS`),
@@ -26,6 +23,12 @@ IMP001    import crossing the [tool.repro-lint.layers] layer DAG
 CTX001    seam kwarg (rng/jobs/telemetry/...) dropped between layers
 EXP001    lazy ``_EXPORTS`` entry or ``__all__`` name that cannot resolve
 ========  ==============================================================
+
+Three contracts are checked at run time by tests, not by rules:
+picklable executor workers (every executor call site runs under a real
+process pool), spec round-trips (a field-coverage table in
+``tests/api/test_specs.py``) and clock independence (every spec kind runs
+identically under a leaping clock, ``tests/api/test_clock_independence.py``).
 
 Findings are silenced line-by-line with ``# repro-lint: allow[RULE-ID]``;
 unused suppressions are themselves reported (``SUP001``).  The rule set is
@@ -52,7 +55,7 @@ from .registry import (
     available_rules,
     get_rule,
 )
-from .reporters import JSON_REPORT_VERSION, parse_report, render_json, render_text
+from .reporters import JSON_REPORT_VERSION, render_json, render_text
 from .suppressions import Suppression, collect_suppressions
 from .walker import (
     LintRun,
@@ -94,7 +97,6 @@ __all__ = [
     "lint_paths",
     "load_config",
     "main",
-    "parse_report",
     "render_json",
     "render_text",
     "run_lint",

@@ -18,7 +18,6 @@ __all__ = [
     "call_name",
     "collect_import_aliases",
     "dotted_name",
-    "function_scopes",
     "iter_assigned_names",
     "parent_map",
     "SetTypeTracker",
@@ -85,15 +84,6 @@ def parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[child] = node
     return parents
-
-
-def function_scopes(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition in the module, outermost first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def iter_assigned_names(target: ast.expr) -> Iterator[str]:

@@ -6,10 +6,10 @@ Reached two ways with identical behaviour:
 * ``python -m repro.lint ...`` — importable without numpy, so CI can run it
   in a bare interpreter before any heavy dependency is installed.
 
-Configuration comes from the nearest ``pyproject.toml``'s
-``[tool.repro-lint]`` table (its one key, ``layers``, declares the IMP001
-layer DAG).  ``--graph imports`` dumps the module import graph as JSON
-instead of linting.
+Configuration comes from the nearest ``pyproject.toml`` at or above the
+first path: its ``[tool.repro-lint]`` table (one key, ``layers``, declares
+the IMP001 layer DAG).  ``--graph imports`` dumps the module import graph
+as JSON instead of linting.
 
 Exit-code contract (stable, tested):
 
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .config import LintConfig, load_config
+from .config import load_config
 from .errors import LintError
 from .project import render_import_graph_json
 from .registry import FRAMEWORK_RULE_IDS, ProjectRule, available_rules, get_rule
@@ -43,10 +43,9 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog,
         description=(
-            "Statically check the repository's determinism and serialization "
-            "contracts (seeded randomness, iteration order, picklable "
-            "workers, counter naming, spec round-trips, wall-clock use) plus "
-            "the whole-program contracts (import layering, seam threading, "
+            "Statically check the repository's determinism contracts (seeded "
+            "randomness, iteration order, counter naming) plus the "
+            "whole-program contracts (import layering, seam threading, "
             "export integrity)."
         ),
     )
@@ -75,19 +74,6 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         "--graph",
         choices=("imports",),
         help="dump the module import graph as JSON instead of linting",
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PYPROJECT",
-        help=(
-            "explicit pyproject.toml to read [tool.repro-lint] from "
-            "(default: nearest pyproject.toml above the first path)"
-        ),
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore pyproject.toml and run with built-in defaults",
     )
     parser.add_argument(
         "--list-rules",
@@ -122,15 +108,6 @@ def _list_rules(stream: TextIO) -> None:
     )
 
 
-def _resolve_config(args: argparse.Namespace, paths: Sequence[str]) -> LintConfig:
-    if args.no_config:
-        return LintConfig()
-    if args.config is not None:
-        return load_config(explicit=Path(args.config))
-    anchor = Path(paths[0]) if paths else Path.cwd()
-    return load_config(anchor)
-
-
 def main(
     argv: Sequence[str] | None = None,
     *,
@@ -150,7 +127,7 @@ def main(
         return EXIT_CLEAN
     paths = args.paths or _default_paths()
     try:
-        config = _resolve_config(args, paths)
+        config = load_config(Path(paths[0]))
         if args.graph is not None:
             if args.format == "text":
                 raise LintError("--graph writes --format json only, not text")

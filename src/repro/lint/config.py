@@ -84,25 +84,15 @@ def _parse_table(table: Mapping[str, Any], source: Path) -> LintConfig:
     return config
 
 
-def load_config(
-    anchor: Path | None = None, *, explicit: Path | None = None
-) -> LintConfig:
+def load_config(anchor: Path | None = None) -> LintConfig:
     """Load the linter config for a run.
 
-    ``explicit`` names a pyproject.toml directly (missing file is a usage
-    error); otherwise the nearest pyproject.toml at or above ``anchor`` is
-    used, and no pyproject at all yields the built-in defaults.
+    The nearest pyproject.toml at or above ``anchor`` (default: the current
+    directory) is used; no pyproject at all yields the built-in defaults.
     """
-    if explicit is not None:
-        if not explicit.is_file():
-            raise LintError(f"config file not found: {explicit}")
-        pyproject = explicit
-    else:
-        if anchor is None:
-            anchor = Path.cwd()
-        pyproject = find_pyproject(anchor)
-        if pyproject is None:
-            return LintConfig()
+    pyproject = find_pyproject(anchor if anchor is not None else Path.cwd())
+    if pyproject is None:
+        return LintConfig()
     try:
         with pyproject.open("rb") as handle:
             data = tomllib.load(handle)

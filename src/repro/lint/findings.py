@@ -3,14 +3,14 @@
 A finding pins a rule id to a source location with a human-readable message
 and a severity.  Findings are value objects: hashable, totally ordered by
 ``(path, line, column, rule)`` so reports are deterministic regardless of
-the order rules ran in, and round-trippable through the JSON reporter
+the order rules ran in, and serialized by the JSON reporter
 (:mod:`repro.lint.reporters`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = ["SEVERITIES", "Finding"]
 
@@ -50,24 +50,6 @@ class Finding:
             "message": self.message,
             "severity": self.severity,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        """Deserialize a JSON-reporter record; unknown keys are rejected."""
-        allowed = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown Finding key(s): {', '.join(sorted(unknown))}"
-            )
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            column=int(data.get("column", 0)),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-            severity=str(data.get("severity", "error")),
-        )
 
     def render(self) -> str:
         """One-line human rendering: ``path:line:col: RULE message``."""

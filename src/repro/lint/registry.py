@@ -27,9 +27,7 @@ __all__ = [
 ]
 
 #: Ids of the shipped per-module AST rules.
-BUILTIN_RULE_IDS: frozenset[str] = frozenset(
-    {"RNG001", "RNG002", "ORD001", "PKL001", "TEL001", "SPEC001", "TME001"}
-)
+BUILTIN_RULE_IDS: frozenset[str] = frozenset({"RNG001", "RNG002", "ORD001", "TEL001"})
 
 #: Ids of the shipped whole-program rules.
 BUILTIN_PROJECT_RULE_IDS: frozenset[str] = frozenset(

@@ -1,9 +1,7 @@
 """Finding reporters: human-readable text and machine-readable JSON.
 
-The JSON document is versioned and round-trippable — ``parse_report``
-reconstructs the exact :class:`~repro.lint.findings.Finding` list a report
-was rendered from, which is what CI consumes from the uploaded artifact and
-what the round-trip test pins.
+The JSON document is versioned (:data:`JSON_REPORT_VERSION`); CI uploads it
+as a build artifact.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from typing import Any, Mapping, Sequence
 
 from .findings import Finding
 
-__all__ = ["JSON_REPORT_VERSION", "parse_report", "render_json", "render_text"]
+__all__ = ["JSON_REPORT_VERSION", "render_json", "render_text"]
 
 #: Schema version stamped into every JSON report.
 JSON_REPORT_VERSION = 1
@@ -45,8 +43,7 @@ def render_json(
     """Versioned JSON report with per-rule counts.
 
     ``stats`` (run statistics: the linted file count) is embedded
-    under a ``"stats"`` key when provided; :func:`parse_report` ignores it,
-    so the findings round-trip is unaffected.
+    under a ``"stats"`` key when provided.
     """
     document: dict[str, Any] = {
         "version": JSON_REPORT_VERSION,
@@ -56,15 +53,3 @@ def render_json(
     if stats is not None:
         document["stats"] = dict(stats)
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def parse_report(text: str) -> list[Finding]:
-    """Inverse of :func:`render_json`: report text back to findings."""
-    document = json.loads(text)
-    version = document.get("version")
-    if version != JSON_REPORT_VERSION:
-        raise ValueError(
-            f"unsupported lint report version {version!r}; "
-            f"expected {JSON_REPORT_VERSION}"
-        )
-    return [Finding.from_dict(record) for record in document["findings"]]

@@ -8,16 +8,13 @@ instantiated below, keyed by id, are what ``repro lint`` and
 from __future__ import annotations
 
 from ..registry import _REGISTRY
-from . import exports, layering, ordering, pickling, rng, seams, specs, telemetry, timeapi
+from . import exports, layering, ordering, rng, seams, telemetry
 from .exports import ExportIntegrityRule
 from .layering import ImportLayeringRule
 from .ordering import IterationOrderRule
-from .pickling import PicklableWorkerRule
 from .rng import AmbientRandomnessRule, GeneratorThreadingRule
 from .seams import SeamThreadingRule
-from .specs import SpecCoverageRule
 from .telemetry import CounterNamingRule
-from .timeapi import WallClockRule
 
 _REGISTRY.update(
     (rule.rule_id, rule)
@@ -25,10 +22,7 @@ _REGISTRY.update(
         AmbientRandomnessRule(),
         GeneratorThreadingRule(),
         IterationOrderRule(),
-        PicklableWorkerRule(),
         CounterNamingRule(),
-        SpecCoverageRule(),
-        WallClockRule(),
         ImportLayeringRule(),
         SeamThreadingRule(),
         ExportIntegrityRule(),
@@ -42,17 +36,11 @@ __all__ = [
     "GeneratorThreadingRule",
     "ImportLayeringRule",
     "IterationOrderRule",
-    "PicklableWorkerRule",
     "SeamThreadingRule",
-    "SpecCoverageRule",
-    "WallClockRule",
     "exports",
     "layering",
     "ordering",
-    "pickling",
     "rng",
     "seams",
-    "specs",
     "telemetry",
-    "timeapi",
 ]

@@ -5,7 +5,7 @@ line it is written on (matching the finding's reported line); when the
 comment is a standalone line it applies to the next code line instead, so
 long reasons need not fight the line-length limit.
 
-The id list is comma-separated (``allow[RNG001, TME001]``) and everything
+The id list is comma-separated (``allow[RNG001, ORD001]``) and everything
 after the closing bracket is the reason — the self-clean gate expects every
 in-tree suppression to say *why* the contract does not apply at that site.
 

@@ -59,9 +59,9 @@ def _timed_invoke(task: tuple) -> tuple[Any, float]:
     metric merge: the parent sums the times in task order.
     """
     fn, inner = task
-    start = time.perf_counter()  # repro-lint: allow[TME001] worker-side kernel timing feeds runtime.* metrics only, never results
+    start = time.perf_counter()
     result = fn(inner)
-    return result, time.perf_counter() - start  # repro-lint: allow[TME001] see above; parent merges in task order
+    return result, time.perf_counter() - start
 
 
 def instrumented_map(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -172,6 +173,83 @@ class TestRoundTrip:
             "graph": {"dataset": "karate", "probability": "uc0.1"},
         }
         assert MaximizeSpec.from_dict(document) == spec
+
+
+# --------------------------------------------------------------------------- #
+# field coverage: every serialized field round-trips at a non-default value
+# --------------------------------------------------------------------------- #
+_CONTEXT = RunContext(seed=7, jobs=2, model="lt", batch_mode="bitparallel")
+_GRAPH = GraphSpec(
+    dataset="karate", scale=0.5, seed=3, probability="trivalency", probability_seed=5
+)
+_ESTIMATOR = EstimatorSpec(approach="oneshot", num_samples=64, batch_mode="bitparallel")
+
+#: One instance per source or grid form (the forms exclude each other);
+#: together they set every field of every serialized class to a non-default
+#: value, which ``test_table_sets_every_field`` checks.
+FIELD_COVERAGE_TABLE = {
+    "graph-dataset": _GRAPH,
+    "graph-edge-list": GraphSpec(edge_list="edges.txt", directed=False, on_duplicate="first"),
+    "graph-generator": GraphSpec(generator="star", generator_params={"num_leaves": 5}),
+    "estimator": _ESTIMATOR,
+    "context": _CONTEXT,
+    "stats": StatsSpec(dataset="karate", scale=0.5, context=_CONTEXT),
+    "maximize": MaximizeSpec(
+        graph=_GRAPH, estimator=_ESTIMATOR, k=2, pool_size=500, context=_CONTEXT
+    ),
+    "trials": TrialsSpec(
+        graph=_GRAPH, estimator=_ESTIMATOR, k=2, num_trials=3, pool_size=500,
+        context=_CONTEXT,
+    ),
+    "sweep-exponents": SweepSpec(
+        graph=_GRAPH, approach="snapshot", k=2, min_exponent=1, max_exponent=4,
+        num_trials=3, pool_size=500, context=_CONTEXT,
+    ),
+    "sweep-sample-numbers": SweepSpec(sample_numbers=(2, 8)),
+    "traversal": TraversalSpec(
+        graph=_GRAPH, approaches=("ris",), k=2, num_samples=4, repetitions=2,
+        context=_CONTEXT,
+    ),
+}
+
+
+def _non_default_fields(instance) -> set[tuple[str, str]]:
+    """``(class, field)`` for each non-default field, nested specs included."""
+    found = set()
+    for spec_field in dataclasses.fields(instance):
+        value = getattr(instance, spec_field.name)
+        default = (
+            spec_field.default
+            if spec_field.default is not dataclasses.MISSING
+            else spec_field.default_factory()
+        )
+        if value != default:
+            found.add((type(instance).__name__, spec_field.name))
+        if dataclasses.is_dataclass(value):
+            found |= _non_default_fields(value)
+    return found
+
+
+class TestFieldCoverage:
+    """Every spec field survives ``to_dict``/``from_dict`` at a non-default value."""
+
+    @pytest.mark.parametrize(
+        "spec", FIELD_COVERAGE_TABLE.values(), ids=FIELD_COVERAGE_TABLE.keys()
+    )
+    def test_round_trip_through_json(self, spec):
+        document = json.loads(json.dumps(spec.to_dict()))
+        assert type(spec).from_dict(document) == spec
+
+    def test_table_sets_every_field(self):
+        # A new field fails here until the table sets it (and so round-trips it).
+        serialized = (GraphSpec, EstimatorSpec, RunContext, *SPEC_KINDS.values())
+        expected = {
+            (cls.__name__, spec_field.name)
+            for cls in serialized
+            for spec_field in dataclasses.fields(cls)
+        } - {("RunContext", "telemetry")}
+        covered = set().union(*map(_non_default_fields, FIELD_COVERAGE_TABLE.values()))
+        assert covered == expected
 
 
 class TestUnknownKeys:

@@ -1,4 +1,4 @@
-"""[tool.repro-lint] config loading: discovery, validation, precedence."""
+"""[tool.repro-lint] config loading: discovery and validation."""
 
 from __future__ import annotations
 
@@ -79,12 +79,8 @@ class TestLoadConfig:
         with pytest.raises(LintError, match="layers"):
             load_config(tmp_path)
 
-    def test_explicit_missing_file_is_usage_error(self, tmp_path):
-        with pytest.raises(LintError, match="not found"):
-            load_config(explicit=tmp_path / "nope.toml")
 
-
-class TestCliConfigFlags:
+class TestCliConfigDiscovery:
     def _violation(self, tmp_path: Path) -> Path:
         # Clean under no config; an IMP001 finding once ``clocky`` is a
         # stdlib-only layer.
@@ -92,31 +88,13 @@ class TestCliConfigFlags:
         target.write_text("import numpy\n", encoding="utf-8")
         return target
 
-    def test_no_config_ignores_pyproject(self, tmp_path):
-        _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
+    def test_nearest_pyproject_applies(self, tmp_path):
+        pyproject = _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
         target = self._violation(tmp_path)
         out = io.StringIO()
         assert main([str(target)], stdout=out) == 1
-        assert main(["--no-config", str(target)], stdout=out) == EXIT_CLEAN
-
-    def test_explicit_config_flag(self, tmp_path):
-        pyproject = _write_pyproject(tmp_path, _STDLIB_ONLY_CLOCKY)
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        target = self._violation(elsewhere)
-        out = io.StringIO()
-        assert main(["--config", str(pyproject), str(target)], stdout=out) == 1
-
-    def test_missing_explicit_config_exits_two(self, tmp_path):
-        target = self._violation(tmp_path)
-        err = io.StringIO()
-        code = main(
-            ["--config", str(tmp_path / "nope.toml"), str(target)],
-            stdout=io.StringIO(),
-            stderr=err,
-        )
-        assert code == EXIT_USAGE
-        assert "not found" in err.getvalue()
+        pyproject.unlink()
+        assert main([str(target)], stdout=out) == EXIT_CLEAN
 
     def test_unknown_config_key_exits_two(self, tmp_path):
         _write_pyproject(tmp_path, '[tool.repro-lint]\nbogus = 1\n')

@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    parse_report,
-)
+from repro.lint import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE
 from repro.lint.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -29,14 +25,14 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
 
 class TestExitCodes:
     def test_clean_file_exits_zero(self):
-        code, out, _ = run_cli(str(FIXTURES / "tme001_clean.py"))
+        code, out, _ = run_cli(str(FIXTURES / "rng001_clean.py"))
         assert code == EXIT_CLEAN
         assert "no findings" in out
 
     def test_findings_exit_one(self):
-        code, out, _ = run_cli(str(FIXTURES / "tme001_violation.py"))
+        code, out, _ = run_cli(str(FIXTURES / "rng001_violation.py"))
         assert code == EXIT_FINDINGS
-        assert "TME001" in out
+        assert "RNG001" in out
 
     def test_missing_path_exits_two(self):
         code, _, err = run_cli("definitely/not/here.py")
@@ -54,11 +50,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--format", "dot"], ["--cache"], ["--cache-dir", "lint-cache"]],
-        ids=["format-dot", "cache", "cache-dir"],
+        [
+            ["--format", "dot"],
+            ["--cache"],
+            ["--cache-dir", "lint-cache"],
+            ["--config", "pyproject.toml"],
+            ["--no-config"],
+        ],
+        ids=["format-dot", "cache", "cache-dir", "config", "no-config"],
     )
     def test_removed_options_exit_two(self, capsys, flags):
-        assert main([*flags, str(FIXTURES / "tme001_clean.py")]) == EXIT_USAGE
+        assert main([*flags, str(FIXTURES / "rng001_clean.py")]) == EXIT_USAGE
         assert flags[0] in capsys.readouterr().err
 
     def test_help_lists_only_text_and_json_formats(self, capsys):
@@ -66,51 +68,53 @@ class TestExitCodes:
         help_text = capsys.readouterr().out
         assert "{text,json}" in help_text
         assert "--cache" not in help_text
+        assert "--config" not in help_text
         assert "dot" not in help_text
 
 
 class TestSelectionAndFormats:
     def test_rules_selection_comma_and_repeat(self):
-        target = str(FIXTURES / "tme001_violation.py")
-        code, out, _ = run_cli("--rules", "RNG001,ORD001", target)
-        assert (code, "TME001" in out) == (EXIT_CLEAN, False)
-        code, out, _ = run_cli("--rules", "RNG001", "--rules", "TME001", target)
+        target = str(FIXTURES / "rng001_violation.py")
+        code, out, _ = run_cli("--rules", "ORD001,TEL001", target)
+        assert (code, "RNG001" in out) == (EXIT_CLEAN, False)
+        code, out, _ = run_cli("--rules", "ORD001", "--rules", "RNG001", target)
         assert code == EXIT_FINDINGS
-        assert "TME001" in out
+        assert "RNG001" in out
         # A repeated id selects its rule once: findings are not doubled.
-        _, once, _ = run_cli("--rules", "TME001", target)
-        _, twice, _ = run_cli("--rules", "TME001,TME001", "--rules", "TME001", target)
+        _, once, _ = run_cli("--rules", "RNG001", target)
+        _, twice, _ = run_cli("--rules", "RNG001,RNG001", "--rules", "RNG001", target)
         assert twice == once
-        assert once.count("TME001 ") == 2
+        assert once.count("RNG001 ") == 4
 
     @pytest.mark.parametrize(
         "selection",
         [
-            ["--rules", " TME001 , TME001 "],
-            ["--rules", "TME001,RNG001,TME001"],
-            ["--rules", "RNG001", "--rules", "TME001,RNG001", "--rules", "TME001"],
+            ["--rules", " RNG001 , RNG001 "],
+            ["--rules", "RNG001,ORD001,RNG001"],
+            ["--rules", "ORD001", "--rules", "RNG001,ORD001", "--rules", "RNG001"],
         ],
         ids=["spaced", "interleaved", "across-flags"],
     )
     def test_repeated_ids_report_each_finding_once(self, selection):
-        target = str(FIXTURES / "tme001_violation.py")
+        target = str(FIXTURES / "rng001_violation.py")
         code, out, _ = run_cli("--format", "json", *selection, target)
         assert code == EXIT_FINDINGS
-        findings = parse_report(out)
-        assert [finding.rule for finding in findings] == ["TME001", "TME001"]
-        assert len(set(findings)) == 2
+        records = json.loads(out)["findings"]
+        assert [record["rule"] for record in records] == ["RNG001"] * 4
+        assert len({(record["line"], record["column"]) for record in records}) == 4
 
-    def test_json_format_round_trips(self):
-        code, out, _ = run_cli("--format", "json", str(FIXTURES / "tme001_violation.py"))
+    def test_json_format_lists_findings(self):
+        code, out, _ = run_cli("--format", "json", str(FIXTURES / "rng001_violation.py"))
         assert code == EXIT_FINDINGS
-        findings = parse_report(out)
-        assert {finding.rule for finding in findings} == {"TME001"}
-        assert len(findings) == 2
+        document = json.loads(out)
+        assert {record["rule"] for record in document["findings"]} == {"RNG001"}
+        assert len(document["findings"]) == 4
+        assert document["counts"] == {"RNG001": 4}
 
     def test_list_rules(self):
         code, out, _ = run_cli("--list-rules")
         assert code == EXIT_CLEAN
-        for rule_id in ("RNG001", "RNG002", "ORD001", "PKL001", "TEL001", "SPEC001", "TME001"):
+        for rule_id in ("RNG001", "RNG002", "ORD001", "TEL001"):
             assert rule_id in out
         assert "PAR001" in out  # framework findings documented too
 
@@ -121,7 +125,7 @@ class TestEntryPoints:
         # the whole run never imports numpy.
         script = (
             "import sys, runpy\n"
-            f"sys.argv = ['repro.lint', {str(FIXTURES / 'tme001_clean.py')!r}]\n"
+            f"sys.argv = ['repro.lint', {str(FIXTURES / 'rng001_clean.py')!r}]\n"
             "try:\n"
             "    runpy.run_module('repro.lint', run_name='__main__')\n"
             "except SystemExit as exit_:\n"
@@ -143,7 +147,7 @@ class TestEntryPoints:
                 sys.executable,
                 "-m",
                 "repro.lint",
-                str(FIXTURES / "tme001_violation.py"),
+                str(FIXTURES / "rng001_violation.py"),
             ],
             capture_output=True,
             text=True,
@@ -151,15 +155,15 @@ class TestEntryPoints:
             env={"PYTHONPATH": str(REPO_ROOT / "src")},
         )
         assert result.returncode == EXIT_FINDINGS
-        assert "TME001" in result.stdout
+        assert "RNG001" in result.stdout
 
     def test_repro_cli_lint_subcommand(self, capsys):
         from repro.cli import main as repro_main
 
-        assert repro_main(["lint", str(FIXTURES / "tme001_clean.py")]) == EXIT_CLEAN
-        assert repro_main(["lint", str(FIXTURES / "tme001_violation.py")]) == EXIT_FINDINGS
+        assert repro_main(["lint", str(FIXTURES / "rng001_clean.py")]) == EXIT_CLEAN
+        assert repro_main(["lint", str(FIXTURES / "rng001_violation.py")]) == EXIT_FINDINGS
         captured = capsys.readouterr()
-        assert "TME001" in captured.out
+        assert "RNG001" in captured.out
 
     def test_repro_cli_help_mentions_lint(self, capsys):
         from repro.cli import build_parser
@@ -175,8 +179,6 @@ class TestGraphAndCache:
             "--graph", "imports", str(REPO_ROOT / "src" / "repro" / "lint")
         )
         assert code == EXIT_CLEAN
-        import json
-
         document = json.loads(out)
         assert document["version"] == 1
         assert "repro.lint.walker" in document["modules"]
@@ -184,7 +186,7 @@ class TestGraphAndCache:
     def test_graph_rejects_text_format(self):
         code, _, err = run_cli(
             "--graph", "imports", "--format", "text",
-            str(FIXTURES / "tme001_clean.py"),
+            str(FIXTURES / "rng001_clean.py"),
         )
         assert code == EXIT_USAGE
         assert "json only" in err

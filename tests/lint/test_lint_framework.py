@@ -51,7 +51,7 @@ class TestRegistry:
     def test_framework_ids_are_not_selectable(self, rule_id):
         assert rule_id not in available_rules()
         with pytest.raises(LintError, match=rule_id):
-            lint_paths([FIXTURES / "tme001_clean.py"], rules=[rule_id])
+            lint_paths([FIXTURES / "rng001_clean.py"], rules=[rule_id])
 
 
 class TestResolveRules:
@@ -59,14 +59,14 @@ class TestResolveRules:
         assert [rule.rule_id for rule in resolve_rules(None)] == ALL_RULE_IDS
 
     def test_repeated_ids_keep_first_seen_order(self):
-        selected = resolve_rules(["TME001", "RNG001", "TME001", "CTX001", "RNG001"])
-        assert [rule.rule_id for rule in selected] == ["TME001", "RNG001", "CTX001"]
+        selected = resolve_rules(["TEL001", "RNG001", "TEL001", "CTX001", "RNG001"])
+        assert [rule.rule_id for rule in selected] == ["TEL001", "RNG001", "CTX001"]
 
     def test_repeated_id_does_not_double_findings(self):
-        target = FIXTURES / "tme001_violation.py"
-        once = lint_paths([target], rules=["TME001"])
-        assert len(once) == 2
-        assert lint_paths([target], rules=["TME001", "TME001", "TME001"]) == once
+        target = FIXTURES / "rng001_violation.py"
+        once = lint_paths([target], rules=["RNG001"])
+        assert len(once) == 4
+        assert lint_paths([target], rules=["RNG001", "RNG001", "RNG001"]) == once
 
 
 class TestSuppressions:
@@ -85,7 +85,7 @@ class TestSuppressions:
     def test_unused_suppression_reported(self, tmp_path):
         target = tmp_path / "unused.py"
         target.write_text(
-            "value = 1  # repro-lint: allow[TME001] nothing to silence\n",
+            "value = 1  # repro-lint: allow[RNG001] nothing to silence\n",
             encoding="utf-8",
         )
         findings = lint_paths([target])
@@ -105,12 +105,12 @@ class TestSuppressions:
     def test_deselected_rule_suppression_left_alone(self, tmp_path):
         target = tmp_path / "deselected.py"
         target.write_text(
-            "import time\n"
-            "t = time.time()  # repro-lint: allow[TME001] legit elsewhere\n",
+            "import random\n"
+            "t = random.random()  # repro-lint: allow[RNG001] legit elsewhere\n",
             encoding="utf-8",
         )
-        # TME001 not selected: its suppression cannot be judged, no SUP001.
-        assert lint_paths([target], rules=["RNG001"]) == []
+        # RNG001 not selected: its suppression cannot be judged, no SUP001.
+        assert lint_paths([target], rules=["ORD001"]) == []
 
     def test_empty_allow_body_reported_as_unknown(self, tmp_path):
         target = tmp_path / "empty.py"
@@ -122,8 +122,8 @@ class TestSuppressions:
     def test_only_the_unused_id_of_a_list_is_reported(self, tmp_path):
         target = tmp_path / "partial.py"
         target.write_text(
-            "import time\n"
-            "t = time.time()  # repro-lint: allow[TME001, ORD001] one applies\n",
+            "import random\n"
+            "t = random.random()  # repro-lint: allow[RNG001, ORD001] one applies\n",
             encoding="utf-8",
         )
         findings = lint_paths([target])
@@ -133,7 +133,7 @@ class TestSuppressions:
     def test_trailing_standalone_allow_is_reported_unused(self, tmp_path):
         target = tmp_path / "trailing.py"
         target.write_text(
-            "value = 1\n# repro-lint: allow[TME001] nothing follows\n",
+            "value = 1\n# repro-lint: allow[RNG001] nothing follows\n",
             encoding="utf-8",
         )
         findings = lint_paths([target])
@@ -181,23 +181,23 @@ class TestStandaloneAllow:
     def test_standalone_comment_covers_next_code_line(self, tmp_path):
         target = tmp_path / "standalone.py"
         target.write_text(
-            "import time\n"
-            "# repro-lint: allow[TME001] the reason would not fit inline\n"
-            "t = time.time()\n",
+            "import random\n"
+            "# repro-lint: allow[RNG001] the reason would not fit inline\n"
+            "t = random.random()\n",
             encoding="utf-8",
         )
-        assert lint_paths([target], rules=["TME001"]) == []
+        assert lint_paths([target], rules=["RNG001"]) == []
 
     def test_standalone_comment_block_covers_one_statement_only(self, tmp_path):
         target = tmp_path / "standalone.py"
         target.write_text(
-            "import time\n"
-            "# repro-lint: allow[TME001] covers only the next line\n"
-            "t = time.time()\n"
-            "u = time.time()\n",
+            "import random\n"
+            "# repro-lint: allow[RNG001] covers only the next line\n"
+            "t = random.random()\n"
+            "u = random.random()\n",
             encoding="utf-8",
         )
-        findings = lint_paths([target], rules=["TME001"])
+        findings = lint_paths([target], rules=["RNG001"])
         assert [finding.line for finding in findings] == [4]
 
 

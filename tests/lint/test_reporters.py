@@ -1,4 +1,4 @@
-"""Reporter contract: text rendering and the JSON schema round-trip."""
+"""Reporter contract: text rendering and the versioned JSON document."""
 
 from __future__ import annotations
 
@@ -6,13 +6,7 @@ import json
 
 import pytest
 
-from repro.lint import (
-    Finding,
-    JSON_REPORT_VERSION,
-    parse_report,
-    render_json,
-    render_text,
-)
+from repro.lint import Finding, JSON_REPORT_VERSION, render_json, render_text
 
 SAMPLE = [
     Finding(
@@ -44,12 +38,9 @@ class TestTextReporter:
 
 
 class TestJsonReporter:
-    def test_round_trip(self):
-        assert parse_report(render_json(SAMPLE)) == SAMPLE
-
-    def test_round_trip_preserves_severity(self):
-        restored = parse_report(render_json(SAMPLE))
-        assert [finding.severity for finding in restored] == ["error", "warning"]
+    def test_records_carry_severity(self):
+        records = json.loads(render_json(SAMPLE))["findings"]
+        assert [record["severity"] for record in records] == ["error", "warning"]
 
     def test_document_shape(self):
         document = json.loads(render_json(SAMPLE))
@@ -60,20 +51,8 @@ class TestJsonReporter:
             "SUP001",
         }
 
-    def test_unsupported_version_rejected(self):
-        document = json.loads(render_json(SAMPLE))
-        document["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            parse_report(json.dumps(document))
-
 
 class TestFindingRecord:
-    def test_unknown_key_rejected(self):
-        record = SAMPLE[0].to_dict()
-        record["surprise"] = True
-        with pytest.raises(ValueError, match="surprise"):
-            Finding.from_dict(record)
-
     def test_unknown_severity_rejected(self):
         with pytest.raises(ValueError, match="severity"):
             Finding(path="p", line=1, column=0, rule="R", message="m", severity="nope")
@@ -98,21 +77,18 @@ class TestParseErrorReporting:
         finding = self._par001_finding()
         assert ":4:10: PAR001" in render_text([finding])
 
-    def test_json_report_round_trips_column(self):
+    def test_json_report_includes_column(self):
         finding = self._par001_finding()
         document = json.loads(render_json([finding]))
         (record,) = document["findings"]
         assert (record["line"], record["column"]) == (4, 10)
-        assert parse_report(render_json([finding])) == [finding]
 
 
 class TestStatsEmbedding:
-    def test_stats_key_present_and_ignored_by_parse(self):
+    def test_stats_key_present(self):
         stats = {"files": 2, "cache_enabled": False}
-        text = render_json(SAMPLE, stats=stats)
-        document = json.loads(text)
+        document = json.loads(render_json(SAMPLE, stats=stats))
         assert document["stats"] == stats
-        assert parse_report(text) == SAMPLE
 
     def test_stats_absent_by_default(self):
         assert "stats" not in json.loads(render_json(SAMPLE))

@@ -13,9 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
+from repro.api.specs import StatsSpec
+from repro.context import RunContext
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import sample_rr_sets
@@ -159,3 +162,10 @@ class TestExperimentDeterminism:
             karate_uc01, estimator_factory("ris"), num_repetitions=6, jobs=JOBS
         )
         assert serial == parallel
+
+    def test_stats_rows_bit_identical(self):
+        # The stats runner's worker crosses a real process boundary here, so
+        # an unpicklable worker at that executor call site fails this test.
+        serial = repro.run(StatsSpec(dataset="karate"))
+        parallel = repro.run(StatsSpec(dataset="karate", context=RunContext(jobs=2)))
+        assert parallel.rows == serial.rows

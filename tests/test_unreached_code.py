@@ -1,10 +1,10 @@
 """Regrowth guard: every public function in ``src/repro`` is reached.
 
-A public top-level ``def`` under ``src/repro`` (the linter package aside)
-counts as reached when its name appears in another file under ``src/``,
-``benchmarks/`` or ``examples/``, or elsewhere in its own module.
-Re-exports do not count: the imports, ``__all__`` and ``_EXPORTS`` of
-``__init__.py`` files are skipped.  Tests do not count either, so a function
+A public top-level ``def`` under ``src/repro`` counts as reached when its
+name appears in another file under ``src/``, ``benchmarks/`` or
+``examples/``, or elsewhere in its own module.  Re-exports do not count:
+every module's ``__all__`` is skipped, and so are the imports and
+``_EXPORTS`` of ``__init__.py`` files.  Tests do not count either, so a function
 that only its own tests call fails here.  The match is by name, so a
 function reached only through string dispatch needs its name written out
 somewhere in code.
@@ -21,7 +21,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 USE_DIRECTORIES = ("src", "benchmarks", "examples")
-REEXPORT_NAMES = {"__all__", "_EXPORTS"}
 
 #: Functions no workload reaches that stay on purpose, each with its reason.
 KEPT_UNREACHED = {
@@ -34,6 +33,7 @@ KEPT_UNREACHED = {
     "empirical_cost_ratios": "Section 5.3's 1 : m~/m : 1/n relation over Table 8 rows",
     "lt_reachable_set": "test_models' reference for LTSnapshot.to_snapshot",
     "make_estimator": "pre-redesign factory pinned by tests/api/test_legacy_surface.py",
+    "read_trace": "the only reader of the JSONL trace that --trace/REPRO_TRACE writes",
 }
 
 
@@ -49,16 +49,17 @@ def _pinned_exports() -> frozenset[str]:
     raise AssertionError("PRE_REDESIGN_EXPORTS not found")
 
 
-def _reexport_lines(tree: ast.Module) -> set[int]:
-    """Line numbers of a package ``__init__``'s imports and export lists."""
+def _reexport_lines(tree: ast.Module, package_init: bool) -> set[int]:
+    """Line numbers of a module's ``__all__``, plus a package ``__init__``'s
+    imports and ``_EXPORTS``."""
+    names = {"__all__", "_EXPORTS"} if package_init else {"__all__"}
     lines: set[int] = set()
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
         if isinstance(node, ast.AnnAssign):
             targets = [node.target]
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
-            isinstance(target, ast.Name) and target.id in REEXPORT_NAMES
-            for target in targets
+        if (package_init and isinstance(node, (ast.Import, ast.ImportFrom))) or any(
+            isinstance(target, ast.Name) and target.id in names for target in targets
         ):
             lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
@@ -82,13 +83,11 @@ def _unreached() -> tuple[str, ...]:
         for path in sorted((ROOT / directory).rglob("*.py")):
             sources[path] = path.read_text()
             tree = ast.parse(sources[path])
-            skipped[path] = _reexport_lines(tree) if path.name == "__init__.py" else set()
+            skipped[path] = _reexport_lines(tree, path.name == "__init__.py")
             for word in _words(sources[path], skipped[path]):
                 files_naming[word].add(path)
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if PACKAGE / "lint" in path.parents:
-            continue
         for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
