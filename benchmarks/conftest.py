@@ -58,11 +58,11 @@ def instance_cache():
 
 @pytest.fixture(scope="session")
 def oracle_cache(instance_cache):
-    """Cache of instance -> shared RR-pool oracle."""
-    cache: dict[tuple[str, str, float], RRPoolOracle] = {}
+    """Cache of (instance, pool size) -> shared RR-pool oracle."""
+    cache: dict[tuple[str, str, float, int], RRPoolOracle] = {}
 
     def get(dataset: str, model: str, *, scale: float = 1.0, pool_size: int = DEFAULT_POOL_SIZE):
-        key = (dataset, model, scale)
+        key = (dataset, model, scale, pool_size)
         if key not in cache:
             graph = instance_cache(dataset, model, scale=scale)
             cache[key] = RRPoolOracle(graph, pool_size=pool_size, seed=1234)

@@ -136,30 +136,14 @@ def _popcount_lookup(words: np.ndarray) -> np.ndarray:
 popcount = _popcount_bitwise_count if HAVE_BITWISE_COUNT else _popcount_lookup
 
 
-def pack_lanes(matrix: np.ndarray) -> np.ndarray:
-    """Pack a boolean ``(num_lanes, n)`` matrix into ``n`` ``uint64`` words.
-
-    Bit ``w`` of word ``j`` is ``matrix[w, j]``; ``num_lanes`` (the number of
-    rows) must be between 1 and :data:`LANES_PER_WORD`.  Inverse of
-    :func:`unpack_lanes`.
-    """
-    matrix = np.asarray(matrix, dtype=bool)
-    if matrix.ndim != 2 or not 1 <= matrix.shape[0] <= LANES_PER_WORD:
-        raise InvalidParameterError(
-            f"pack_lanes expects a (num_lanes <= {LANES_PER_WORD}, n) boolean "
-            f"matrix, got shape {matrix.shape}"
-        )
-    return _pack_rows(np.ascontiguousarray(matrix.T))
-
-
 def _pack_rows(matrix: np.ndarray) -> np.ndarray:
     """Pack a C-contiguous boolean ``(n, num_lanes)`` matrix into ``n`` words.
 
-    Row-major inner kernel of :func:`pack_lanes` (and the samplers, which
-    produce lane-minor matrices directly): one ``np.packbits`` call packs
-    every row into 8 little-endian bytes, which *are* the ``uint64`` word on
-    any host once viewed through an explicit little-endian dtype.  ~3x
-    faster than shifting out each lane.
+    Bit ``w`` of word ``j`` is ``matrix[j, w]``; ``num_lanes`` is at most
+    :data:`LANES_PER_WORD`.  The samplers produce these lane-minor matrices
+    directly: one ``np.packbits`` call packs every row into 8 little-endian
+    bytes, which *are* the ``uint64`` word on any host once viewed through
+    an explicit little-endian dtype.  ~3x faster than shifting out each lane.
     """
     n, num_lanes = matrix.shape
     if num_lanes < LANES_PER_WORD:
@@ -173,8 +157,8 @@ def _pack_rows(matrix: np.ndarray) -> np.ndarray:
 def unpack_lanes(words: np.ndarray, num_lanes: int) -> np.ndarray:
     """Unpack ``uint64`` words into a boolean ``(num_lanes, n)`` matrix.
 
-    Inverse of :func:`pack_lanes` for the first ``num_lanes`` bits; higher
-    bits are ignored.
+    Inverse of :func:`_pack_rows` (up to the transpose) for the first
+    ``num_lanes`` bits; higher bits are ignored.
     """
     require_lanes(num_lanes)
     words = np.asarray(words, dtype=np.uint64)

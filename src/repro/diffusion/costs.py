@@ -9,9 +9,8 @@ implementation and machine, and instead reports
   approach-specific samples, proportional to memory usage.
 
 :class:`TraversalCost` and :class:`SampleSize` are small mutable accumulators
-that the diffusion kernels and estimators update as they touch the graph.
-They support addition, scaling and snapshot/restore, so experiment code can
-compute per-phase and per-sample deltas without re-running anything.
+that the diffusion kernels and estimators update as they touch the graph;
+they merge in place and add into fresh counters.
 """
 
 from __future__ import annotations
@@ -43,32 +42,13 @@ class TraversalCost:
         """Return an independent copy of the current counts."""
         return TraversalCost(self.vertices, self.edges)
 
-    def since(self, earlier: "TraversalCost") -> "TraversalCost":
-        """Return the difference ``self - earlier`` (both components)."""
-        return TraversalCost(self.vertices - earlier.vertices, self.edges - earlier.edges)
-
-    def scaled(self, factor: float) -> "TraversalCost":
-        """Return a copy with both components multiplied by ``factor`` (rounded)."""
-        return TraversalCost(
-            int(round(self.vertices * factor)), int(round(self.edges * factor))
-        )
-
     @property
     def total(self) -> int:
         """Vertices plus edges: the paper's combined cost used in Table 9."""
         return self.vertices + self.edges
 
-    def reset(self) -> None:
-        """Zero both counters."""
-        self.vertices = 0
-        self.edges = 0
-
     def __add__(self, other: "TraversalCost") -> "TraversalCost":
         return TraversalCost(self.vertices + other.vertices, self.edges + other.edges)
-
-    def __iadd__(self, other: "TraversalCost") -> "TraversalCost":
-        self.merge(other)
-        return self
 
 
 @dataclass
@@ -101,11 +81,6 @@ class SampleSize:
         """Vertices plus edges, the paper's scalar "sample size"."""
         return self.vertices + self.edges
 
-    def reset(self) -> None:
-        """Zero both counters."""
-        self.vertices = 0
-        self.edges = 0
-
     def __add__(self, other: "SampleSize") -> "SampleSize":
         return SampleSize(self.vertices + other.vertices, self.edges + other.edges)
 
@@ -116,11 +91,6 @@ class CostReport:
 
     traversal: TraversalCost
     sample_size: SampleSize
-
-    @staticmethod
-    def empty() -> "CostReport":
-        """A report with all counters at zero."""
-        return CostReport(TraversalCost(), SampleSize())
 
     def as_dict(self) -> dict[str, int]:
         """Flatten to a dictionary for table rendering."""

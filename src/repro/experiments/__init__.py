@@ -31,7 +31,6 @@ from .traversal import (
     TraversalCostRow,
     empirical_cost_ratios,
     equal_accuracy_costs,
-    per_sample_traversal_cost,
     traversal_cost_table,
 )
 from .trials import (
@@ -62,7 +61,6 @@ __all__ = [
     "comparable_ratio_curve",
     "TraversalCostRow",
     "EqualAccuracyCostRow",
-    "per_sample_traversal_cost",
     "traversal_cost_table",
     "empirical_cost_ratios",
     "equal_accuracy_costs",

@@ -20,7 +20,6 @@ gamma`` equalises the mean influence, and the equal-accuracy cost per unit
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -63,112 +62,6 @@ class TraversalCostRow:
         }
 
 
-def per_sample_traversal_cost(
-    graph: InfluenceGraph,
-    estimator_factory: EstimatorFactory,
-    *,
-    k: int = 1,
-    num_samples: int = 1,
-    num_repetitions: int = 3,
-    experiment_seed: int | None = None,
-    model: "str | DiffusionModel | None" = None,
-    jobs: int | None = None,
-    context: RunContext | None = None,
-    telemetry=None,
-) -> TraversalCostRow:
-    """Measure the Table 8 traversal cost for one approach on one instance.
-
-    The cost is averaged over ``num_repetitions`` independent greedy runs to
-    smooth the randomness of cascades / snapshots / RR targets.  ``model``
-    validates instance feasibility up front (sampling follows the model bound
-    into ``estimator_factory``).  Every repetition is fixed by its own
-    derived seed, so ``jobs`` parallelism (see :mod:`repro.runtime`) returns
-    bit-identical rows.  ``context`` supplies any of
-    ``experiment_seed``/``jobs``/``model``/``telemetry`` left at ``None``
-    (explicit kwargs win).  ``telemetry`` records the summed raw
-    per-repetition costs as ``traversal.*``/``sample.*`` counters
-    (jobs-deterministic because the rows are bit-identical).
-    """
-    require_positive_int(num_repetitions, "num_repetitions")
-    experiment_seed, jobs, model, telemetry, _ = resolve_context(
-        context,
-        seed=experiment_seed,
-        jobs=jobs,
-        model=model,
-        telemetry=telemetry,
-    )
-    if model is not None:
-        resolve_model(model).validate(graph)
-    return _traversal_cost(
-        graph,
-        estimator_factory,
-        k=k,
-        num_samples=num_samples,
-        num_repetitions=num_repetitions,
-        experiment_seed=experiment_seed,
-        jobs=jobs,
-        telemetry=telemetry,
-    )
-
-
-def _traversal_cost(
-    graph: InfluenceGraph,
-    estimator_factory: EstimatorFactory,
-    *,
-    k: int,
-    num_samples: int,
-    num_repetitions: int,
-    experiment_seed: int,
-    jobs: int | None,
-    telemetry,
-) -> TraversalCostRow:
-    """The body of :func:`per_sample_traversal_cost` for a resolved context.
-
-    Also the per-approach body of :func:`traversal_cost_table`, which
-    resolves the context and validates once for the whole table.  The
-    repetitions run through the greedy-run worker shared with
-    :func:`repro.experiments.trials.run_trials`; under ``jobs`` the worker
-    pool lives for this call only.
-    """
-    from ..obs import as_telemetry
-    from ..runtime.chunking import chunk_spans, default_num_chunks
-    from ..runtime.engine import executor_scope, instrumented_map
-
-    tel = as_telemetry(telemetry)
-    rep_seeds = [
-        experiment_seed * 1_000 + repetition for repetition in range(num_repetitions)
-    ]
-    with tel.span("traversal.approach"), executor_scope(jobs) as resolved:
-        spans = chunk_spans(
-            num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
-        )
-        tasks = [
-            (graph, k, estimator_factory, num_samples, rep_seeds[start:stop])
-            for start, stop in spans
-        ]
-        results = [
-            result
-            for chunk in instrumented_map(
-                resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
-            )
-            for result in chunk
-        ]
-
-    tel.incr("traversal.repetitions", len(results))
-    for result in results:
-        tel.record_cost(result.cost)
-    costs = [result.cost for result in results]
-    return TraversalCostRow(
-        graph_name=graph.name,
-        approach=results[-1].approach,
-        vertex_cost=float(np.mean([cost.traversal.vertices for cost in costs])),
-        edge_cost=float(np.mean([cost.traversal.edges for cost in costs])),
-        sample_vertices=float(np.mean([cost.sample_size.vertices for cost in costs])),
-        sample_edges=float(np.mean([cost.sample_size.edges for cost in costs])),
-        num_repetitions=num_repetitions,
-    )
-
-
 def traversal_cost_table(
     graph: InfluenceGraph,
     factories: Mapping[str, EstimatorFactory],
@@ -182,13 +75,26 @@ def traversal_cost_table(
     context: RunContext | None = None,
     telemetry=None,
 ) -> list[TraversalCostRow]:
-    """Table 8 rows for one instance across several approaches.
+    """Table 8 rows for one instance across one or more approaches.
 
-    ``context`` supplies any of ``experiment_seed``/``jobs``/``model``/
-    ``telemetry`` left at ``None`` (explicit kwargs win).  Each approach runs
-    :func:`per_sample_traversal_cost`'s body, with the context resolved and
-    the instance validated once for the whole table.
+    Each approach's cost is averaged over ``num_repetitions`` independent
+    greedy runs to smooth the randomness of cascades / snapshots / RR
+    targets.  ``context`` supplies any of ``experiment_seed``/``jobs``/
+    ``model``/``telemetry`` left at ``None`` (explicit kwargs win).
+    ``model`` validates instance feasibility once, up front (sampling
+    follows the model bound into each factory).  Every repetition is fixed
+    by its own derived seed, so ``jobs`` parallelism (see
+    :mod:`repro.runtime`) returns bit-identical rows; the repetitions run
+    through the greedy-run worker shared with
+    :func:`repro.experiments.trials.run_trials`, and under ``jobs`` each
+    approach's worker pool lives for that approach only.  ``telemetry``
+    records the summed raw per-repetition costs as
+    ``traversal.*``/``sample.*`` counters.
     """
+    from ..obs import as_telemetry
+    from ..runtime.chunking import chunk_spans, default_num_chunks
+    from ..runtime.engine import executor_scope, instrumented_map
+
     require_positive_int(num_repetitions, "num_repetitions")
     experiment_seed, jobs, model, telemetry, _ = resolve_context(
         context,
@@ -199,22 +105,44 @@ def traversal_cost_table(
     )
     if model is not None:
         resolve_model(model).validate(graph)
+    tel = as_telemetry(telemetry)
+    rep_seeds = [
+        experiment_seed * 1_000 + repetition for repetition in range(num_repetitions)
+    ]
     rows = []
     for label, factory in factories.items():
-        row = _traversal_cost(
-            graph,
-            factory,
-            k=k,
-            num_samples=num_samples,
-            num_repetitions=num_repetitions,
-            experiment_seed=experiment_seed,
-            jobs=jobs,
-            telemetry=telemetry,
-        )
+        with tel.span("traversal.approach"), executor_scope(jobs) as resolved:
+            spans = chunk_spans(
+                num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
+            )
+            tasks = [
+                (graph, k, factory, num_samples, rep_seeds[start:stop])
+                for start, stop in spans
+            ]
+            results = [
+                result
+                for chunk in instrumented_map(
+                    resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
+                )
+                for result in chunk
+            ]
+        tel.incr("traversal.repetitions", len(results))
+        for result in results:
+            tel.record_cost(result.cost)
+        costs = [result.cost for result in results]
         # Trust the estimator's own approach label but fall back to the key.
-        if row.approach == "unknown":
-            row = dataclasses.replace(row, approach=label)
-        rows.append(row)
+        approach = results[-1].approach
+        rows.append(
+            TraversalCostRow(
+                graph_name=graph.name,
+                approach=label if approach == "unknown" else approach,
+                vertex_cost=float(np.mean([cost.traversal.vertices for cost in costs])),
+                edge_cost=float(np.mean([cost.traversal.edges for cost in costs])),
+                sample_vertices=float(np.mean([cost.sample_size.vertices for cost in costs])),
+                sample_edges=float(np.mean([cost.sample_size.edges for cost in costs])),
+                num_repetitions=num_repetitions,
+            )
+        )
     return rows
 
 

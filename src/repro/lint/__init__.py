@@ -12,23 +12,24 @@ RNG001    ambient randomness outside the sanctioned seeding modules
 RNG002    rng-threaded functions constructing fresh generators
 ORD001    set / unsorted-directory iteration order feeding results
 TEL001    counter names breaking the deterministic-naming convention
-========  ==============================================================
-
-Shipped whole-program rules (:data:`~repro.lint.registry.BUILTIN_PROJECT_RULE_IDS`),
-which see the assembled project — import graph, symbol tables, call graph
-(:mod:`repro.lint.project`) — rather than one file at a time:
-
-========  ==============================================================
 IMP001    import crossing the [tool.repro-lint.layers] layer DAG
-CTX001    seam kwarg (rng/jobs/telemetry/...) dropped between layers
-EXP001    lazy ``_EXPORTS`` entry or ``__all__`` name that cannot resolve
 ========  ==============================================================
 
-Three contracts are checked at run time by tests, not by rules:
+One whole-program rule (:data:`~repro.lint.registry.BUILTIN_PROJECT_RULE_IDS`)
+sees the assembled call graph (:mod:`repro.lint.project`) rather than one
+file at a time:
+
+========  ==============================================================
+CTX001    seam kwarg (rng/jobs/telemetry/...) dropped between layers
+========  ==============================================================
+
+Four contracts are checked at run time by tests, not by rules:
 picklable executor workers (every executor call site runs under a real
 process pool), spec round-trips (a field-coverage table in
-``tests/api/test_specs.py``) and clock independence (every spec kind runs
-identically under a leaping clock, ``tests/api/test_clock_independence.py``).
+``tests/api/test_specs.py``), clock independence (every spec kind runs
+identically under a leaping clock, ``tests/api/test_clock_independence.py``)
+and export integrity (EXP001: every ``__all__`` name and ``_EXPORTS`` entry
+of every module resolves, ``tests/test_public_api.py``).
 
 Findings are silenced line-by-line with ``# repro-lint: allow[RULE-ID]``;
 unused suppressions are themselves reported (``SUP001``).  The rule set is
@@ -57,14 +58,7 @@ from .registry import (
 )
 from .reporters import JSON_REPORT_VERSION, render_json, render_text
 from .suppressions import Suppression, collect_suppressions
-from .walker import (
-    LintRun,
-    SourceModule,
-    analyze_paths,
-    collect_files,
-    lint_paths,
-    run_lint,
-)
+from .walker import LintRun, SourceModule, collect_files, run_lint
 
 from . import rules as _rules  # noqa: F401  (import registers the built-in rules)
 
@@ -89,12 +83,10 @@ __all__ = [
     "SEVERITIES",
     "SourceModule",
     "Suppression",
-    "analyze_paths",
     "available_rules",
     "collect_files",
     "collect_suppressions",
     "get_rule",
-    "lint_paths",
     "load_config",
     "main",
     "render_json",

@@ -8,8 +8,7 @@ Reached two ways with identical behaviour:
 
 Configuration comes from the nearest ``pyproject.toml`` at or above the
 first path: its ``[tool.repro-lint]`` table (one key, ``layers``, declares
-the IMP001 layer DAG).  ``--graph imports`` dumps the module import graph
-as JSON instead of linting.
+the IMP001 layer DAG).
 
 Exit-code contract (stable, tested):
 
@@ -25,12 +24,10 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from .config import load_config
 from .errors import LintError
-from .project import render_import_graph_json
 from .registry import FRAMEWORK_RULE_IDS, ProjectRule, available_rules, get_rule
 from .reporters import render_json, render_text
-from .walker import analyze_paths, run_lint
+from .walker import run_lint
 
 __all__ = ["EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE", "build_parser", "main"]
 
@@ -44,9 +41,8 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Statically check the repository's determinism contracts (seeded "
-            "randomness, iteration order, counter naming) plus the "
-            "whole-program contracts (import layering, seam threading, "
-            "export integrity)."
+            "randomness, iteration order, counter naming, import layering) "
+            "plus the whole-program seam-threading contract."
         ),
     )
     parser.add_argument(
@@ -67,13 +63,8 @@ def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
     parser.add_argument(
         "--format",
         choices=("text", "json"),
-        default=None,
-        help="report format (default: text; --graph writes json)",
-    )
-    parser.add_argument(
-        "--graph",
-        choices=("imports",),
-        help="dump the module import graph as JSON instead of linting",
+        default="text",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--list-rules",
@@ -127,18 +118,7 @@ def main(
         return EXIT_CLEAN
     paths = args.paths or _default_paths()
     try:
-        config = load_config(Path(paths[0]))
-        if args.graph is not None:
-            if args.format == "text":
-                raise LintError("--graph writes --format json only, not text")
-            analysis = analyze_paths(paths, config=config)
-            out.write(render_import_graph_json(analysis))
-            return EXIT_CLEAN
-        run = run_lint(
-            paths,
-            rules=_selected_rules(args.rules),
-            config=config,
-        )
+        run = run_lint(paths, rules=_selected_rules(args.rules))
     except LintError as error:
         err.write(f"{prog}: error: {error}\n")
         return EXIT_USAGE

@@ -27,12 +27,12 @@ __all__ = [
 ]
 
 #: Ids of the shipped per-module AST rules.
-BUILTIN_RULE_IDS: frozenset[str] = frozenset({"RNG001", "RNG002", "ORD001", "TEL001"})
+BUILTIN_RULE_IDS: frozenset[str] = frozenset(
+    {"RNG001", "RNG002", "ORD001", "TEL001", "IMP001"}
+)
 
 #: Ids of the shipped whole-program rules.
-BUILTIN_PROJECT_RULE_IDS: frozenset[str] = frozenset(
-    {"IMP001", "CTX001", "EXP001"}
-)
+BUILTIN_PROJECT_RULE_IDS: frozenset[str] = frozenset({"CTX001"})
 
 #: Ids emitted by the framework itself (not AST rules, not selectable):
 #: ``PAR001`` for files that fail to parse, ``SUP001`` for suppression
@@ -86,14 +86,13 @@ class ProjectRule(abc.ABC):
 
     The second rule kind: where :class:`LintRule` sees one parsed module,
     a ``ProjectRule`` sees the assembled
-    :class:`~repro.lint.project.ProjectAnalysis` — import graph, symbol
-    tables, call graph — and yields findings anchored to the file each
-    violation lives in.  Registration, selection (``--rules``), suppression
+    :class:`~repro.lint.project.ProjectAnalysis` call graph and yields
+    findings anchored to the file each violation lives in.  Registration, selection (``--rules``), suppression
     (inline ``allow[...]``), and the exit-code contract are identical to
     per-module rules.
     """
 
-    #: Unique rule id (e.g. ``IMP001``); also the suppression token.
+    #: Unique rule id (e.g. ``CTX001``); also the suppression token.
     rule_id: str = ""
     #: One-line description shown by ``repro lint --list-rules``.
     summary: str = ""

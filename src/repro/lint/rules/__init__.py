@@ -2,14 +2,13 @@
 
 The registry (:mod:`repro.lint.registry`) is fixed: exactly the rules
 instantiated below, keyed by id, are what ``repro lint`` and
-:func:`repro.lint.lint_paths` draw from.
+:func:`repro.lint.run_lint` draw from.
 """
 
 from __future__ import annotations
 
 from ..registry import _REGISTRY
-from . import exports, layering, ordering, rng, seams, telemetry
-from .exports import ExportIntegrityRule
+from . import layering, ordering, rng, seams, telemetry
 from .layering import ImportLayeringRule
 from .ordering import IterationOrderRule
 from .rng import AmbientRandomnessRule, GeneratorThreadingRule
@@ -25,19 +24,16 @@ _REGISTRY.update(
         CounterNamingRule(),
         ImportLayeringRule(),
         SeamThreadingRule(),
-        ExportIntegrityRule(),
     )
 )
 
 __all__ = [
     "AmbientRandomnessRule",
     "CounterNamingRule",
-    "ExportIntegrityRule",
     "GeneratorThreadingRule",
     "ImportLayeringRule",
     "IterationOrderRule",
     "SeamThreadingRule",
-    "exports",
     "layering",
     "ordering",
     "rng",

@@ -6,7 +6,7 @@
    (directory walks are explicitly sorted — the linter obeys its own
    ordering rule);
 2. parses each module, yielding per-module rule findings *and* a
-   :class:`~repro.lint.project.ModuleSummary` for the whole-program view;
+   :class:`~repro.lint.project.ModuleSummary` for the call graph;
 3. assembles the summaries into a
    :class:`~repro.lint.project.ProjectAnalysis` and runs the selected
    :class:`~repro.lint.registry.ProjectRule` checks over it;
@@ -14,7 +14,6 @@
    suppression hygiene.
 
 The result is a deterministic, sorted list of findings plus run statistics.
-:func:`lint_paths` is the findings-only wrapper the original API shipped.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ __all__ = [
     "LintError",
     "LintRun",
     "SourceModule",
-    "analyze_paths",
     "collect_files",
-    "lint_paths",
     "run_lint",
 ]
 
@@ -72,14 +69,18 @@ def _path_is_exempt(posix: str, fragments: Iterable[str]) -> bool:
 class SourceModule:
     """One parsed module handed to every per-module rule.
 
-    Carries the parse tree plus lazily built shared analyses (import
-    aliases, child->parent links) so individual rules stay cheap.
+    Carries the parse tree, the module's dotted name and the run's config,
+    plus lazily built shared analyses (import aliases, child->parent links)
+    so individual rules stay cheap.
     """
 
     path: Path
     display_path: str
     text: str
     tree: ast.Module
+    #: Dotted module name (see :func:`~repro.lint.project.module_name_for_path`).
+    name: str
+    config: LintConfig
     _aliases: dict[str, str] | None = field(default=None, repr=False)
     _parents: dict[ast.AST, ast.AST] | None = field(default=None, repr=False)
 
@@ -247,6 +248,7 @@ class _LoadedModule:
 def _load_module(
     path: Path,
     module_rules: Sequence[LintRule],
+    config: LintConfig,
 ) -> _LoadedModule:
     display = path.as_posix()
     try:
@@ -264,7 +266,12 @@ def _load_module(
             parse_failed=True,
         )
     module = SourceModule(
-        path=path, display_path=display, text=text, tree=tree
+        path=path,
+        display_path=display,
+        text=text,
+        tree=tree,
+        name=module_name_for_path(path),
+        config=config,
     )
     findings: list[Finding] = []
     for rule in module_rules:
@@ -275,7 +282,7 @@ def _load_module(
         display_path=display,
         summary=summarize_module(
             tree,
-            module_name=module_name_for_path(path),
+            module_name=module.name,
             display_path=display,
             is_package=path.stem == "__init__",
         ),
@@ -290,11 +297,10 @@ def _load_module(
 # --------------------------------------------------------------------------- #
 @dataclass
 class LintRun:
-    """Findings plus run statistics and the whole-program view."""
+    """Findings plus run statistics."""
 
     findings: list[Finding]
     stats: dict[str, Any]
-    analysis: ProjectAnalysis
 
 
 def run_lint(
@@ -327,13 +333,13 @@ def run_lint(
     ]
     selected_ids = {rule.rule_id for rule in selected}
     files = collect_files(paths)
-    loaded = [_load_module(path, module_rules) for path in files]
+    loaded = [_load_module(path, module_rules, config) for path in files]
 
     summaries: dict[str, ModuleSummary] = {}
     for module in loaded:
         if module.summary is not None:
             summaries.setdefault(module.summary.name, module.summary)
-    analysis = ProjectAnalysis(summaries, config=config)
+    analysis = ProjectAnalysis(summaries)
 
     by_path: dict[str, list[Finding]] = {
         module.display_path: list(module.findings) for module in loaded
@@ -358,35 +364,5 @@ def run_lint(
             )
         )
     stats: dict[str, Any] = {"files": len(files)}
-    return LintRun(findings=sorted(findings), stats=stats, analysis=analysis)
+    return LintRun(findings=sorted(findings), stats=stats)
 
-
-def analyze_paths(
-    paths: Sequence[str | Path],
-    *,
-    config: LintConfig | None = None,
-) -> ProjectAnalysis:
-    """Build the whole-program view without running any rules.
-
-    Backs ``repro lint --graph imports``; shares the walker and config
-    discovery with :func:`run_lint`.
-    """
-    if config is None:
-        anchor = Path(paths[0]) if paths else Path.cwd()
-        config = load_config(anchor)
-    summaries: dict[str, ModuleSummary] = {}
-    for path in collect_files(paths):
-        module = _load_module(path, [])
-        if module.summary is not None:
-            summaries.setdefault(module.summary.name, module.summary)
-    return ProjectAnalysis(summaries, config=config)
-
-
-def lint_paths(
-    paths: Sequence[str | Path],
-    *,
-    rules: Sequence[str] | None = None,
-    config: LintConfig | None = None,
-) -> list[Finding]:
-    """Findings-only wrapper around :func:`run_lint` (the original API)."""
-    return run_lint(paths, rules=rules, config=config).findings

@@ -4,7 +4,8 @@ Five layers of protection:
 
 * **Primitive correctness** — both popcount implementations (the
   ``np.bitwise_count`` fast path and the 16-bit lookup fallback) agree on
-  arbitrary words; ``pack_lanes``/``unpack_lanes`` round-trip (hypothesis).
+  arbitrary words; the samplers' ``_pack_rows`` and ``unpack_lanes``
+  round-trip (hypothesis).
 * **Exact equality** — on deterministic graphs (every probability 1.0) the
   mask kernels must reproduce the scalar BFS exactly: activated sets,
   RR memberships/weights, and traversal-cost totals, for every lane.
@@ -116,7 +117,7 @@ class TestPackUnpack:
     def test_round_trip(self, seed, num_lanes, num_columns):
         rng = np.random.default_rng(seed)
         matrix = rng.random((num_lanes, num_columns)) < 0.5
-        words = bp.pack_lanes(matrix)
+        words = bp._pack_rows(np.ascontiguousarray(matrix.T))
         assert words.dtype == np.uint64
         assert words.shape == (num_columns,)
         np.testing.assert_array_equal(bp.unpack_lanes(words, num_lanes), matrix)

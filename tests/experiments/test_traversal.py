@@ -9,7 +9,6 @@ from repro.experiments.factories import estimator_factory
 from repro.experiments.traversal import (
     empirical_cost_ratios,
     equal_accuracy_costs,
-    per_sample_traversal_cost,
     traversal_cost_table,
 )
 
@@ -26,8 +25,8 @@ def karate_cost_rows(karate_uc01):
 
 class TestPerSampleTraversalCost:
     def test_row_metadata(self, karate_uc01):
-        row = per_sample_traversal_cost(
-            karate_uc01, estimator_factory("ris"), num_repetitions=2
+        [row] = traversal_cost_table(
+            karate_uc01, {"ris": estimator_factory("ris")}, num_repetitions=2
         )
         assert row.approach == "ris"
         assert row.graph_name == karate_uc01.name

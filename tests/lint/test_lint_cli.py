@@ -56,8 +56,9 @@ class TestExitCodes:
             ["--cache-dir", "lint-cache"],
             ["--config", "pyproject.toml"],
             ["--no-config"],
+            ["--graph", "imports"],
         ],
-        ids=["format-dot", "cache", "cache-dir", "config", "no-config"],
+        ids=["format-dot", "cache", "cache-dir", "config", "no-config", "graph"],
     )
     def test_removed_options_exit_two(self, capsys, flags):
         assert main([*flags, str(FIXTURES / "rng001_clean.py")]) == EXIT_USAGE
@@ -173,27 +174,10 @@ class TestEntryPoints:
         assert "lint" in capsys.readouterr().out
 
 
-class TestGraphAndCache:
-    def test_graph_imports_json(self):
-        code, out, _ = run_cli(
-            "--graph", "imports", str(REPO_ROOT / "src" / "repro" / "lint")
-        )
-        assert code == EXIT_CLEAN
-        document = json.loads(out)
-        assert document["version"] == 1
-        assert "repro.lint.walker" in document["modules"]
-
-    def test_graph_rejects_text_format(self):
-        code, _, err = run_cli(
-            "--graph", "imports", "--format", "text",
-            str(FIXTURES / "rng001_clean.py"),
-        )
-        assert code == EXIT_USAGE
-        assert "json only" in err
-
+class TestListRules:
     def test_list_rules_marks_project_rules(self):
         code, out, _ = run_cli("--list-rules")
         assert code == EXIT_CLEAN
-        for rule_id in ("IMP001", "CTX001", "EXP001"):
+        for rule_id, is_project in (("IMP001", False), ("CTX001", True)):
             line = next(l for l in out.splitlines() if l.startswith(rule_id))
-            assert "[project]" in line
+            assert ("[project]" in line) == is_project

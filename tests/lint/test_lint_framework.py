@@ -18,7 +18,7 @@ from repro.lint import (
     collect_files,
     collect_suppressions,
     get_rule,
-    lint_paths,
+    run_lint,
 )
 from repro.lint.walker import resolve_rules
 
@@ -51,7 +51,7 @@ class TestRegistry:
     def test_framework_ids_are_not_selectable(self, rule_id):
         assert rule_id not in available_rules()
         with pytest.raises(LintError, match=rule_id):
-            lint_paths([FIXTURES / "rng001_clean.py"], rules=[rule_id])
+            run_lint([FIXTURES / "rng001_clean.py"], rules=[rule_id]).findings
 
 
 class TestResolveRules:
@@ -64,9 +64,9 @@ class TestResolveRules:
 
     def test_repeated_id_does_not_double_findings(self):
         target = FIXTURES / "rng001_violation.py"
-        once = lint_paths([target], rules=["RNG001"])
+        once = run_lint([target], rules=["RNG001"]).findings
         assert len(once) == 4
-        assert lint_paths([target], rules=["RNG001", "RNG001", "RNG001"]) == once
+        assert run_lint([target], rules=["RNG001", "RNG001", "RNG001"]).findings == once
 
 
 class TestSuppressions:
@@ -88,7 +88,7 @@ class TestSuppressions:
             "value = 1  # repro-lint: allow[RNG001] nothing to silence\n",
             encoding="utf-8",
         )
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [finding.rule for finding in findings] == ["SUP001"]
         assert "unused suppression" in findings[0].message
         assert findings[0].severity == "warning"
@@ -98,7 +98,7 @@ class TestSuppressions:
         target.write_text(
             "value = 1  # repro-lint: allow[BOGUS42]\n", encoding="utf-8"
         )
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [finding.rule for finding in findings] == ["SUP001"]
         assert "unknown rule" in findings[0].message
 
@@ -110,12 +110,12 @@ class TestSuppressions:
             encoding="utf-8",
         )
         # RNG001 not selected: its suppression cannot be judged, no SUP001.
-        assert lint_paths([target], rules=["ORD001"]) == []
+        assert run_lint([target], rules=["ORD001"]).findings == []
 
     def test_empty_allow_body_reported_as_unknown(self, tmp_path):
         target = tmp_path / "empty.py"
         target.write_text("value = 1  # repro-lint: allow[] why\n", encoding="utf-8")
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [(f.rule, f.line) for f in findings] == [("SUP001", 1)]
         assert "'<empty>'" in findings[0].message
 
@@ -126,7 +126,7 @@ class TestSuppressions:
             "t = random.random()  # repro-lint: allow[RNG001, ORD001] one applies\n",
             encoding="utf-8",
         )
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [(f.rule, f.line) for f in findings] == [("SUP001", 2)]
         assert "allow[ORD001]" in findings[0].message
 
@@ -136,7 +136,7 @@ class TestSuppressions:
             "value = 1\n# repro-lint: allow[RNG001] nothing follows\n",
             encoding="utf-8",
         )
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [(f.rule, f.line) for f in findings] == [("SUP001", 2)]
         assert "unused suppression" in findings[0].message
 
@@ -144,15 +144,15 @@ class TestSuppressions:
 class TestWalker:
     def test_missing_path_is_usage_error(self):
         with pytest.raises(LintError, match="no such file"):
-            lint_paths(["definitely/not/here.py"])
+            run_lint(["definitely/not/here.py"])
 
     def test_unknown_rule_id_is_usage_error(self):
         with pytest.raises(LintError, match="NOPE999"):
-            lint_paths([FIXTURES], rules=["NOPE999"])
+            run_lint([FIXTURES], rules=["NOPE999"])
 
     def test_empty_rule_selection_is_usage_error(self):
         with pytest.raises(LintError, match="no rules"):
-            lint_paths([FIXTURES], rules=[])
+            run_lint([FIXTURES], rules=[])
 
     def test_collect_files_sorted_and_deduplicated(self, tmp_path):
         (tmp_path / "b.py").write_text("b = 1\n", encoding="utf-8")
@@ -168,12 +168,12 @@ class TestWalker:
     def test_syntax_error_becomes_par001(self, tmp_path):
         target = tmp_path / "broken.py"
         target.write_text("def broken(:\n", encoding="utf-8")
-        findings = lint_paths([target])
+        findings = run_lint([target]).findings
         assert [finding.rule for finding in findings] == ["PAR001"]
         assert "does not parse" in findings[0].message
 
     def test_findings_sorted_by_location(self):
-        findings = lint_paths([FIXTURES / "rng001_violation.py"])
+        findings = run_lint([FIXTURES / "rng001_violation.py"]).findings
         assert findings == sorted(findings)
 
 
@@ -186,7 +186,7 @@ class TestStandaloneAllow:
             "t = random.random()\n",
             encoding="utf-8",
         )
-        assert lint_paths([target], rules=["RNG001"]) == []
+        assert run_lint([target], rules=["RNG001"]).findings == []
 
     def test_standalone_comment_block_covers_one_statement_only(self, tmp_path):
         target = tmp_path / "standalone.py"
@@ -197,18 +197,18 @@ class TestStandaloneAllow:
             "u = random.random()\n",
             encoding="utf-8",
         )
-        findings = lint_paths([target], rules=["RNG001"])
+        findings = run_lint([target], rules=["RNG001"]).findings
         assert [finding.line for finding in findings] == [4]
 
 
 class TestParseErrorOffsets:
     def test_par001_fixture_pins_line_and_column(self):
-        findings = lint_paths([FIXTURES / "par001_offset.py"])
+        findings = run_lint([FIXTURES / "par001_offset.py"]).findings
         assert len(findings) == 1
         finding = findings[0]
         assert (finding.rule, finding.line, finding.column) == ("PAR001", 4, 10)
         assert "line 4, column 10" in finding.message
 
     def test_par001_render_includes_column(self):
-        finding = lint_paths([FIXTURES / "par001_offset.py"])[0]
+        finding = run_lint([FIXTURES / "par001_offset.py"]).findings[0]
         assert finding.render().split(" ")[0].endswith("par001_offset.py:4:10:")

@@ -1,18 +1,13 @@
-"""Whole-program analysis core: summaries, import graph, call graph, dumps."""
+"""Whole-program analysis core: module names, summaries, call graph."""
 
 from __future__ import annotations
 
 import ast
-import json
 import time
 from pathlib import Path
 
-from repro.lint import LintConfig, ModuleSummary, analyze_paths, run_lint, summarize_module
-from repro.lint.project import (
-    ProjectAnalysis,
-    module_name_for_path,
-    render_import_graph_json,
-)
+from repro.lint import ModuleSummary, run_lint, summarize_module
+from repro.lint.project import ProjectAnalysis, module_name_for_path
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -48,15 +43,13 @@ class TestModuleNames:
 
 
 class TestSummaries:
-    def test_imports_and_aliases(self):
+    def test_aliases(self):
         summary = _summary(
             "pkg.mod",
             "import numpy as np\n"
             "from pkg import other\n"
             "from . import sibling\n",
         )
-        targets = sorted(record.target for record in summary.imports)
-        assert targets == ["numpy", "pkg", "pkg"]
         assert summary.aliases["np"] == "numpy"
         assert summary.aliases["other"] == "pkg.other"
         assert summary.aliases["sibling"] == "pkg.sibling"
@@ -64,25 +57,9 @@ class TestSummaries:
     def test_function_local_imports_are_collected(self):
         summary = _summary(
             "pkg.mod",
-            "def late():\n    import numpy\n    return numpy\n",
+            "def late():\n    import numpy as np\n    return np\n",
         )
-        assert [record.target for record in summary.imports] == ["numpy"]
-
-    def test_dunder_all_with_exports_star(self):
-        summary = _summary(
-            "pkg",
-            '_EXPORTS = {"alpha": "impl", "beta": "impl"}\n'
-            '__all__ = ["gamma", *_EXPORTS]\n'
-            "gamma = 3\n",
-            is_package=True,
-        )
-        assert summary.dunder_all is not None
-        assert sorted(name for name, _ in summary.dunder_all) == [
-            "alpha",
-            "beta",
-            "gamma",
-        ]
-        assert sorted(summary.exports) == ["alpha", "beta"]
+        assert summary.aliases == {"np": "numpy"}
 
     def test_functions_methods_and_calls(self):
         summary = _summary(
@@ -99,42 +76,6 @@ class TestSummaries:
         assert method.is_method
         assert [call.callee for call in method.calls] == ["helper"]
         assert "rng" in method.calls[0].keywords
-
-
-class TestImportGraph:
-    def test_from_import_refined_to_project_submodule(self):
-        analysis = _analysis(
-            {
-                "pkg": "",
-                "pkg.a": "from pkg import b\n",
-                "pkg.b": "",
-            },
-            **{"pkg": True},
-        )
-        assert analysis.first_party_edges()["pkg.a"] == ["pkg.b"]
-
-    def test_external_imports_reported_at_top_level(self):
-        analysis = _analysis({"pkg.a": "import numpy.random\nimport os\n"})
-        summary = analysis.modules["pkg.a"]
-        assert analysis.external_imports(summary) == ["numpy", "os"]
-
-    def test_graph_json_shape(self):
-        analysis = analyze_paths([SRC / "lint"], config=LintConfig())
-        document = json.loads(render_import_graph_json(analysis))
-        assert document["version"] == 1
-        walker = document["modules"]["repro.lint.walker"]
-        assert "repro.lint.project" in walker["imports"]
-        assert all(not m.startswith("repro.") for m in walker["external"])
-
-    def test_graph_json_edges_are_closed_and_sorted(self):
-        analysis = analyze_paths([SRC / "lint"], config=LintConfig())
-        modules = json.loads(render_import_graph_json(analysis))["modules"]
-        for name, entry in modules.items():
-            assert set(entry["imports"]) <= set(modules), name
-            assert name not in entry["imports"], name
-            assert entry["imports"] == sorted(entry["imports"]), name
-            assert entry["external"] == sorted(entry["external"]), name
-            assert entry["path"].endswith(".py"), name
 
 
 class TestCallGraph:

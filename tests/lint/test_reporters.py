@@ -68,10 +68,10 @@ class TestParseErrorReporting:
     def _par001_finding(self):
         from pathlib import Path
 
-        from repro.lint import lint_paths
+        from repro.lint import run_lint
 
         fixture = Path(__file__).resolve().parent / "fixtures" / "par001_offset.py"
-        return lint_paths([fixture])[0]
+        return run_lint([fixture]).findings[0]
 
     def test_text_report_includes_column(self):
         finding = self._par001_finding()

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import BUILTIN_RULE_IDS, lint_paths
+from repro.lint import BUILTIN_RULE_IDS, run_lint
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -24,6 +24,7 @@ EXPECTED_VIOLATIONS = {
     "RNG002": 1,
     "ORD001": 4,
     "TEL001": 3,
+    "IMP001": 3,
 }
 
 
@@ -34,7 +35,7 @@ def test_every_builtin_rule_has_fixture_expectations():
 @pytest.mark.parametrize("rule_id", sorted(EXPECTED_VIOLATIONS))
 def test_rule_fires_on_violation_fixture(rule_id):
     fixture = FIXTURES / f"{rule_id.lower()}_violation.py"
-    findings = lint_paths([fixture], rules=[rule_id])
+    findings = run_lint([fixture], rules=[rule_id]).findings
     hits = [finding for finding in findings if finding.rule == rule_id]
     assert len(hits) == EXPECTED_VIOLATIONS[rule_id], [
         finding.render() for finding in findings
@@ -48,14 +49,14 @@ def test_rule_fires_on_violation_fixture(rule_id):
 @pytest.mark.parametrize("rule_id", sorted(EXPECTED_VIOLATIONS))
 def test_rule_quiet_on_clean_fixture(rule_id):
     fixture = FIXTURES / f"{rule_id.lower()}_clean.py"
-    findings = lint_paths([fixture], rules=[rule_id])
+    findings = run_lint([fixture], rules=[rule_id]).findings
     assert findings == [], [finding.render() for finding in findings]
 
 
 @pytest.mark.parametrize("rule_id", sorted(EXPECTED_VIOLATIONS))
 def test_inline_suppression_silences_rule(rule_id):
     fixture = FIXTURES / f"{rule_id.lower()}_suppressed.py"
-    findings = lint_paths([fixture], rules=[rule_id])
+    findings = run_lint([fixture], rules=[rule_id]).findings
     # The violation is silenced AND the suppression counts as used (no
     # SUP001 hygiene warning).
     assert findings == [], [finding.render() for finding in findings]
@@ -64,5 +65,5 @@ def test_inline_suppression_silences_rule(rule_id):
 def test_rules_fire_inside_fixture_dir_despite_tests_exemption():
     # Every built-in rule exempts tests/ paths; the fixture directory is the
     # carved-out exception that keeps these fixtures meaningful.
-    findings = lint_paths([FIXTURES / "rng001_violation.py"])
+    findings = run_lint([FIXTURES / "rng001_violation.py"]).findings
     assert any(finding.rule == "RNG001" for finding in findings)

@@ -11,14 +11,14 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
-from repro.lint import EXIT_CLEAN, lint_paths
+from repro.lint import EXIT_CLEAN, run_lint
 from repro.lint.cli import main
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 def test_source_tree_lints_clean():
-    findings = lint_paths([SRC])
+    findings = run_lint([SRC]).findings
     assert findings == [], "\n" + "\n".join(
         finding.render() for finding in findings
     )
@@ -33,4 +33,4 @@ def test_cli_self_run_exits_clean():
 def test_no_unused_suppressions_in_tree():
     # Suppression hygiene is part of the gate: SUP001 findings (warnings)
     # would show up above, but make the intent explicit.
-    assert [f for f in lint_paths([SRC]) if f.rule == "SUP001"] == []
+    assert [f for f in run_lint([SRC]).findings if f.rule == "SUP001"] == []

@@ -27,7 +27,7 @@ from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.estimation.oracle import RRPoolOracle
 from repro.experiments.factories import estimator_factory
 from repro.experiments.sweeps import sweep_sample_numbers
-from repro.experiments.traversal import per_sample_traversal_cost
+from repro.experiments.traversal import traversal_cost_table
 from repro.experiments.trials import run_trials
 
 JOBS = 4
@@ -155,12 +155,9 @@ class TestExperimentDeterminism:
         assert serial.mean_influences() == parallel.mean_influences()
 
     def test_traversal_costs_bit_identical(self, karate_uc01):
-        serial = per_sample_traversal_cost(
-            karate_uc01, estimator_factory("ris"), num_repetitions=6, jobs=1
-        )
-        parallel = per_sample_traversal_cost(
-            karate_uc01, estimator_factory("ris"), num_repetitions=6, jobs=JOBS
-        )
+        factories = {"ris": estimator_factory("ris")}
+        serial = traversal_cost_table(karate_uc01, factories, num_repetitions=6, jobs=1)
+        parallel = traversal_cost_table(karate_uc01, factories, num_repetitions=6, jobs=JOBS)
         assert serial == parallel
 
     def test_stats_rows_bit_identical(self):

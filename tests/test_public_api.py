@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
 
-PUBLIC_MODULES = [
-    "repro",
-    "repro.api",
-    "repro.context",
-    "repro.graphs",
-    "repro.diffusion",
-    "repro.algorithms",
-    "repro.estimation",
-    "repro.experiments",
-    "repro.cli",
-]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Every module under src/repro, by dotted name (a package by its own name).
+ALL_MODULES = sorted(
+    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
+    for path in (SRC / "repro").rglob("*.py")
+)
 
 
 class TestExports:
@@ -27,11 +24,16 @@ class TestExports:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
-    @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+    @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_subpackage_all_names_resolve(self, module_name):
+        # Export integrity: every __all__ name resolves, and every lazy
+        # _EXPORTS entry names a submodule that defines the symbol.
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
+        for name, submodule in getattr(module, "_EXPORTS", {}).items():
+            target = importlib.import_module(f".{submodule}", module_name)
+            assert hasattr(target, name), f"{module_name}._EXPORTS[{name!r}]"
 
     def test_version_is_semver_like(self):
         parts = repro.__version__.split(".")

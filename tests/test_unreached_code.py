@@ -1,8 +1,9 @@
 """Regrowth guard: every public function in ``src/repro`` is reached.
 
 A public top-level ``def`` under ``src/repro`` counts as reached when its
-name appears in another file under ``src/``, ``benchmarks/`` or
-``examples/``, or elsewhere in its own module.  Re-exports do not count:
+name appears in the code of another file under ``src/``, ``benchmarks/``
+or ``examples/``, or elsewhere in its own module's code.  Comments and
+docstrings do not count, nor do re-exports:
 every module's ``__all__`` is skipped, and so are the imports and
 ``_EXPORTS`` of ``__init__.py`` files.  Tests do not count either, so a function
 that only its own tests call fails here.  The match is by name, so a
@@ -13,8 +14,10 @@ somewhere in code.
 from __future__ import annotations
 
 import ast
+import io
 import re
-from collections import Counter, defaultdict
+import tokenize
+from collections import defaultdict
 from functools import cache
 from pathlib import Path
 
@@ -34,7 +37,11 @@ KEPT_UNREACHED = {
     "lt_reachable_set": "test_models' reference for LTSnapshot.to_snapshot",
     "make_estimator": "pre-redesign factory pinned by tests/api/test_legacy_surface.py",
     "read_trace": "the only reader of the JSONL trace that --trace/REPRO_TRACE writes",
+    "validate_trace": "CI's telemetry trace smoke validates a real --trace file with it",
 }
+
+#: Token types whose text is string-literal content (3.12 splits f-strings).
+_STRING_TOKENS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
 
 
 def _pinned_exports() -> frozenset[str]:
@@ -65,39 +72,54 @@ def _reexport_lines(tree: ast.Module, package_init: bool) -> set[int]:
     return lines
 
 
-def _words(source: str, skipped: set[int]) -> Counter[str]:
-    """Identifier-like words of ``source`` outside the ``skipped`` lines."""
-    return Counter(
-        word
-        for number, line in enumerate(source.splitlines(), 1)
-        if number not in skipped
-        for word in re.findall(r"\w+", line)
-    )
+def _words(source: str, tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, word)`` for every identifier-like word in the code of ``source``.
+
+    Names count, and so do words inside string literals (string dispatch);
+    comments and docstrings do not.
+    """
+    docstrings = {
+        (node.body[0].lineno, node.body[0].col_offset)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    words = []
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.NAME:
+            words.append((token.start[0], token.string))
+        elif token.type in _STRING_TOKENS and token.start not in docstrings:
+            words.extend((token.start[0], word) for word in re.findall(r"\w+", token.string))
+    return words
 
 
 @cache
 def _unreached() -> tuple[str, ...]:
     """``module:function`` for every public function nothing else names."""
-    sources, skipped, files_naming = {}, {}, defaultdict(set)
+    trees, words, skipped, files_naming = {}, {}, {}, defaultdict(set)
     for directory in USE_DIRECTORIES:
         for path in sorted((ROOT / directory).rglob("*.py")):
-            sources[path] = path.read_text()
-            tree = ast.parse(sources[path])
-            skipped[path] = _reexport_lines(tree, path.name == "__init__.py")
-            for word in _words(sources[path], skipped[path]):
-                files_naming[word].add(path)
+            source = path.read_text()
+            trees[path] = ast.parse(source)
+            words[path] = _words(source, trees[path])
+            skipped[path] = _reexport_lines(trees[path], path.name == "__init__.py")
+            for line, word in words[path]:
+                if line not in skipped[path]:
+                    files_naming[word].add(path)
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.parse(sources[path]).body:
+        for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name.startswith("_"):
                 continue
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own_body = set(range(first, node.end_lineno + 1))
-            own_words = _words(sources[path], skipped[path] | own_body)
+            outside = skipped[path] | set(range(first, node.end_lineno + 1))
+            named_in_module = any(
+                word == node.name and line not in outside for line, word in words[path]
+            )
             named_elsewhere = files_naming[node.name] - {path}
-            if not named_elsewhere and not own_words[node.name]:
+            if not named_elsewhere and not named_in_module:
                 found.append(f"{path.relative_to(PACKAGE)}:{node.name}")
     return tuple(found)
 
