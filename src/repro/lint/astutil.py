@@ -1,8 +1,9 @@
 """Shared AST helpers for the lint rules.
 
-Pure-stdlib utilities: import-alias resolution (so ``np.random.default_rng``
-and ``from numpy.random import default_rng`` resolve to the same qualified
-name), a child -> parent map for ancestry queries, and a conservative
+Pure-stdlib utilities: a one-pass per-module index (parent links, each
+node's enclosing function, and the node lists the rules read), import-alias
+resolution (so ``np.random.default_rng`` and ``from numpy.random import
+default_rng`` resolve to the same qualified name), and a conservative
 set-typedness analysis used by the ordering rule.  Everything here is
 best-effort static analysis — when a construct cannot be resolved the
 helpers return ``None``/``False`` and the rules stay silent, trading recall
@@ -12,41 +13,99 @@ for a near-zero false-positive rate.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Collection, Iterable, Iterator, Union
 
 __all__ = [
     "call_name",
-    "collect_import_aliases",
     "dotted_name",
     "iter_assigned_names",
-    "parent_map",
+    "ModuleIndex",
     "SetTypeTracker",
 ]
 
+#: A function scope: what the index's enclosing-function links point at.
+Function = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-def collect_import_aliases(tree: ast.Module) -> dict[str, str]:
-    """Map local names to the fully qualified names they import.
 
-    ``import numpy as np`` maps ``np -> numpy``; ``from numpy.random import
-    default_rng as rng_factory`` maps ``rng_factory -> numpy.random.default_rng``.
-    Relative imports keep their leading dots so rules can recognise
-    package-local names (e.g. ``.random_source.RandomSource``).
+class ModuleIndex:
+    """Everything the rules read about one module, from one walk of its tree.
+
+    The walk is breadth-first in :func:`ast.walk` order, so every node list
+    below is in that order too.  Each list entry pairs a node with its
+    nearest enclosing ``def`` (``None`` at module level; lambdas and class
+    bodies belong to the function around them).
+
+    * ``parents``: child -> parent links for every node;
+    * ``calls``: ``(call, resolved name, function)``, the name resolved once
+      through ``aliases`` by :func:`call_name`;
+    * ``loops`` (``for`` statements), ``comprehensions``, ``functions``,
+      ``assignments`` (``=`` and annotated), ``imports`` and ``names``;
+    * ``aliases``: local name -> fully qualified imported name, from every
+      import in the module, the later one winning.  ``import numpy as np``
+      maps ``np -> numpy``; ``from numpy.random import default_rng as make``
+      maps ``make -> numpy.random.default_rng``.  Relative imports keep
+      their leading dots so rules can recognise package-local names.
     """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                local = item.asname or item.name.split(".")[0]
-                target = item.name if item.asname else item.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            prefix = "." * node.level + (node.module or "")
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                local = item.asname or item.name
-                aliases[local] = f"{prefix}.{item.name}" if prefix else item.name
-    return aliases
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.parents: dict[ast.AST, ast.AST] = {}
+        self.loops: list[tuple[ast.For, Function | None]] = []
+        self.comprehensions: list[tuple[ast.expr, Function | None]] = []
+        self.functions: list[tuple[Function, Function | None]] = []
+        self.assignments: list[tuple[ast.stmt, Function | None]] = []
+        self.imports: list[tuple[ast.Import | ast.ImportFrom, Function | None]] = []
+        self.names: list[tuple[ast.Name, Function | None]] = []
+        calls: list[tuple[ast.Call, Function | None]] = []
+        buckets: dict[type, list] = {
+            ast.Call: calls,
+            ast.For: self.loops,
+            ast.ListComp: self.comprehensions,
+            ast.SetComp: self.comprehensions,
+            ast.DictComp: self.comprehensions,
+            ast.GeneratorExp: self.comprehensions,
+            ast.FunctionDef: self.functions,
+            ast.AsyncFunctionDef: self.functions,
+            ast.Assign: self.assignments,
+            ast.AnnAssign: self.assignments,
+            ast.Import: self.imports,
+            ast.ImportFrom: self.imports,
+            ast.Name: self.names,
+        }
+        parents = self.parents
+        queue: list[tuple[ast.AST, Function | None]] = [(tree, None)]
+        for node, function in queue:  # the queue grows as it is read
+            bucket = buckets.get(type(node))
+            if bucket is not None:
+                bucket.append((node, function))
+                if bucket is self.functions:
+                    function = node  # type: ignore[assignment]
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                queue.append((child, function))
+        self.aliases: dict[str, str] = {}
+        for statement, _ in self.imports:
+            if isinstance(statement, ast.Import):
+                for item in statement.names:
+                    top = item.name.partition(".")[0]
+                    self.aliases[item.asname or top] = item.name if item.asname else top
+            else:
+                prefix = "." * statement.level + (statement.module or "")
+                for item in statement.names:
+                    if item.name != "*":
+                        local = item.asname or item.name
+                        self.aliases[local] = f"{prefix}.{item.name}" if prefix else item.name
+        self.calls: list[tuple[ast.Call, str | None, Function | None]] = [
+            (node, call_name(node, self.aliases), function) for node, function in calls
+        ]
+
+    def within(self, node: ast.AST, subtrees: Collection[ast.AST]) -> bool:
+        """Whether ``node`` is the root of, or lies inside, one of ``subtrees``."""
+        current: ast.AST | None = node
+        while current is not None:
+            if current in subtrees:
+                return True
+            current = self.parents.get(current)
+        return False
 
 
 def dotted_name(node: ast.expr) -> str | None:
@@ -75,15 +134,6 @@ def call_name(node: ast.Call, aliases: dict[str, str]) -> str | None:
     root, _, rest = dotted.partition(".")
     resolved_root = aliases.get(root, root)
     return f"{resolved_root}.{rest}" if rest else resolved_root
-
-
-def parent_map(tree: ast.Module) -> dict[ast.AST, ast.AST]:
-    """Child -> parent links for every node in ``tree``."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
 
 
 def iter_assigned_names(target: ast.expr) -> Iterator[str]:
@@ -123,19 +173,21 @@ class SetTypeTracker:
     Anything else — subscripts, attributes, call results — is unknown and
     never reported, so the ordering rule only fires where the set type is
     syntactically certain.
+
+    ``assignments`` are the ``=`` and annotated assignments anywhere in the
+    function's subtree, nested functions included.  A ``None`` scope is
+    module level, where only set literals, ``set(...)``/``frozenset(...)``
+    calls and set-operator combinations of them are known.
     """
 
-    def __init__(self, scope: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+    def __init__(self, scope: Function | None, assignments: Iterable[ast.stmt]) -> None:
         self._set_names: set[str] = set()
         self._unknown_names: set[str] = set()
-        for arg in [
-            *scope.args.posonlyargs,
-            *scope.args.args,
-            *scope.args.kwonlyargs,
-        ]:
+        args = scope.args if scope is not None else None
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs] if args else []:
             if _annotation_is_set(arg.annotation):
                 self._set_names.add(arg.arg)
-        for node in ast.walk(scope):
+        for node in assignments:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 if _annotation_is_set(node.annotation):
                     self._set_names.add(node.target.id)

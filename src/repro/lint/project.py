@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .astutil import dotted_name
+from .astutil import ModuleIndex, dotted_name
 
 __all__ = [
     "CallSite",
@@ -225,16 +225,26 @@ def summarize_module(
     module_name: str,
     display_path: str,
     is_package: bool,
+    index: ModuleIndex | None = None,
 ) -> ModuleSummary:
-    """Digest one parsed module into a :class:`ModuleSummary`."""
+    """Digest one parsed module into a :class:`ModuleSummary`.
+
+    ``index`` is the :class:`~repro.lint.astutil.ModuleIndex` of ``tree``
+    when the caller already holds one (the walker does); without it one is
+    built here.
+    """
+    if index is None:
+        index = ModuleIndex(tree)
     summary = ModuleSummary(
         name=module_name, path=display_path, is_package=is_package
     )
     package = summary.package
 
     # Import aliases, from anywhere in the module (function-local imports
-    # bind names that calls in that function resolve through).
-    for node in ast.walk(tree):
+    # bind names that calls in that function resolve through), in
+    # breadth-first order: a later ``as`` or ``from`` import wins, a plain
+    # ``import`` never displaces an earlier binding.
+    for node, _ in index.imports:
         if isinstance(node, ast.Import):
             for item in node.names:
                 if item.asname:
@@ -242,7 +252,7 @@ def summarize_module(
                 else:
                     top = item.name.partition(".")[0]
                     summary.aliases.setdefault(top, top)
-        elif isinstance(node, ast.ImportFrom):
+        else:
             target = _resolve_relative(package, node.level, node.module or "")
             if target:
                 for item in node.names:

@@ -42,20 +42,6 @@ def _matches_prefix(module: str, prefix: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
 
 
-def _iter_statements(body: list[ast.stmt]) -> Iterator[ast.stmt]:
-    """Every statement in ``body``, nested blocks and function bodies too.
-
-    Imports are statements, so this skips the expressions a full
-    ``ast.walk`` would visit (most of a module's nodes).
-    """
-    for stmt in body:
-        yield stmt
-        for block in ("body", "orelse", "finalbody"):
-            yield from _iter_statements(getattr(stmt, block, []))
-        for clause in (*getattr(stmt, "handlers", ()), *getattr(stmt, "cases", ())):
-            yield from _iter_statements(clause.body)
-
-
 class ImportLayeringRule(LintRule):
     """IMP001: imports crossing the declared layer DAG."""
 
@@ -85,10 +71,10 @@ class ImportLayeringRule(LintRule):
                 _matches_prefix(target, prefix) for prefix in allowed
             )
 
-        for node in _iter_statements(module.tree.body):
+        for node, _ in module.index.imports:
             if isinstance(node, ast.Import):
                 targets = [item.name for item in node.names]
-            elif isinstance(node, ast.ImportFrom):
+            else:
                 base = _resolve_relative(package, node.level, node.module or "")
                 if not base or permitted(base):
                     continue
@@ -96,8 +82,6 @@ class ImportLayeringRule(LintRule):
                     base if item.name == "*" else f"{base}.{item.name}"
                     for item in node.names
                 ]
-            else:
-                continue
             forbidden = [target for target in targets if not permitted(target)]
             if forbidden:
                 yield self.finding(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import SetTypeTracker, call_name
+from ..astutil import Function, SetTypeTracker
 from ..findings import Finding
 from ..registry import LintRule
 from ..walker import SourceModule
@@ -57,39 +57,44 @@ class IterationOrderRule(LintRule):
     exempt_fragments = ("/tests/", "tests/conftest")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        trackers: dict[ast.AST, SetTypeTracker] = {}
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                trackers[node] = SetTypeTracker(node)
-        module_tracker = _ModuleTracker()
-        for node in ast.walk(module.tree):
-            tracker = self._enclosing_tracker(module, node, trackers) or module_tracker
-            if isinstance(node, ast.For):
-                if tracker.is_set_typed(node.iter):
+        index = module.index
+        # A function's tracker sees every assignment in its subtree, nested
+        # functions' included; module level (None) knows no names.
+        outer = dict(index.functions)
+        assigned: dict[Function, list[ast.stmt]] = {function: [] for function in outer}
+        for assignment, function in index.assignments:
+            while function is not None:
+                assigned[function].append(assignment)
+                function = outer[function]
+        trackers: dict[Function | None, SetTypeTracker] = {
+            function: SetTypeTracker(function, nodes) for function, nodes in assigned.items()
+        }
+        trackers[None] = SetTypeTracker(None, ())
+        for loop, function in index.loops:
+            if trackers[function].is_set_typed(loop.iter):
+                yield self.finding(
+                    module,
+                    loop.iter,
+                    "iterating a set: the loop order is hash-table "
+                    "order; iterate sorted(...) instead",
+                )
+        for node, function in index.comprehensions:
+            for comprehension in node.generators:  # type: ignore[attr-defined]
+                if trackers[function].is_set_typed(comprehension.iter):
+                    if self._is_order_free_comprehension(module, node):
+                        continue
                     yield self.finding(
                         module,
-                        node.iter,
-                        "iterating a set: the loop order is hash-table "
+                        comprehension.iter,
+                        "comprehension iterates a set in hash-table "
                         "order; iterate sorted(...) instead",
                     )
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                for comprehension in node.generators:
-                    if tracker.is_set_typed(comprehension.iter):
-                        if self._is_order_free_comprehension(module, node):
-                            continue
-                        yield self.finding(
-                            module,
-                            comprehension.iter,
-                            "comprehension iterates a set in hash-table "
-                            "order; iterate sorted(...) instead",
-                        )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(module, node, tracker)
+        for call, name, function in index.calls:
+            yield from self._check_call(module, call, name, trackers[function])
 
     def _check_call(
-        self, module: SourceModule, node: ast.Call, tracker: "SetTypeTracker | _ModuleTracker"
+        self, module: SourceModule, node: ast.Call, name: str | None, tracker: SetTypeTracker
     ) -> Iterator[Finding]:
-        name = call_name(node, module.aliases)
         if name in _LISTING_CALLS:
             if not self._directly_sorted(module, node):
                 yield self.finding(
@@ -125,22 +130,9 @@ class IterationOrderRule(LintRule):
                     "pass sorted(...) instead",
                 )
 
-    def _enclosing_tracker(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        trackers: dict[ast.AST, SetTypeTracker],
-    ) -> SetTypeTracker | None:
-        current = module.parents.get(node)
-        while current is not None:
-            if current in trackers:
-                return trackers[current]
-            current = module.parents.get(current)
-        return None
-
     def _directly_sorted(self, module: SourceModule, node: ast.Call) -> bool:
         """Whether the call is an immediate argument of ``sorted(...)``."""
-        parent = module.parents.get(node)
+        parent = module.index.parents.get(node)
         return (
             isinstance(parent, ast.Call)
             and isinstance(parent.func, ast.Name)
@@ -154,22 +146,8 @@ class IterationOrderRule(LintRule):
         if isinstance(node, (ast.SetComp, ast.DictComp)):
             # Building another unordered container keeps order out of play.
             return True
-        parent = module.parents.get(node)
+        parent = module.index.parents.get(node)
         if isinstance(parent, ast.Call) and isinstance(parent.func, ast.Name):
             return parent.func.id in ("sorted", "len", "min", "max", "any", "all", "set", "frozenset")
         return False
 
-
-class _ModuleTracker:
-    """Module-level fallback: only literal/call set expressions are known."""
-
-    def is_set_typed(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            return node.func.id in ("set", "frozenset")
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self.is_set_typed(node.left) or self.is_set_typed(node.right)
-        return False

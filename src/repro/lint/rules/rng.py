@@ -9,7 +9,8 @@ legacy ``numpy.random.*`` global-state functions, and
 modules.  RNG002 flags public functions that *accept* an ``rng``/``generator``
 parameter and then construct a fresh generator in their body anyway: every
 draw in such a function must come from the threaded parameter (a fallback
-construction guarded by an ``if rng is None`` test is sanctioned).
+construction guarded by an ``if rng is None`` test is sanctioned).  A
+nested function is its own scope: it is judged by its own parameters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import call_name
+from ..astutil import Function
 from ..findings import Finding
 from ..registry import LintRule
 from ..walker import SourceModule
@@ -61,10 +62,7 @@ class AmbientRandomnessRule(LintRule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node, module.aliases)
+        for node, name, _ in module.index.calls:
             if name is None:
                 continue
             if name.startswith("random."):
@@ -116,42 +114,18 @@ class GeneratorThreadingRule(LintRule):
     exempt_fragments = ("/tests/", "tests/conftest")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for scope in ast.walk(module.tree):
-            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if scope.name.startswith("_"):
-                continue
-            params = {
-                arg.arg
-                for arg in [
-                    *scope.args.posonlyargs,
-                    *scope.args.args,
-                    *scope.args.kwonlyargs,
-                ]
-            }
-            rng_params = params & _RNG_PARAM_NAMES
-            if not rng_params:
-                continue
-            yield from self._check_body(module, scope, rng_params)
-
-    def _check_body(
-        self,
-        module: SourceModule,
-        scope: ast.FunctionDef | ast.AsyncFunctionDef,
-        rng_params: set[str],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(scope):
-            if node is not scope and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                # Nested functions are separate scopes checked on their own.
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node, module.aliases)
+        # Each call is judged in its nearest enclosing def only: a nested
+        # function is its own scope, with its own parameters.
+        for node, name, scope in module.index.calls:
             if name is None or not name.endswith(_CONSTRUCTOR_SUFFIXES):
                 continue
-            if self._guarded_by_none_check(module, node, rng_params):
+            if scope is None or scope.name.startswith("_"):
+                continue
+            args = scope.args
+            rng_params = _RNG_PARAM_NAMES.intersection(
+                arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            )
+            if not rng_params or self._guarded_by_none_check(module, node, scope, rng_params):
                 continue
             param = ", ".join(sorted(rng_params))
             yield self.finding(
@@ -163,26 +137,28 @@ class GeneratorThreadingRule(LintRule):
             )
 
     def _guarded_by_none_check(
-        self, module: SourceModule, node: ast.Call, rng_params: set[str]
+        self,
+        module: SourceModule,
+        node: ast.Call,
+        scope: Function,
+        rng_params: frozenset[str],
     ) -> bool:
         """Whether the construction sits under an ``if <rng> is None`` guard.
 
         The sanctioned default-construction idiom: ``if rng is None: rng =
         RandomSource(seed)`` (or the equivalent conditional expression).
-        Any ``if``/ternary whose test mentions the rng parameter counts.
+        Any ``if``/ternary inside ``scope`` whose test mentions the rng
+        parameter counts.
         """
-        current: ast.AST | None = node
-        while current is not None:
-            parent = module.parents.get(current)
-            if isinstance(parent, (ast.If, ast.IfExp)):
-                test_names = {
-                    child.id
-                    for child in ast.walk(parent.test)
-                    if isinstance(child, ast.Name)
-                }
-                if test_names & rng_params:
-                    return True
-            if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return False
-            current = parent
-        return False
+        index = module.index
+        tests: list[ast.expr] = []
+        current = index.parents[node]
+        while current is not scope:
+            if isinstance(current, (ast.If, ast.IfExp)):
+                tests.append(current.test)
+            current = index.parents[current]
+        return any(
+            name.id in rng_params and index.within(name, tests)
+            for name, function in index.names
+            if function is scope
+        )

@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..astutil import call_name
 from ..findings import Finding
 from ..registry import LintRule
 from ..walker import SourceModule
@@ -54,9 +53,9 @@ class CounterNamingRule(LintRule):
     exempt_fragments = ("/tests/", "tests/conftest")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        calls = module.index.calls
+        clocks = [node for node, name, _ in calls if name in _CLOCK_CALLS]
+        for node, _, _ in calls:
             if not (
                 isinstance(node.func, ast.Attribute) and node.func.attr == "incr"
             ):
@@ -87,7 +86,7 @@ class CounterNamingRule(LintRule):
                     "belong outside runtime.*, measurements need "
                     "_seconds/_bytes",
                 )
-            if not has_suffix and self._measures_wall_clock(node, module):
+            if not has_suffix and self._measures_wall_clock(module, node, clocks):
                 yield self.finding(
                     module,
                     name_arg,
@@ -116,13 +115,10 @@ class CounterNamingRule(LintRule):
             return None
         return None
 
-    def _measures_wall_clock(self, node: ast.Call, module: SourceModule) -> bool:
-        """Whether the increment value directly calls a wall-clock function."""
-        if len(node.args) < 2:
-            return False
-        for child in ast.walk(node.args[1]):
-            if isinstance(child, ast.Call):
-                name = call_name(child, module.aliases)
-                if name in _CLOCK_CALLS:
-                    return True
-        return False
+    def _measures_wall_clock(
+        self, module: SourceModule, node: ast.Call, clocks: list[ast.Call]
+    ) -> bool:
+        """Whether the increment value calls one of the wall-clock ``clocks``."""
+        return len(node.args) > 1 and any(
+            module.index.within(clock, (node.args[1],)) for clock in clocks
+        )

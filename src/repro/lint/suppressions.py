@@ -48,7 +48,12 @@ def collect_suppressions(text: str) -> list[Suppression]:
     standalone comment (nothing but the comment on the line) it pins to the
     next line holding code, so a block of standalone comments above a call
     covers that call.
+
+    Text without ``repro-lint`` anywhere cannot hold an entry, so it is
+    never tokenized.
     """
+    if "repro-lint" not in text:
+        return []
     suppressions: list[Suppression] = []
     #: Entries from standalone comments, waiting for the next
     #: code token to tell them which line they cover.

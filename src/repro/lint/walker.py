@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .astutil import collect_import_aliases, parent_map
+from .astutil import ModuleIndex
 from .config import LintConfig, load_config
 from .errors import LintError
 from .findings import Finding
@@ -70,8 +70,13 @@ class SourceModule:
     """One parsed module handed to every per-module rule.
 
     Carries the parse tree, the module's dotted name and the run's config,
-    plus lazily built shared analyses (import aliases, child->parent links)
-    so individual rules stay cheap.
+    plus the module's :class:`~repro.lint.astutil.ModuleIndex`: built on
+    first use in one breadth-first walk of the tree, it holds the parent
+    links, each node's enclosing function, the resolved import aliases and
+    the node lists the rules read (calls with their resolved names, ``for``
+    loops, comprehensions, functions, assignments, imports, names).  The
+    rules and the call-graph summary read it instead of walking the tree
+    again, and it goes when the module is done.
     """
 
     path: Path
@@ -81,22 +86,14 @@ class SourceModule:
     #: Dotted module name (see :func:`~repro.lint.project.module_name_for_path`).
     name: str
     config: LintConfig
-    _aliases: dict[str, str] | None = field(default=None, repr=False)
-    _parents: dict[ast.AST, ast.AST] | None = field(default=None, repr=False)
+    _index: ModuleIndex | None = field(default=None, repr=False)
 
     @property
-    def aliases(self) -> dict[str, str]:
-        """Local name -> fully qualified imported name."""
-        if self._aliases is None:
-            self._aliases = collect_import_aliases(self.tree)
-        return self._aliases
-
-    @property
-    def parents(self) -> dict[ast.AST, ast.AST]:
-        """Child -> parent AST links."""
-        if self._parents is None:
-            self._parents = parent_map(self.tree)
-        return self._parents
+    def index(self) -> ModuleIndex:
+        """The one-pass index of :attr:`tree`."""
+        if self._index is None:
+            self._index = ModuleIndex(self.tree)
+        return self._index
 
     def matches_fragment(self, fragments: Iterable[str]) -> bool:
         """Whether this module lives under any of the posix path fragments.
@@ -285,6 +282,7 @@ def _load_module(
             module_name=module.name,
             display_path=display,
             is_package=path.stem == "__init__",
+            index=module.index,
         ),
         suppressions=collect_suppressions(text),
         findings=sorted(findings),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -78,9 +79,27 @@ class TestSuppressions:
             (1, "ORD001"),
         ]
 
-    def test_suppression_inside_string_is_not_parsed(self):
+    def test_suppression_inside_string_is_not_parsed(self, monkeypatch):
+        # The marker text is present, so this goes through the tokenizer,
+        # which sees a string literal, not a comment.
+        tokenized = []
+        real = tokenize.generate_tokens
+
+        def spy(readline):
+            tokenized.append(readline)
+            return real(readline)
+
+        monkeypatch.setattr(tokenize, "generate_tokens", spy)
         text = 'x = "# repro-lint: allow[RNG001]"\n'
         assert collect_suppressions(text) == []
+        assert len(tokenized) == 1
+
+    def test_text_without_marker_is_never_tokenized(self, monkeypatch):
+        def refuse(readline):
+            raise AssertionError("tokenized text that holds no repro-lint marker")
+
+        monkeypatch.setattr(tokenize, "generate_tokens", refuse)
+        assert collect_suppressions("x = 1  # allow[RNG001] no marker\n") == []
 
     def test_unused_suppression_reported(self, tmp_path):
         target = tmp_path / "unused.py"
