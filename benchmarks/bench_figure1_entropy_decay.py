@@ -5,7 +5,8 @@ distribution of Oneshot, Snapshot, and RIS against the sample number; all
 three curves drop at the same rate up to a horizontal scaling, and for k = 1
 and 4 they converge to zero.  This bench regenerates the k = 1 and k = 4
 series at reduced trial counts and sample-number ceilings (the paper sweeps
-to 2^16 / 2^24 with 1,000 trials; pure Python cannot, see EXPERIMENTS.md).
+to 2^16 / 2^24 with 1,000 trials; pure Python cannot, see the scale map in
+docs/DESIGN.md).
 """
 
 from __future__ import annotations

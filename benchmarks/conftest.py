@@ -1,9 +1,9 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark module regenerates one of the paper's tables or figures at
-reduced scale (see EXPERIMENTS.md for the scale map) and both prints the rows
-and writes them to ``benchmarks/output/<name>.txt`` so results survive output
-capturing.  Expensive per-instance artifacts (graphs, oracles) are cached at
+reduced scale (see "Paper benchmarks: the scale map" in docs/DESIGN.md)
+and both prints the rows and writes them to ``benchmarks/output/<name>.txt``
+so results survive output capturing.  Expensive per-instance artifacts (graphs, oracles) are cached at
 session scope; the benchmarked callables are run with
 ``benchmark.pedantic(rounds=1)`` because a full experiment is itself the unit
 of measurement.

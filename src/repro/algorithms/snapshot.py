@@ -10,14 +10,23 @@ as one reason Snapshot needs far fewer samples than Oneshot in practice.
 Two Update strategies are provided:
 
 ``"naive"``
-    Update does nothing; every Estimate call re-runs reachability from
-    ``S + v``.  This matches Algorithm 3.3 verbatim and the traversal-cost
-    accounting of Table 8.
+    Algorithm 3.3 verbatim, as Table 8 charges it: every Update and every
+    Estimate is charged the traversal of reachability from the whole seed
+    set (``S`` resp. ``S + v``).
 ``"reduce"``
     The graph-reduction technique of Section 3.4.3: after choosing seed
     ``v_l``, vertices already reachable from the chosen seeds are marked as
     removed in each snapshot, so later Estimate calls traverse the smaller
     residual graph.  Estimates are unchanged; traversal cost drops.
+
+Both strategies *walk* the same way: Update blocks what the chosen seed
+reaches, and Estimate walks only the marginal reach of ``v`` past the
+blocked lanes.  They differ only in what they charge.  Naive keeps the cost
+of ``reach(S)`` (the sum of the marginal Update walks) as a base cost and
+charges it again on every Update and Estimate.  Per snapshot ``reach(S + v)``
+is ``reach(S)`` plus the part of ``reach(v)`` outside it, and a BFS examines
+the same vertices and edges whatever the order it reaches them in, so the
+charge equals that of re-running the whole BFS.
 
 Sampling stays scalar: Build draws the ``tau`` snapshots one by one.  The
 queries do not: Build packs the snapshots 64 per ``uint64`` word
@@ -32,6 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .._validation import require_choice, require_vertex
+from ..diffusion.costs import TraversalCost
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..diffusion.snapshots import Snapshot
@@ -84,9 +94,10 @@ class SnapshotEstimator(InfluenceEstimator):
         self._snapshots: list[Snapshot] = []
         self._lanes: SnapshotLanes | None = None
         self._current_seeds: tuple[int, ...] = ()
-        # Reachable count of the current seed set summed over the snapshots
-        # (naive strategy; "reduce" keeps blocked lanes in ``_lanes``).
-        self._base_count = 0
+        # Traversal cost of reach(current seeds) over the snapshots; its
+        # vertex count is the reachable count.  Naive charges it again on
+        # every Update and Estimate.
+        self._base_cost = TraversalCost()
 
     @property
     def update_strategy(self) -> str:
@@ -126,7 +137,7 @@ class SnapshotEstimator(InfluenceEstimator):
 
         self._lanes = SnapshotLanes(self._snapshots)
         self._current_seeds = ()
-        self._base_count = 0
+        self._base_cost = TraversalCost()
 
     def _require_lanes(self, method: str) -> SnapshotLanes:
         if self._lanes is None:
@@ -136,29 +147,34 @@ class SnapshotEstimator(InfluenceEstimator):
         return self._lanes
 
     def estimate(self, current_seeds: tuple[int, ...], vertex: int) -> float:
-        """Average marginal reachability of ``vertex`` w.r.t. ``current_seeds``."""
+        """Average marginal reachability of ``vertex`` w.r.t. ``current_seeds``.
+
+        Walks only what ``vertex`` reaches past the lanes blocked by
+        :meth:`update`.  Naive also charges the base cost, so the charge is
+        that of a BFS from ``current_seeds + (vertex,)``.  Naive seeds other
+        than those given to :meth:`update` run that BFS in full.
+        """
         lanes = self._require_lanes("estimate")
-        if self._update_strategy == "reduce":
-            total = lanes.reachable_count(
-                (vertex,), cost=self._estimate_cost, blocked=True
-            )
-            return total / len(self._snapshots)
-        count = lanes.reachable_count(
-            tuple(current_seeds) + (vertex,), cost=self._estimate_cost
-        )
-        return (count - self._base_count) / len(self._snapshots)
+        tau = len(self._snapshots)
+        if self._update_strategy == "naive":
+            if tuple(current_seeds) != self._current_seeds:
+                count = lanes.reachable_count(
+                    tuple(current_seeds) + (vertex,), cost=self._estimate_cost
+                )
+                return (count - self._base_cost.vertices) / tau
+            self._estimate_cost.merge(self._base_cost)
+        return lanes.reachable_count((vertex,), cost=self._estimate_cost, blocked=True) / tau
 
     def update(self, chosen_vertex: int) -> None:
-        """Fold the chosen seed into the cached reachability."""
+        """Block what the chosen seed reaches; naive also charges ``reach(S)``."""
         lanes = self._require_lanes("update")
         chosen_vertex = require_vertex(chosen_vertex, lanes.num_vertices)
         self._current_seeds = tuple(self._current_seeds) + (chosen_vertex,)
         if self._update_strategy == "reduce":
             lanes.block_reachable((chosen_vertex,), cost=self._estimate_cost)
         else:
-            self._base_count = lanes.reachable_count(
-                self._current_seeds, cost=self._estimate_cost
-            )
+            lanes.block_reachable((chosen_vertex,), cost=self._base_cost)
+            self._estimate_cost.merge(self._base_cost)
 
     # ------------------------------------------------------------------ #
     # direct spread queries (outside the greedy protocol)

@@ -48,8 +48,8 @@ class SnapshotLanes:
     each union edge it scans counts ``popcount(delta & live)`` edge
     examinations — what one :func:`reachable_count` per snapshot records.
 
-    The Snapshot graph-reduction Update keeps a per-vertex *blocked* word per
-    group: :meth:`block_reachable` blocks the lanes it reaches, and
+    The Snapshot Update (either strategy) keeps a per-vertex *blocked* word
+    per group: :meth:`block_reachable` blocks the lanes it reaches, and
     ``reachable_count(..., blocked=True)`` skips blocked lanes.  One scratch
     array serves every batched level, so instances are not thread-safe.
     """

@@ -3,8 +3,9 @@
 The benchmark harness prints, for every paper table and figure, the same rows
 or series the paper reports.  These helpers format lists of dictionaries as
 aligned text tables and (sample number, value) series as compact textual
-"figures", so benchmark output is readable in a terminal and diffable in
-EXPERIMENTS.md.
+"figures", so benchmark output is readable in a terminal and diffable.  The
+scale each paper benchmark runs at is mapped in docs/DESIGN.md ("Paper
+benchmarks: the scale map").
 """
 
 from __future__ import annotations

@@ -58,8 +58,13 @@ _SKIPPED_DIRS: frozenset[str] = frozenset(
 _FIXTURE_FRAGMENT = "lint/fixtures"
 
 
-def _path_is_exempt(posix: str, fragments: Iterable[str]) -> bool:
-    """Whether a posix path matches any exemption fragment (fixtures never do)."""
+def _path_is_exempt(path: str | Path, fragments: Iterable[str]) -> bool:
+    """Whether a path matches any exemption fragment (fixtures never do).
+
+    The fragments are matched against the absolute posix form of ``path``,
+    so a module is exempt or not however the caller spelled its path.
+    """
+    posix = Path(os.path.abspath(path)).as_posix()
     if _FIXTURE_FRAGMENT in posix:
         return False
     return any(fragment in posix for fragment in fragments)
@@ -101,7 +106,7 @@ class SourceModule:
         Fixture modules (``tests/lint/fixtures/``) never match: they exist
         to fire the rules.
         """
-        return _path_is_exempt(self.path.as_posix(), fragments)
+        return _path_is_exempt(self.path, fragments)
 
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:

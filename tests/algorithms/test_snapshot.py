@@ -323,3 +323,51 @@ class TestLaneParity:
             candidate_vertices=ER200_CANDIDATES,
         )
         assert calls
+
+
+class TestNaiveWalksMarginalReach:
+    """Naive walks what "reduce" walks and still charges the whole BFS."""
+
+    def test_naive_performs_reduce_work_and_charges_reference(self, monkeypatch):
+        graph = PARITY_GRAPHS["er200"]["ic"]()
+        performed = []
+        bfs = SnapshotLanes._bfs
+
+        def counting_bfs(self, *args):
+            reached = bfs(self, *args)
+            performed[-1] += reached
+            return reached
+
+        monkeypatch.setattr(SnapshotLanes, "_bfs", counting_bfs)
+        estimators = {}
+        for strategy in ("naive", "reduce"):
+            performed.append(0)
+            estimators[strategy] = SnapshotEstimator(65, update_strategy=strategy)
+            greedy_maximize(
+                graph, 4, estimators[strategy], seed=65, candidate_vertices=ER200_CANDIDATES
+            )
+        monkeypatch.setattr(SnapshotLanes, "_bfs", bfs)
+        reference = PerSnapshotReference(65, update_strategy="naive")
+        greedy_maximize(graph, 4, reference, seed=65, candidate_vertices=ER200_CANDIDATES)
+        naive_work, reduce_work = performed
+        # Non-vacuity: reach(S) is large, so re-walking it would show.
+        assert estimators["naive"].estimate_cost.vertices > 2 * reduce_work
+        assert naive_work == reduce_work
+        assert estimators["naive"].estimate_cost == reference.estimate_cost
+
+    @pytest.mark.parametrize("current_seeds", [(5,), ()])
+    def test_mismatched_seeds_run_the_full_bfs(self, karate_uc01, current_seeds):
+        lanes_estimator = SnapshotEstimator(70)
+        reference = PerSnapshotReference(70)
+        for estimator in (lanes_estimator, reference):
+            estimator.build(karate_uc01, RandomSource(4))
+            estimator.update(0)
+        fresh = SnapshotLanes(lanes_estimator.snapshots)
+        base = fresh.reachable_count((0,))
+        for vertex in (1, 2, 33):
+            before = lanes_estimator.estimate_cost.snapshot()
+            value = lanes_estimator.estimate(current_seeds, vertex)
+            assert value == (fresh.reachable_count(current_seeds + (vertex,)) - base) / 70
+            assert value == reference.estimate(current_seeds, vertex)
+            assert lanes_estimator.estimate_cost == reference.estimate_cost
+            assert lanes_estimator.estimate_cost.total > before.total

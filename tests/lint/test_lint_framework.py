@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tokenize
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from repro.lint import (
 from repro.lint.walker import resolve_rules
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+REPO_ROOT = FIXTURES.parents[2]
 
 ALL_RULE_IDS = sorted(BUILTIN_RULE_IDS | BUILTIN_PROJECT_RULE_IDS)
 
@@ -194,6 +196,39 @@ class TestWalker:
     def test_findings_sorted_by_location(self):
         findings = run_lint([FIXTURES / "rng001_violation.py"]).findings
         assert findings == sorted(findings)
+
+
+def _located(findings):
+    """Findings keyed by absolute path, so two spellings of one file compare equal."""
+    return [
+        (os.path.abspath(finding.path), finding.line, finding.column, finding.rule)
+        for finding in findings
+    ]
+
+
+class TestPathSpelling:
+    """Exemptions depend on the file, not on how its path is written."""
+
+    @pytest.mark.parametrize(
+        "relative", ["tests/diffusion/test_bitparallel.py", "tests/lint/fixtures"]
+    )
+    def test_relative_and_absolute_paths_agree(self, monkeypatch, relative):
+        monkeypatch.chdir(REPO_ROOT)
+        spelled = _located(run_lint([relative]).findings)
+        absolute = _located(run_lint([REPO_ROOT / relative]).findings)
+        assert spelled == absolute
+
+    def test_test_modules_are_exempt_when_spelled_relative(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        assert run_lint(["tests/diffusion/test_bitparallel.py"]).findings == []
+
+    @pytest.mark.parametrize("spelling", ["relative", "absolute"])
+    def test_fixtures_fire_under_both_spellings(self, monkeypatch, spelling):
+        monkeypatch.chdir(REPO_ROOT)
+        root = Path("tests/lint/fixtures") if spelling == "relative" else FIXTURES
+        for rule_id in ("RNG001", "RNG002", "ORD001", "TEL001"):
+            target = root / f"{rule_id.lower()}_violation.py"
+            assert rule_id in {finding.rule for finding in run_lint([target]).findings}
 
 
 class TestStandaloneAllow:
