@@ -1,12 +1,8 @@
 """Algorithms: the greedy framework and the three approaches plus baselines."""
 
 from .bounds import (
-    greedy_approximation_factor,
-    monte_carlo_spread_bound,
     oneshot_sample_bound,
     ris_sample_bound,
-    ris_weight_bound,
-    snapshot_sample_bound,
     theoretical_cost_ratios,
 )
 from .celf import CELFStatistics, celf_maximize
@@ -53,10 +49,6 @@ __all__ = [
     "determine_theta",
     "estimate_opt_lower_bound",
     "oneshot_sample_bound",
-    "snapshot_sample_bound",
     "ris_sample_bound",
-    "ris_weight_bound",
-    "monte_carlo_spread_bound",
-    "greedy_approximation_factor",
     "theoretical_cost_ratios",
 ]

@@ -11,11 +11,8 @@ bench can reproduce that comparison:
   Estimate call (stated up to a hidden constant, which we take as 1 — the
   same convention that reproduces the paper's quoted 1.0e8 for Wiki-Vote
   uc0.01, k = 4, eps = 0.05, delta = 0.01).
-* Snapshot (Karimi et al. 2017, Prop. 3): an additive ``eps``-error guarantee
-  needs ``tau = n^2 / (2 eps^2) * (k ln n + ln(1/delta))`` random graphs.
 * RIS (Borgs et al. 2014 / Tang et al. 2014): ``theta`` on the order of
-  ``eps^-2 k n ln n / OPT_k`` RR sets; Borgs et al.'s stopping rule caps the
-  total *weight* at ``eps^-2 k (m + n) ln n`` coin flips instead.
+  ``eps^-2 k n ln n / OPT_k`` RR sets.
 
 All functions return ``float`` (the bounds routinely exceed 2^63 on larger
 instances) and validate their inputs.
@@ -51,27 +48,6 @@ def oneshot_sample_bound(
     )
 
 
-def snapshot_sample_bound(
-    epsilon_additive: float, delta: float, num_vertices: int, k: int
-) -> float:
-    """Worst-case random-graph count ``tau`` for Snapshot (Karimi et al. 2017).
-
-    ``epsilon_additive`` is an *additive* error in influence units (the
-    guarantee is ``Inf(S) >= (1 - 1/e) OPT_k - epsilon_additive``), so unlike
-    the other two bounds it is not restricted to (0, 1).
-    """
-    require_fraction(delta, "delta")
-    require_positive_int(num_vertices, "num_vertices")
-    require_positive_int(k, "k")
-    if epsilon_additive <= 0:
-        raise ValueError(f"epsilon_additive must be positive, got {epsilon_additive}")
-    return (
-        num_vertices ** 2
-        / (2.0 * epsilon_additive ** 2)
-        * (k * math.log(num_vertices) + math.log(1.0 / delta))
-    )
-
-
 def ris_sample_bound(
     epsilon: float, delta: float, num_vertices: int, k: int, optimal_spread: float
 ) -> float:
@@ -81,37 +57,6 @@ def ris_sample_bound(
         raise ValueError(f"optimal_spread must be positive, got {optimal_spread}")
     log_term = k * math.log(num_vertices) + math.log(1.0 / delta)
     return epsilon ** -2 * num_vertices * log_term / optimal_spread
-
-
-def ris_weight_bound(
-    epsilon: float, num_vertices: int, num_edges: int, k: int
-) -> float:
-    """Borgs et al.'s stopping threshold on total RR-set *weight* (coin flips)."""
-    require_fraction(epsilon, "epsilon")
-    require_positive_int(num_vertices, "num_vertices")
-    require_positive_int(num_edges, "num_edges")
-    require_positive_int(k, "k")
-    return epsilon ** -2 * k * (num_edges + num_vertices) * math.log(num_vertices)
-
-
-def monte_carlo_spread_bound(epsilon: float, num_vertices: int) -> float:
-    """Simulations needed to approximate one spread value within ``1 +- eps``
-    (the classical ``Omega(eps^-2 n^2)`` bound quoted in Section 2.3)."""
-    require_fraction(epsilon, "epsilon")
-    require_positive_int(num_vertices, "num_vertices")
-    return epsilon ** -2 * num_vertices ** 2
-
-
-def greedy_approximation_factor(k: int, oracle_epsilon: float = 0.0) -> float:
-    """The ``(1 - 1/e - O(k * eps))`` factor for greedy over an approximate oracle.
-
-    With an exact oracle (``oracle_epsilon = 0``) this is the classical
-    ``1 - 1/e ~ 0.632`` guarantee (Nemhauser et al. 1978).
-    """
-    require_positive_int(k, "k")
-    if oracle_epsilon < 0:
-        raise ValueError(f"oracle_epsilon must be non-negative, got {oracle_epsilon}")
-    return max(0.0, 1.0 - 1.0 / math.e - k * oracle_epsilon)
 
 
 def theoretical_cost_ratios(

@@ -28,7 +28,6 @@ from .linear_threshold import (
     LTRRSet,
     LTSnapshot,
     exact_lt_spread,
-    lt_reachable_set,
     sample_lt_rr_set,
     sample_lt_snapshot,
     simulate_lt_cascade,
@@ -49,9 +48,6 @@ from .random_source import RandomSource, trial_seeds
 from .reverse import RRSet, RRSetCollection, sample_rr_set, sample_rr_sets
 from .snapshots import (
     Snapshot,
-    reachable_count,
-    reachable_set,
-    reachable_vertices,
     sample_snapshot,
     sample_snapshots,
     snapshot_from_live_edges,
@@ -80,7 +76,6 @@ __all__ = [
     "simulate_lt_cascade",
     "sample_lt_snapshot",
     "sample_lt_rr_set",
-    "lt_reachable_set",
     "exact_lt_spread",
     "validate_lt_weights",
     "CascadeResult",
@@ -99,9 +94,6 @@ __all__ = [
     "sample_snapshot",
     "sample_snapshots",
     "snapshot_from_live_edges",
-    "reachable_set",
-    "reachable_vertices",
-    "reachable_count",
     "RRSet",
     "RRSetCollection",
     "sample_rr_set",

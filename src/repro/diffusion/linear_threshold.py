@@ -132,8 +132,8 @@ class LTSnapshot:
     """One LT live-edge graph: each vertex keeps at most one incoming edge.
 
     Stored as a parent array: ``parent[v]`` is the selected in-neighbour of
-    ``v`` or ``-1`` when no edge was selected.  Forward reachability is
-    computed on demand from the implied child adjacency.
+    ``v`` or ``-1`` when no edge was selected.  Forward reachability runs on
+    the CSR form that :meth:`to_snapshot` builds.
     """
 
     parent: np.ndarray
@@ -147,14 +147,6 @@ class LTSnapshot:
     def num_live_edges(self) -> int:
         """Number of selected (live) edges."""
         return int(np.count_nonzero(self.parent >= 0))
-
-    def children(self) -> list[list[int]]:
-        """Adjacency from each vertex to the vertices that selected it."""
-        adjacency: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for child, parent in enumerate(self.parent.tolist()):
-            if parent >= 0:
-                adjacency[parent].append(child)
-        return adjacency
 
     def to_snapshot(self) -> Snapshot:
         """Convert to the shared forward-CSR :class:`Snapshot` representation.
@@ -199,30 +191,6 @@ def sample_lt_snapshot(
     if sample_size is not None:
         sample_size.add_edges(snapshot.num_live_edges)
     return snapshot
-
-
-def lt_reachable_set(
-    snapshot: LTSnapshot,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    *,
-    cost: TraversalCost | None = None,
-) -> set[int]:
-    """Vertices reachable from ``seeds`` over the selected live edges."""
-    seed_tuple = normalize_seed_set(seeds, snapshot.num_vertices)
-    adjacency = snapshot.children()
-    visited: set[int] = set(seed_tuple)
-    queue: deque[int] = deque(seed_tuple)
-    while queue:
-        vertex = queue.popleft()
-        if cost is not None:
-            cost.add_vertices(1)
-        if cost is not None and adjacency[vertex]:
-            cost.add_edges(len(adjacency[vertex]))
-        for child in adjacency[vertex]:
-            if child not in visited:
-                visited.add(child)
-                queue.append(child)
-    return visited
 
 
 #: LT RR sets share the IC RR-set type (RRSetCollection works for both);

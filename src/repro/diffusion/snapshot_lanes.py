@@ -46,7 +46,7 @@ class SnapshotLanes:
     Counts and traversal costs are exact per-snapshot sums: a vertex expanded
     in lanes ``delta`` counts ``popcount(delta)`` vertex examinations, and
     each union edge it scans counts ``popcount(delta & live)`` edge
-    examinations — what one :func:`reachable_count` per snapshot records.
+    examinations — what one live-edge BFS per snapshot records.
 
     The Snapshot Update (either strategy) keeps a per-vertex *blocked* word
     per group: :meth:`block_reachable` blocks the lanes it reaches, and
@@ -77,8 +77,7 @@ class SnapshotLanes:
         """Sum over the snapshots of the number of vertices reachable from ``seeds``.
 
         With ``blocked`` the lanes blocked by :meth:`block_reachable` are
-        treated as removed vertices, as ``reachable_count(..., blocked=...)``
-        does for one snapshot.
+        treated as removed vertices.
         """
         seed_tuple = normalize_seed_set(seeds, self.num_vertices)
         return sum(

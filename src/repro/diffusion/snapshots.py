@@ -1,4 +1,4 @@
-"""Live-edge snapshot sampling and forward reachability (Section 3.4).
+"""Live-edge snapshot sampling (Section 3.4).
 
 A *snapshot* (random graph) ``G ~ G`` keeps each edge of the influence graph
 independently with its probability.  Snapshot-type algorithms draw ``tau``
@@ -11,6 +11,8 @@ one coin flip per edge but performs *no graph traversal*, so it contributes to
 sample size (edges stored) but not to traversal cost.  Computing a reachable
 set is a BFS over live edges: every scanned vertex counts one vertex
 examination and every scanned live out-edge counts one edge examination.
+:class:`repro.diffusion.snapshot_lanes.SnapshotLanes` answers those queries,
+64 stored snapshots per word.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import normalize_seed_set
 from ..graphs.influence_graph import InfluenceGraph
-from .costs import SampleSize, TraversalCost
-from .frontier import first_hit, frontier_edges, use_scalar_frontier
+from .costs import SampleSize
 from .random_source import RandomSource
 
 
@@ -38,10 +38,6 @@ class Snapshot:
     def num_live_edges(self) -> int:
         """Number of live (kept) edges in this snapshot."""
         return int(self.targets.shape[0])
-
-    def out_neighbors(self, vertex: int) -> np.ndarray:
-        """Live out-neighbours of ``vertex`` in this snapshot."""
-        return self.targets[self.indptr[vertex] : self.indptr[vertex + 1]]
 
 
 def snapshot_from_live_edges(
@@ -118,99 +114,3 @@ def sample_snapshots(
         telemetry=telemetry,
     )
 
-
-def reachable_set(
-    snapshot: Snapshot,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    *,
-    cost: TraversalCost | None = None,
-    blocked: np.ndarray | None = None,
-) -> set[int]:
-    """Vertices reachable from ``seeds`` in ``snapshot`` (including the seeds).
-
-    ``blocked`` is an optional boolean mask of vertices to treat as removed,
-    as in the Snapshot graph-reduction update (Section 3.4.3), which excludes
-    vertices already reachable from previously chosen seeds.  (The Snapshot
-    estimator itself runs 64 snapshots per word through
-    :class:`repro.diffusion.snapshot_lanes.SnapshotLanes`.)
-    """
-    return set(reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked))
-
-
-def reachable_vertices(
-    snapshot: Snapshot,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    *,
-    cost: TraversalCost | None = None,
-    blocked: np.ndarray | None = None,
-) -> list[int]:
-    """Vertices reachable from ``seeds``, in BFS discovery order.
-
-    The list form of :func:`reachable_set`: a whole-frontier BFS over the
-    live-edge CSR.  Each level scans all frontier out-edges with one gather,
-    filters blocked/visited targets, and first-hit-deduplicates the next
-    frontier (scalar per-vertex expansion below
-    :data:`SCALAR_FRONTIER_LIMIT`).  Cost totals are identical to the
-    historical per-vertex loop (one vertex examination per expanded vertex,
-    one edge examination per scanned live out-edge).
-    """
-    seed_tuple = normalize_seed_set(seeds, snapshot.num_vertices)
-    visited = np.zeros(snapshot.num_vertices, dtype=bool)
-    slot = np.empty(snapshot.num_vertices, dtype=np.int64)
-    frontier: list[int] = (
-        [seed for seed in seed_tuple if not blocked[seed]]
-        if blocked is not None
-        else list(seed_tuple)
-    )
-    for seed in frontier:
-        visited[seed] = True
-    reached: list[int] = list(frontier)
-    indptr = snapshot.indptr
-    targets = snapshot.targets
-    while frontier:
-        if use_scalar_frontier(frontier):
-            # Small frontier: plain per-vertex expansion beats the batched
-            # gather's fixed overhead (no randomness involved here at all).
-            next_frontier: list[int] = []
-            edges_scanned = 0
-            for vertex in frontier:
-                row = targets[indptr[vertex] : indptr[vertex + 1]]
-                edges_scanned += int(row.shape[0])
-                for target in row.tolist():
-                    if blocked is not None and blocked[target]:
-                        continue
-                    if not visited[target]:
-                        visited[target] = True
-                        next_frontier.append(target)
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(edges_scanned)
-        else:
-            frontier_array = np.asarray(frontier, dtype=np.int64)
-            edge_indices, _, total = frontier_edges(indptr, frontier_array)
-            if cost is not None:
-                cost.add_vertices(len(frontier))
-                cost.add_edges(total)
-            if total == 0:
-                break
-            candidates = targets[edge_indices]
-            if blocked is not None:
-                candidates = candidates[~blocked[candidates]]
-            candidates = candidates[~visited[candidates]]
-            new_vertices = first_hit(candidates, slot)
-            visited[new_vertices] = True
-            next_frontier = new_vertices.tolist()
-        reached.extend(next_frontier)
-        frontier = next_frontier
-    return reached
-
-
-def reachable_count(
-    snapshot: Snapshot,
-    seeds: tuple[int, ...] | list[int] | set[int],
-    *,
-    cost: TraversalCost | None = None,
-    blocked: np.ndarray | None = None,
-) -> int:
-    """Number of vertices reachable from ``seeds`` in ``snapshot``."""
-    return len(reachable_vertices(snapshot, seeds, cost=cost, blocked=blocked))

@@ -46,8 +46,8 @@ class LintRule(abc.ABC):
     Subclasses set the class attributes and implement :meth:`check`, yielding
     :class:`~repro.lint.findings.Finding` objects for one parsed module.
     ``exempt_fragments`` lists path fragments (posix form, matched against
-    the module's absolute path) where the rule never applies — the
-    sanctioned homes of the behaviour it polices.
+    ``"/"`` plus the module's path relative to the run's root) where the
+    rule never applies — the sanctioned homes of the behaviour it polices.
     """
 
     #: Unique rule id (e.g. ``RNG001``); also the suppression token.

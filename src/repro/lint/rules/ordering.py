@@ -13,8 +13,9 @@ certain cases:
 * set-typed expressions passed to order-sensitive consumers
   (``sum``/``list``/``tuple``/``enumerate``/``str.join``);
 * ``os.listdir``/``os.scandir``/``glob.glob``/``glob.iglob`` and pathlib
-  ``.glob``/``.rglob``/``.iterdir`` calls not directly wrapped in
-  ``sorted(...)``.
+  ``.glob``/``.rglob``/``.iterdir`` calls not wrapped in ``sorted(...)``,
+  either directly or as the iterable of a comprehension or generator
+  expression that is itself the argument of ``sorted(...)``.
 
 ``sorted(<set>)`` and order-free consumers (``len``/``min``/``max``/``any``/
 ``all``/membership) are the sanctioned forms and are never flagged.
@@ -131,8 +132,12 @@ class IterationOrderRule(LintRule):
                 )
 
     def _directly_sorted(self, module: SourceModule, node: ast.Call) -> bool:
-        """Whether the call is an immediate argument of ``sorted(...)``."""
-        parent = module.index.parents.get(node)
+        """Whether the call is an immediate argument of ``sorted(...)``, or
+        the iterable of a comprehension that is one."""
+        parents = module.index.parents
+        parent = parents.get(node)
+        if isinstance(parent, ast.comprehension) and parent.iter is node:
+            parent = parents.get(parents[parent])
         return (
             isinstance(parent, ast.Call)
             and isinstance(parent.func, ast.Name)

@@ -58,13 +58,27 @@ _SKIPPED_DIRS: frozenset[str] = frozenset(
 _FIXTURE_FRAGMENT = "lint/fixtures"
 
 
-def _path_is_exempt(path: str | Path, fragments: Iterable[str]) -> bool:
+def _run_root(config: LintConfig) -> Path:
+    """The directory exemptions are relative to: the config's, else the cwd."""
+    return Path(config.source).parent if config.source is not None else Path.cwd()
+
+
+def _path_is_exempt(path: str | Path, fragments: Iterable[str], root: Path) -> bool:
     """Whether a path matches any exemption fragment (fixtures never do).
 
-    The fragments are matched against the absolute posix form of ``path``,
-    so a module is exempt or not however the caller spelled its path.
+    The fragments are matched against ``"/"`` plus the posix form of ``path``
+    relative to the run's ``root``, so a module is exempt or not however the
+    caller spelled its path, and a directory above the root (a checkout under
+    some ``tests/``) exempts nothing.  A path outside the root is never exempt.
     """
-    posix = Path(os.path.abspath(path)).as_posix()
+    try:
+        relative = Path(os.path.abspath(path)).relative_to(root)
+    except ValueError:
+        try:
+            relative = Path(os.path.realpath(path)).relative_to(root)
+        except ValueError:
+            return False
+    posix = "/" + relative.as_posix()
     if _FIXTURE_FRAGMENT in posix:
         return False
     return any(fragment in posix for fragment in fragments)
@@ -106,7 +120,7 @@ class SourceModule:
         Fixture modules (``tests/lint/fixtures/``) never match: they exist
         to fire the rules.
         """
-        return _path_is_exempt(self.path, fragments)
+        return _path_is_exempt(self.path, fragments, _run_root(self.config))
 
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -347,9 +361,10 @@ def run_lint(
     by_path: dict[str, list[Finding]] = {
         module.display_path: list(module.findings) for module in loaded
     }
+    root = _run_root(config)
     for rule in project_rules:
         for finding in rule.check(analysis):
-            if _path_is_exempt(finding.path, rule.exempt_fragments):
+            if _path_is_exempt(finding.path, rule.exempt_fragments, root):
                 continue
             by_path.setdefault(finding.path, []).append(finding)
 

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.algorithms.bounds import (
-    greedy_approximation_factor,
-    monte_carlo_spread_bound,
     oneshot_sample_bound,
     ris_sample_bound,
-    ris_weight_bound,
-    snapshot_sample_bound,
     theoretical_cost_ratios,
 )
 from repro.exceptions import InvalidParameterError
@@ -44,23 +38,6 @@ class TestOneshotBound:
             oneshot_sample_bound(0.1, 0.1, 100, 1, 0.0)
 
 
-class TestSnapshotBound:
-    def test_scales_with_n_squared(self):
-        small = snapshot_sample_bound(10.0, 0.01, 100, 1)
-        large = snapshot_sample_bound(10.0, 0.01, 1000, 1)
-        expected_ratio = (
-            1000 ** 2 * (math.log(1000) + math.log(100))
-        ) / (100 ** 2 * (math.log(100) + math.log(100)))
-        assert large / small == pytest.approx(expected_ratio, rel=1e-9)
-
-    def test_additive_epsilon_not_restricted_to_unit_interval(self):
-        assert snapshot_sample_bound(25.0, 0.01, 1000, 4) > 0
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            snapshot_sample_bound(0.0, 0.01, 100, 1)
-
-
 class TestRISBounds:
     def test_smaller_than_oneshot_bound(self):
         # The RIS bound drops the extra factor of k relative to Oneshot.
@@ -68,28 +45,9 @@ class TestRISBounds:
         ris = ris_sample_bound(0.05, 0.01, 7115, 4, optimal_spread=2.7)
         assert ris < oneshot
 
-    def test_weight_bound_scales_with_graph_size(self):
-        small = ris_weight_bound(0.1, 100, 500, 2)
-        large = ris_weight_bound(0.1, 1000, 5000, 2)
-        assert large > small
-
     def test_invalid_optimal_spread(self):
         with pytest.raises(ValueError):
             ris_sample_bound(0.1, 0.1, 100, 1, -1.0)
-
-
-class TestOtherBounds:
-    def test_monte_carlo_spread_bound(self):
-        assert monte_carlo_spread_bound(0.1, 100) == pytest.approx(100 * 100 ** 2)
-
-    def test_greedy_factor_exact_oracle(self):
-        assert greedy_approximation_factor(5) == pytest.approx(1 - 1 / math.e)
-
-    def test_greedy_factor_degrades_with_oracle_error(self):
-        assert greedy_approximation_factor(10, 0.01) < greedy_approximation_factor(10)
-
-    def test_greedy_factor_never_negative(self):
-        assert greedy_approximation_factor(100, 0.5) == 0.0
 
 
 class TestTheoreticalCostRatios:

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_kernels import reachable_set_reference
 from repro.algorithms.framework import greedy_maximize
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.snapshot_lanes import SnapshotLanes
-from repro.diffusion.snapshots import reachable_count, reachable_vertices, sample_snapshot
+from repro.diffusion.snapshots import sample_snapshot
 from repro.exceptions import EstimatorStateError, InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.datasets import load_dataset
@@ -169,7 +170,7 @@ class PerSnapshotReference(SnapshotEstimator):
     def _count(self, seeds, blocked=None):
         blocked = blocked or [None] * len(self.snapshots)
         return sum(
-            reachable_count(snapshot, seeds, cost=self.estimate_cost, blocked=mask)
+            len(reachable_set_reference(snapshot, seeds, cost=self.estimate_cost, blocked=mask))
             for snapshot, mask in zip(self.snapshots, blocked)
         )
 
@@ -183,11 +184,10 @@ class PerSnapshotReference(SnapshotEstimator):
         self._reference_seeds += (chosen_vertex,)
         if self.update_strategy == "reduce":
             for snapshot, mask in zip(self.snapshots, self._reference_blocked):
-                mask[
-                    reachable_vertices(
-                        snapshot, (chosen_vertex,), cost=self.estimate_cost, blocked=mask
-                    )
-                ] = True
+                reached = reachable_set_reference(
+                    snapshot, (chosen_vertex,), cost=self.estimate_cost, blocked=mask
+                )
+                mask[list(reached)] = True
         else:
             self._reference_base = self._count(self._reference_seeds)
 
@@ -300,7 +300,7 @@ class TestLaneParity:
         repeated = 0
         for snapshot in estimator.snapshots:
             for vertex in range(snapshot.num_vertices):
-                row = snapshot.out_neighbors(vertex)
+                row = snapshot.targets[snapshot.indptr[vertex] : snapshot.indptr[vertex + 1]]
                 repeated += row.shape[0] - np.unique(row).shape[0]
         assert repeated > 0
 

@@ -3,13 +3,15 @@
 Two layers of protection against draw-order drift:
 
 * **Reference equivalence** — the vectorized kernels must reproduce the
-  per-vertex reference loops (:mod:`repro.diffusion._reference`, kept
-  verbatim from the pre-vectorization code) bit-for-bit: activation order,
-  RR-set contents and weights, traversal-cost totals, and PRNG stream
-  consumption, across graphs whose frontiers cross the scalar/vectorized
-  threshold in both directions.  Whole batches (serial, one generator per
-  task unit, and ``jobs=2``) are held to the same loops, down to the next
-  ``random()`` and ``integers(n)`` of every generator afterwards.
+  per-vertex reference loops (``tests/reference_kernels.py``, kept verbatim
+  from the pre-vectorization code) bit-for-bit: activation order, RR-set
+  contents and weights, traversal-cost totals, and PRNG stream consumption,
+  across graphs whose frontiers cross the scalar/vectorized threshold in both
+  directions.  Whole batches (serial, one generator per task unit, and
+  ``jobs=2``) are held to the same loops, down to the next ``random()`` and
+  ``integers(n)`` of every generator afterwards.  The Snapshot lane query on
+  one snapshot must equal the reference BFS's count and cost, blocked lanes
+  included.
 * **Pinned goldens** — concrete values captured from the pre-refactor code on
   karate and a random scale-free graph.  These catch the failure mode the
   reference comparison cannot: both implementations drifting together.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.diffusion._reference import (
+from reference_kernels import (
     reachable_set_reference,
     sample_rr_set_reference,
     simulate_cascade_reference,
@@ -38,11 +40,8 @@ from repro.diffusion.linear_threshold import sample_lt_snapshot
 from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import RRSetCollection, sample_rr_set, sample_rr_sets
-from repro.diffusion.snapshots import (
-    reachable_count,
-    reachable_set,
-    sample_snapshot,
-)
+from repro.diffusion.snapshot_lanes import SnapshotLanes
+from repro.diffusion.snapshots import sample_snapshot
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import directed_scale_free
@@ -122,29 +121,26 @@ class TestReferenceEquivalence:
         assert reference_rng.random() == vector_rng.random()
 
     @pytest.mark.parametrize("seed,prob_model", _graphs_for_equivalence())
-    def test_reachability_set_and_cost(self, seed, prob_model):
+    def test_lane_reachability_count_and_cost(self, seed, prob_model):
         graph = assign_probabilities(
             directed_scale_free(150, average_out_degree=10.0, seed=seed), prob_model
         )
         snapshot = sample_snapshot(graph, RandomSource(seed + 99))
+        lanes = SnapshotLanes([snapshot])
         blocked = np.zeros(graph.num_vertices, dtype=bool)
-        blocked[::5] = True
-        for blocked_mask in (None, blocked):
-            reference_cost, vector_cost = TraversalCost(), TraversalCost()
+        # Nothing blocked, then the reach of 7, then also that of 0 (a seed).
+        for chosen in (7, 0, None):
+            reference_cost, lane_cost = TraversalCost(), TraversalCost()
             reference = reachable_set_reference(
-                snapshot, (0, 2), cost=reference_cost, blocked=blocked_mask
+                snapshot, (0, 2), cost=reference_cost, blocked=blocked
             )
-            vectorized = reachable_set(
-                snapshot, (0, 2), cost=vector_cost, blocked=blocked_mask
-            )
-            assert vectorized == reference
-            assert (vector_cost.vertices, vector_cost.edges) == (
-                reference_cost.vertices,
-                reference_cost.edges,
-            )
-            assert reachable_count(snapshot, (0, 2), blocked=blocked_mask) == len(
-                reference
-            )
+            count = lanes.reachable_count((0, 2), cost=lane_cost, blocked=True)
+            assert count == len(reference)
+            assert lane_cost == reference_cost
+            if chosen is not None:
+                reached = reachable_set_reference(snapshot, (chosen,), blocked=blocked)
+                assert lanes.block_reachable((chosen,)) == len(reached)
+                blocked[list(reached)] = True
 
     def test_batch_equals_repeated_single_calls(self, karate):
         single_rng = RandomSource(3).generator
@@ -374,15 +370,21 @@ class TestPinnedGoldens:
         snapshot = sample_snapshot(karate, RandomSource(33))
         assert snapshot.num_live_edges == 35
         cost = TraversalCost()
-        reach = reachable_set(snapshot, (0,), cost=cost)
+        reach = reachable_set_reference(snapshot, (0,), cost=cost)
         assert sorted(reach) == [0, 3, 4, 5, 6, 10, 11, 12, 13, 16, 17, 21]
+        assert (cost.vertices, cost.edges) == (12, 12)
+        cost = TraversalCost()
+        assert SnapshotLanes([snapshot]).reachable_count((0,), cost=cost) == 12
         assert (cost.vertices, cost.edges) == (12, 12)
 
     def test_scale_free_snapshot_reachability(self, scale_free):
         snapshot = sample_snapshot(scale_free, RandomSource(33))
         assert snapshot.num_live_edges == 301
         cost = TraversalCost()
-        assert reachable_set(snapshot, (0,), cost=cost) == {0}
+        assert reachable_set_reference(snapshot, (0,), cost=cost) == {0}
+        assert (cost.vertices, cost.edges) == (1, 0)
+        cost = TraversalCost()
+        assert SnapshotLanes([snapshot]).reachable_count((0,), cost=cost) == 1
         assert (cost.vertices, cost.edges) == (1, 0)
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from reference_kernels import lt_reachable_set_reference
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.linear_threshold import (
     exact_lt_spread,
-    lt_reachable_set,
     sample_lt_rr_set,
     sample_lt_snapshot,
     simulate_lt_cascade,
@@ -15,6 +15,7 @@ from repro.diffusion.linear_threshold import (
 )
 from repro.diffusion.models import LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
+from repro.diffusion.snapshot_lanes import SnapshotLanes
 from repro.exceptions import InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.datasets import load_dataset
@@ -124,18 +125,17 @@ class TestLTSnapshots:
 
     def test_reachability_on_deterministic_star(self, star_graph):
         snapshot = sample_lt_snapshot(star_graph, RandomSource(0))
-        assert lt_reachable_set(snapshot, (0,)) == set(range(6))
-        assert lt_reachable_set(snapshot, (2,)) == {2}
+        assert lt_reachable_set_reference(snapshot, (0,)) == set(range(6))
+        assert lt_reachable_set_reference(snapshot, (2,)) == {2}
 
     def test_snapshot_estimator_unbiased(self, lt_chain):
         exact = exact_lt_spread(lt_chain, (0,))
         rng = RandomSource(8)
-        total = 0
         trials = 4000
-        for _ in range(trials):
-            snapshot = sample_lt_snapshot(lt_chain, rng)
-            total += len(lt_reachable_set(snapshot, (0,)))
-        assert total / trials == pytest.approx(exact, rel=0.05)
+        lanes = SnapshotLanes(
+            [sample_lt_snapshot(lt_chain, rng).to_snapshot() for _ in range(trials)]
+        )
+        assert lanes.reachable_count((0,)) / trials == pytest.approx(exact, rel=0.05)
 
 
 class TestLTRRSets:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_kernels import lt_reachable_set_reference, reachable_set_reference
 from repro.diffusion.cascade import CascadeResult, simulate_cascade
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.linear_threshold import (
     LTRRSet,
-    lt_reachable_set,
     sample_lt_rr_set,
     sample_lt_snapshot,
     simulate_lt_cascade,
@@ -25,7 +25,7 @@ from repro.diffusion.models import (
 )
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import RRSet, RRSetCollection, sample_rr_set
-from repro.diffusion.snapshots import Snapshot, reachable_set, sample_snapshot
+from repro.diffusion.snapshots import Snapshot, sample_snapshot
 from repro.exceptions import InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.datasets import load_dataset
@@ -151,7 +151,7 @@ class TestLinearThresholdModel:
             lt_snapshot = sample_lt_snapshot(karate_lt, RandomSource(seed))
             csr = lt_snapshot.to_snapshot()
             for start in (0, 5, 33):
-                assert reachable_set(csr, (start,)) == lt_reachable_set(
+                assert reachable_set_reference(csr, (start,)) == lt_reachable_set_reference(
                     lt_snapshot, (start,)
                 )
 

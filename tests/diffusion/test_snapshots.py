@@ -5,14 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_kernels import reachable_set_reference
 from repro.diffusion.costs import SampleSize, TraversalCost
 from repro.diffusion.random_source import RandomSource
-from repro.diffusion.snapshots import (
-    reachable_count,
-    reachable_set,
-    sample_snapshot,
-    sample_snapshots,
-)
+from repro.diffusion.snapshot_lanes import SnapshotLanes
+from repro.diffusion.snapshots import sample_snapshot, sample_snapshots
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.probability import uniform_cascade
 
@@ -39,9 +36,9 @@ class TestSampleSnapshot:
     def test_live_edges_subset_of_original(self, karate_uc01):
         snapshot = sample_snapshot(karate_uc01, RandomSource(1))
         original = {(e.source, e.target) for e in karate_uc01.edges()}
-        for vertex in range(snapshot.num_vertices):
-            for target in snapshot.out_neighbors(vertex):
-                assert (vertex, int(target)) in original
+        sources = np.repeat(np.arange(snapshot.num_vertices), np.diff(snapshot.indptr))
+        for source, target in zip(sources.tolist(), snapshot.targets.tolist()):
+            assert (source, target) in original
 
     def test_sample_snapshots_count(self, karate_uc01):
         snapshots = sample_snapshots(karate_uc01, 5, RandomSource(2))
@@ -55,38 +52,41 @@ class TestSampleSnapshot:
 
 
 class TestReachability:
+    """Live-edge reachability: the lane query and the per-vertex reference BFS."""
+
     def test_reachable_set_on_deterministic_star(self, star_graph, rng):
         snapshot = sample_snapshot(star_graph, rng)
-        assert reachable_set(snapshot, (0,)) == set(range(6))
-        assert reachable_set(snapshot, (2,)) == {2}
+        assert reachable_set_reference(snapshot, (0,)) == set(range(6))
+        assert reachable_set_reference(snapshot, (2,)) == {2}
 
     def test_reachable_count(self, path_graph, rng):
-        snapshot = sample_snapshot(path_graph, rng)
-        assert reachable_count(snapshot, (0,)) == 4
-        assert reachable_count(snapshot, (3,)) == 1
+        lanes = SnapshotLanes([sample_snapshot(path_graph, rng)])
+        assert lanes.reachable_count((0,)) == 4
+        assert lanes.reachable_count((3,)) == 1
 
     def test_multiple_seeds_union(self, two_hubs_graph, rng):
-        snapshot = sample_snapshot(two_hubs_graph, rng)
-        assert reachable_count(snapshot, (0, 4)) == 7
+        lanes = SnapshotLanes([sample_snapshot(two_hubs_graph, rng)])
+        assert lanes.reachable_count((0, 4)) == 7
 
     def test_blocked_vertices_excluded(self, star_graph, rng):
         snapshot = sample_snapshot(star_graph, rng)
         blocked = np.zeros(6, dtype=bool)
         blocked[[1, 2]] = True
-        assert reachable_set(snapshot, (0,), blocked=blocked) == {0, 3, 4, 5}
+        assert reachable_set_reference(snapshot, (0,), blocked=blocked) == {0, 3, 4, 5}
 
     def test_blocked_seed_returns_empty(self, star_graph, rng):
         snapshot = sample_snapshot(star_graph, rng)
         blocked = np.zeros(6, dtype=bool)
         blocked[0] = True
-        assert reachable_set(snapshot, (0,), blocked=blocked) == set()
+        assert reachable_set_reference(snapshot, (0,), blocked=blocked) == set()
 
     def test_cost_accounting(self, star_graph, rng):
         snapshot = sample_snapshot(star_graph, rng)
-        cost = TraversalCost()
-        reachable_set(snapshot, (0,), cost=cost)
-        assert cost.vertices == 6
-        assert cost.edges == 5
+        reference_cost, lane_cost = TraversalCost(), TraversalCost()
+        reachable_set_reference(snapshot, (0,), cost=reference_cost)
+        SnapshotLanes([snapshot]).reachable_count((0,), cost=lane_cost)
+        assert (lane_cost.vertices, lane_cost.edges) == (6, 5)
+        assert lane_cost == reference_cost
 
     def test_snapshot_reachability_only_counts_live_edges(self):
         builder = GraphBuilder(3, default_probability=1.0)
@@ -96,5 +96,5 @@ class TestReachability:
         # With tiny probabilities the snapshot is almost surely empty.
         snapshot = sample_snapshot(graph, RandomSource(0))
         cost = TraversalCost()
-        assert reachable_count(snapshot, (0,), cost=cost) == 1
+        assert SnapshotLanes([snapshot]).reachable_count((0,), cost=cost) == 1
         assert cost.edges == snapshot.num_live_edges == 0

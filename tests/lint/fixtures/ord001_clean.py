@@ -17,6 +17,11 @@ def sorted_listing(path):
     return sorted(os.listdir(path))
 
 
+def sorted_comprehension_listing(directory):
+    names = sorted(entry.name for entry in directory.glob("*.json"))
+    return names + sorted([os.path.join(directory, name) for name in os.listdir(directory)])
+
+
 def rebound_name(vertices: set[int]) -> list[int]:
     vertices = sorted(vertices)
     return list(vertices)

@@ -222,6 +222,19 @@ class TestPathSpelling:
         monkeypatch.chdir(REPO_ROOT)
         assert run_lint(["tests/diffusion/test_bitparallel.py"]).findings == []
 
+    def test_tests_directory_above_the_root_exempts_nothing(self, tmp_path, monkeypatch):
+        # A project checked out under some "tests/" directory is linted in full.
+        project = tmp_path / "tests" / "proj"
+        (project / "pkg").mkdir(parents=True)
+        (project / "pyproject.toml").write_text("[tool.repro-lint]\n", encoding="utf-8")
+        violation = (FIXTURES / "rng001_violation.py").read_text(encoding="utf-8")
+        (project / "pkg" / "mod.py").write_text(violation, encoding="utf-8")
+        expected = [f.rule for f in run_lint([FIXTURES / "rng001_violation.py"]).findings]
+        assert len(expected) == 4
+        monkeypatch.chdir(project)
+        for spelling in ("pkg/mod.py", project / "pkg" / "mod.py"):
+            assert [f.rule for f in run_lint([spelling]).findings] == expected
+
     @pytest.mark.parametrize("spelling", ["relative", "absolute"])
     def test_fixtures_fire_under_both_spellings(self, monkeypatch, spelling):
         monkeypatch.chdir(REPO_ROOT)

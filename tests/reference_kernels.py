@@ -1,18 +1,23 @@
-"""Reference per-vertex implementations of the frontier hot loops.
+"""Per-vertex reference loops for the traversal kernels, for tests only.
 
-These are the historical (pre-vectorization) kernels, kept verbatim for two
-purposes:
+One plain loop per kernel, kept verbatim from the pre-vectorization code
+(the LT one walks the parent array directly), so the tests can hold the
+library's kernels to them:
 
-* the golden determinism tests (``tests/diffusion/test_golden_kernels.py``)
-  assert that the vectorized kernels in :mod:`repro.diffusion.cascade`,
-  :mod:`repro.diffusion.reverse`, and :mod:`repro.diffusion.snapshots`
-  reproduce them byte-for-byte — same activation order, same RR-set contents
-  and weights, same traversal-cost totals, same PRNG stream consumption;
-* ``benchmarks/bench_vectorized_kernels.py`` measures old-vs-new wall time on
-  the same inputs.
+* ``simulate_cascade_reference`` and ``sample_rr_set_reference`` draw one
+  ``random(degree)`` per expanded vertex; the golden tests
+  (``tests/diffusion/test_golden_kernels.py``) require the batched IC kernels
+  to reproduce them byte for byte — activation order, RR-set contents and
+  weights, traversal-cost totals and PRNG stream consumption;
+* ``reachable_set_reference`` is one live-edge BFS over one snapshot; the
+  Snapshot lane queries (:class:`repro.diffusion.snapshot_lanes.SnapshotLanes`)
+  must equal its per-snapshot counts and costs summed;
+* ``lt_reachable_set_reference`` follows an LT parent array forward, the
+  reference for :meth:`repro.diffusion.linear_threshold.LTSnapshot.to_snapshot`.
 
-They are not exported from the package and must not grow features: any
-behavioural change here would silently weaken the golden tests.
+They must not grow features: any behavioural change here would silently
+weaken the tests that compare against them.  ``tests/`` is on ``sys.path``
+under pytest, so any test imports them as ``from reference_kernels import ...``.
 """
 
 from __future__ import annotations
@@ -21,13 +26,14 @@ from collections import deque
 
 import numpy as np
 
-from .._validation import normalize_seed_set, require_vertex
-from ..graphs.influence_graph import InfluenceGraph
-from .cascade import CascadeResult
-from .costs import SampleSize, TraversalCost
-from .random_source import RandomSource
-from .reverse import RRSet
-from .snapshots import Snapshot
+from repro._validation import normalize_seed_set, require_vertex
+from repro.diffusion.cascade import CascadeResult
+from repro.diffusion.costs import SampleSize, TraversalCost
+from repro.diffusion.linear_threshold import LTSnapshot
+from repro.diffusion.random_source import RandomSource
+from repro.diffusion.reverse import RRSet
+from repro.diffusion.snapshots import Snapshot
+from repro.graphs.influence_graph import InfluenceGraph
 
 
 def simulate_cascade_reference(
@@ -127,7 +133,11 @@ def reachable_set_reference(
     cost: TraversalCost | None = None,
     blocked: np.ndarray | None = None,
 ) -> set[int]:
-    """The historical per-vertex live-edge BFS reachability loop."""
+    """The historical per-vertex live-edge BFS reachability loop.
+
+    ``blocked`` is an optional boolean mask of vertices treated as removed,
+    as in the Snapshot graph-reduction Update (Section 3.4.3).
+    """
     seed_tuple = normalize_seed_set(seeds, snapshot.num_vertices)
     visited: set[int] = set()
     queue: deque[int] = deque()
@@ -141,7 +151,7 @@ def reachable_set_reference(
         vertex = queue.popleft()
         if cost is not None:
             cost.add_vertices(1)
-        neighbours = snapshot.out_neighbors(vertex)
+        neighbours = snapshot.targets[snapshot.indptr[vertex] : snapshot.indptr[vertex + 1]]
         if cost is not None:
             cost.add_edges(int(neighbours.shape[0]))
         for target in neighbours:
@@ -151,4 +161,21 @@ def reachable_set_reference(
             if target not in visited:
                 visited.add(target)
                 queue.append(target)
+    return visited
+
+
+def lt_reachable_set_reference(snapshot: LTSnapshot, seeds) -> set[int]:
+    """Vertices reachable from ``seeds`` over an LT snapshot's selected edges."""
+    seed_tuple = normalize_seed_set(seeds, snapshot.num_vertices)
+    children: list[list[int]] = [[] for _ in range(snapshot.num_vertices)]
+    for child, parent in enumerate(snapshot.parent.tolist()):
+        if parent >= 0:
+            children[parent].append(child)
+    visited: set[int] = set(seed_tuple)
+    queue: deque[int] = deque(seed_tuple)
+    while queue:
+        for child in children[queue.popleft()]:
+            if child not in visited:
+                visited.add(child)
+                queue.append(child)
     return visited

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_kernels import reachable_set_reference
 from repro.diffusion.cascade import simulate_cascade
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import sample_rr_set
-from repro.diffusion.snapshots import reachable_set, sample_snapshot
+from repro.diffusion.snapshot_lanes import SnapshotLanes
+from repro.diffusion.snapshots import sample_snapshot
 from repro.experiments.seed_distribution import SeedSetDistribution
 from repro.graphs.influence_graph import InfluenceGraph
 
@@ -118,9 +120,10 @@ class TestDiffusionInvariants:
     def test_snapshot_reachability_superset_of_seeds(self, graph_and_seeds, seed):
         graph, seeds = graph_and_seeds
         snapshot = sample_snapshot(graph, RandomSource(seed))
-        reachable = reachable_set(snapshot, seeds)
+        reachable = reachable_set_reference(snapshot, seeds)
         assert set(seeds) <= reachable
         assert len(reachable) <= graph.num_vertices
+        assert SnapshotLanes([snapshot]).reachable_count(seeds) == len(reachable)
 
     @given(random_graphs(), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, suppress_health_check=SUPPRESSED, deadline=None)

@@ -27,14 +27,9 @@ USE_DIRECTORIES = ("src", "benchmarks", "examples")
 
 #: Functions no workload reaches that stay on purpose, each with its reason.
 KEPT_UNREACHED = {
-    "snapshot_sample_bound": "Table 1 theory: Snapshot's worst-case tau",
-    "ris_weight_bound": "Table 1 theory: Borgs et al.'s RR-set weight threshold",
-    "monte_carlo_spread_bound": "Table 1 theory: simulations per spread value",
-    "greedy_approximation_factor": "Table 1 theory: greedy's factor over a noisy oracle",
     "entropy_convergence_point": "Figure 1's convergence point (paper finding 1)",
     "entropy_scaling_factor": "Figure 1's x2^4 scaling (paper finding 2)",
     "empirical_cost_ratios": "Section 5.3's 1 : m~/m : 1/n relation over Table 8 rows",
-    "lt_reachable_set": "test_models' reference for LTSnapshot.to_snapshot",
     "make_estimator": "pre-redesign factory pinned by tests/api/test_legacy_surface.py",
     "read_trace": "the only reader of the JSONL trace that --trace/REPRO_TRACE writes",
     "validate_trace": "CI's telemetry trace smoke validates a real --trace file with it",

@@ -22,22 +22,12 @@ from repro.algorithms.ris import RISEstimator
 from repro.algorithms.snapshot import SnapshotEstimator
 from repro.diffusion.cascade import simulate_cascade, simulate_spread
 from repro.diffusion.exact import exact_spread
-from repro.diffusion.linear_threshold import (
-    exact_lt_spread,
-    lt_reachable_set,
-    sample_lt_snapshot,
-    simulate_lt_cascade,
-)
+from repro.diffusion.linear_threshold import exact_lt_spread, simulate_lt_cascade
 from repro.diffusion.models import INDEPENDENT_CASCADE
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import RRSet, RRSetCollection, sample_rr_set, sample_rr_sets
 from repro.diffusion.snapshot_lanes import SnapshotLanes
-from repro.diffusion.snapshots import (
-    reachable_count,
-    reachable_set,
-    reachable_vertices,
-    sample_snapshot,
-)
+from repro.diffusion.snapshots import sample_snapshot
 from repro.estimation.monte_carlo import monte_carlo_spread
 from repro.estimation.oracle import RRPoolOracle
 from repro.exceptions import (
@@ -224,11 +214,6 @@ def _built(estimator, graph):
 #: Every public query that takes a seed set or a candidate vertex, as
 #: ``(graph, value) -> result``; each must validate rather than cast.
 SEED_SURFACES = {
-    "reachable_count": lambda g, v: reachable_count(sample_snapshot(g, RandomSource(1)), [v]),
-    "reachable_vertices": lambda g, v: reachable_vertices(
-        sample_snapshot(g, RandomSource(1)), [v]
-    ),
-    "reachable_set": lambda g, v: reachable_set(sample_snapshot(g, RandomSource(1)), [v]),
     "snapshot_lanes.reachable_count": lambda g, v: SnapshotLanes(
         [sample_snapshot(g, RandomSource(1))]
     ).reachable_count([v]),
@@ -243,7 +228,6 @@ SEED_SURFACES = {
     "monte_carlo_spread": lambda g, v: monte_carlo_spread(g, [v], 4, seed=1),
     "exact_spread": lambda g, v: exact_spread(g, [v]),
     "simulate_lt_cascade": lambda g, v: simulate_lt_cascade(g, [v], RandomSource(1)),
-    "lt_reachable_set": lambda g, v: lt_reachable_set(sample_lt_snapshot(g, RandomSource(1)), [v]),
     "exact_lt_spread": lambda g, v: exact_lt_spread(g, [v]),
     "oracle.spread": lambda g, v: RRPoolOracle(g, pool_size=50, seed=1).spread([v]),
     "snapshot.naive.estimate": lambda g, v: _built(SnapshotEstimator(3), g).estimate((), v),
