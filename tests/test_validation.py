@@ -23,7 +23,7 @@ from repro.algorithms.snapshot import SnapshotEstimator
 from repro.diffusion.cascade import simulate_cascade, simulate_spread
 from repro.diffusion.exact import exact_spread
 from repro.diffusion.linear_threshold import exact_lt_spread, simulate_lt_cascade
-from repro.diffusion.models import INDEPENDENT_CASCADE
+from repro.diffusion.models import INDEPENDENT_CASCADE, LINEAR_THRESHOLD
 from repro.diffusion.random_source import RandomSource
 from repro.diffusion.reverse import RRSet, RRSetCollection, sample_rr_set, sample_rr_sets
 from repro.diffusion.snapshot_lanes import SnapshotLanes
@@ -220,7 +220,13 @@ SEED_SURFACES = {
     "rr_collection.fraction_covered": lambda g, v: INDEPENDENT_CASCADE.sample_rr_store(
         g, 20, RandomSource(1)
     ).fraction_covered([v]),
+    "lt.rr_collection.fraction_covered": lambda g, v: LINEAR_THRESHOLD.sample_rr_store(
+        g, 20, RandomSource(1)
+    ).fraction_covered([v]),
     "simulate_cascade": lambda g, v: simulate_cascade(g, [v], RandomSource(1)),
+    "simulate_cascades": lambda g, v: INDEPENDENT_CASCADE.simulate_cascades(
+        g, [v], 4, RandomSource(1)
+    ),
     "simulate_spread": lambda g, v: simulate_spread(g, [v], 4, RandomSource(1)),
     "bitparallel.simulate_spread": lambda g, v: INDEPENDENT_CASCADE.simulate_spread(
         g, [v], 4, RandomSource(1), batch_mode="bitparallel"
@@ -228,6 +234,12 @@ SEED_SURFACES = {
     "monte_carlo_spread": lambda g, v: monte_carlo_spread(g, [v], 4, seed=1),
     "exact_spread": lambda g, v: exact_spread(g, [v]),
     "simulate_lt_cascade": lambda g, v: simulate_lt_cascade(g, [v], RandomSource(1)),
+    "lt.simulate_spread": lambda g, v: LINEAR_THRESHOLD.simulate_spread(
+        g, [v], 4, RandomSource(1)
+    ),
+    "lt.bitparallel.simulate_spread": lambda g, v: LINEAR_THRESHOLD.simulate_spread(
+        g, [v], 4, RandomSource(1), batch_mode="bitparallel"
+    ),
     "exact_lt_spread": lambda g, v: exact_lt_spread(g, [v]),
     "oracle.spread": lambda g, v: RRPoolOracle(g, pool_size=50, seed=1).spread([v]),
     "snapshot.naive.estimate": lambda g, v: _built(SnapshotEstimator(3), g).estimate((), v),
@@ -236,9 +248,19 @@ SEED_SURFACES = {
     ).estimate((), v),
     "snapshot.spread": lambda g, v: _built(SnapshotEstimator(3), g).spread([v]),
     "snapshot.update": lambda g, v: _built(SnapshotEstimator(3), g).update(v),
+    "snapshot.reduce.update": lambda g, v: _built(
+        SnapshotEstimator(3, update_strategy="reduce"), g
+    ).update(v),
+    "snapshot.reduce.spread": lambda g, v: _built(
+        SnapshotEstimator(3, update_strategy="reduce"), g
+    ).spread([v]),
+    "lt.snapshot.estimate": lambda g, v: _built(SnapshotEstimator(3, model="lt"), g).estimate(
+        (), v
+    ),
     "oneshot.estimate": lambda g, v: _built(OneshotEstimator(2), g).estimate((), v),
     "ris.estimate": lambda g, v: _built(RISEstimator(20), g).estimate((), v),
     "ris.spread": lambda g, v: _built(RISEstimator(20), g).spread([v]),
+    "ris.update": lambda g, v: _built(RISEstimator(20), g).update(v),
     "exact.estimate": lambda g, v: _built(ExactEstimator(), g).estimate((), v),
 }
 
