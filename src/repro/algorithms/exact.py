@@ -12,6 +12,7 @@ Two tools for validating the randomized algorithms:
 
 from __future__ import annotations
 
+from .._validation import require_vertex
 from ..diffusion.exact import exact_optimal_seed_set, exact_spread
 from ..diffusion.random_source import RandomSource
 from ..graphs.influence_graph import InfluenceGraph
@@ -45,4 +46,4 @@ class ExactEstimator(InfluenceEstimator):
         return exact_spread(self.graph, tuple(current_seeds) + (vertex,))
 
     def update(self, chosen_vertex: int) -> None:
-        del chosen_vertex
+        require_vertex(chosen_vertex, self.graph.num_vertices)

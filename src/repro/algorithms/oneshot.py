@@ -18,6 +18,7 @@ Properties relevant to the paper's findings:
 
 from __future__ import annotations
 
+from .._validation import require_vertex
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..diffusion.random_source import RandomSource
 from ..graphs.influence_graph import InfluenceGraph
@@ -102,6 +103,7 @@ class OneshotEstimator(InfluenceEstimator):
 
     def update(self, chosen_vertex: int) -> None:
         """Record the chosen seed (only needed for marginal-mode baselines)."""
+        chosen_vertex = require_vertex(chosen_vertex, self.graph.num_vertices)
         self._current_seeds = tuple(self._current_seeds) + (chosen_vertex,)
         if self._marginal:
             self._baseline_estimate = self._simulate_total(self._current_seeds)

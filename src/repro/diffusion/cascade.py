@@ -178,7 +178,8 @@ def _simulate_cascades_batch(
 
     Byte-identical to one :func:`simulate_cascade` call per generator — the
     batch only amortizes per-call overhead: one seed normalization, one
-    row/CSR unpack, one :class:`DrawStream` per distinct generator, and
+    row/CSR unpack, one :class:`DrawStream` per distinct generator (or per
+    unit of a :class:`~repro.diffusion.random_source.ReseatedGenerator`), and
     ``active`` bytes reset by clearing only the activated entries, so small
     cascades on large graphs never pay an O(n) refill.  Costs are summed in
     local ints and added to ``cost`` once.  Each activation order is mapped

@@ -58,7 +58,7 @@ from . import reverse as _ic_reverse
 from . import snapshots as _ic_snapshots
 from .cascade import CascadeResult
 from .costs import SampleSize, TraversalCost
-from .random_source import RandomSource
+from .random_source import RandomSource, ReseatedGenerator
 from .reverse import RRArrays, RRSet, RRSetCollection
 from .snapshots import Snapshot
 
@@ -457,16 +457,19 @@ def _seeded_chunk_worker(payload, root_key: tuple, start: int, stop: int):
     is ``(kernel, count, bitparallel)``, and unit ``i`` (one sample, or the
     64-lane word of samples ``64*i ..`` when ``bitparallel``) draws from the
     child stream of ``(root_key, i)``, so results are independent of the
-    chunk layout and worker count.  Module-level so it pickles into worker
-    processes; the chunk's own accumulators come back for the parent to
-    merge in chunk order.
+    chunk layout and worker count.  The kernel gets one generator re-seated
+    to each unit's state in turn (:class:`ReseatedGenerator` over
+    :func:`~repro.runtime.seeding.unit_states`), not a generator per unit;
+    every kernel is done with a unit before it asks for the next.
+    Module-level so it pickles into worker processes; the chunk's own
+    accumulators come back for the parent to merge in chunk order.
     """
-    from ..runtime.seeding import child_generator
+    from ..runtime.seeding import unit_states
 
     kernel, count, bitparallel = payload
     unit = _bp.LANES_PER_WORD if bitparallel else 1
     samples = min(count, stop * unit) - start * unit
-    generators = map(partial(child_generator, root_key), range(start, stop))
+    generators = ReseatedGenerator(unit_states(root_key, start, stop))
     cost = TraversalCost()
     sample_size = SampleSize()
     return kernel(bitparallel, samples, generators, cost, sample_size), cost, sample_size

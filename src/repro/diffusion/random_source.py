@@ -28,6 +28,10 @@ from ..exceptions import InvalidParameterError
 #: doubles the next one up to :data:`_LAST_BLOCK`.
 _FIRST_BLOCK = 64
 _LAST_BLOCK = 4096
+#: The first prefetch of a re-seated unit's stream, listed whole (at most
+#: :data:`_LISTED_STRETCH`): a small RR set or cascade draws a handful of
+#: words, and a larger one refills as above.
+_FIRST_UNIT_BLOCK = 32
 #: Doubles a :class:`DrawStream` lists as Python floats at a time for small
 #: levels; a large level reads the block as an array and skips the listing.
 _LISTED_STRETCH = 256
@@ -131,8 +135,9 @@ class DrawStream:
     the generator ends exactly where per-call numpy draws would have left
     it and direct draws after the stream compose with it.  While a stream
     is open nothing else may draw from its generator.  The first fetch is
-    64 words and each refill doubles the next up to 4096 (or fetches what
-    one request needs, when that is more).
+    64 words (32 for a :class:`ReseatedGenerator`'s unit) and each refill
+    doubles the next up to 4096 (or fetches what one request needs, when
+    that is more).
     """
 
     def __init__(self, generator: np.random.Generator) -> None:
@@ -261,6 +266,56 @@ class DrawStream:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _reseat(self, state: dict) -> None:
+        """Write ``state`` into the generator and start over on it, one block fetched.
+
+        A re-seated stream is never closed: its generator is re-seated
+        again before anything else draws from it.
+        """
+        self._bit_generator.state = state
+        self._entry = state
+        self._has_uint32, self._uinteger = state["has_uint32"], state["uinteger"]
+        self._doubles = self.generator.random(_FIRST_UNIT_BLOCK)
+        self._draws = iter(self._doubles.tolist())
+        self._fetched = self._stop = self._listed = _FIRST_UNIT_BLOCK
+        self._next_block = 2 * _FIRST_UNIT_BLOCK
+        self._position = 0
+
+
+class ReseatedGenerator:
+    """One PCG64 generator re-seated to each of ``states`` in turn.
+
+    Iterating yields the generator once per state (a PCG64 state dict, as
+    ``bit_generator.state`` holds it), written into the generator just
+    before: the parallel runtime's task units, each on its own stream
+    (:func:`~repro.runtime.seeding.unit_states`), without a generator each.
+    A kernel must be done with one unit before it asks for the next, as
+    every kernel's in-order loop is.  ``states`` is consumed once.
+    :func:`draw_streams` serves the units from :meth:`streams`.
+    """
+
+    def __init__(self, states: Iterable[dict]) -> None:
+        self._states = states
+        self._generator = np.random.Generator(np.random.PCG64(0))
+
+    def __iter__(self) -> Iterator[np.random.Generator]:
+        bit_generator = self._generator.bit_generator
+        for state in self._states:
+            bit_generator.state = state
+            yield self._generator
+
+    def streams(self) -> Iterator[DrawStream]:
+        """One :class:`DrawStream` per unit, started over on the unit's state.
+
+        The stream takes the state it writes rather than reading it back,
+        fetches a first block of :data:`_FIRST_UNIT_BLOCK` words, and is
+        never closed: the next unit's state overwrites whatever it drew.
+        """
+        stream = DrawStream(self._generator)
+        for state in self._states:
+            stream._reseat(state)
+            yield stream
+
 
 def _pcg64_jumps() -> tuple[tuple[tuple[int, int], ...], ...]:
     """Jump tables of PCG64's 128-bit LCG, one per base-64 digit of a step count.
@@ -303,13 +358,36 @@ def _pcg64_advance(state: int, increment: int, steps: int) -> int:
     return (multiplier * state + increment * increments) & _MASK_128
 
 
+def pcg64_state(high_state: int, low_state: int, high_sequence: int, low_sequence: int) -> dict:
+    """The state of a PCG64 seeded with ``generate_state(4, np.uint64)`` words.
+
+    numpy's ``pcg64_set_seed``: the first two words are the initial state
+    and the last two the stream, each high word first; the LCG starts at 0
+    with increment ``2 * stream + 1``, steps, adds the initial state and
+    steps again.
+    """
+    increment = ((high_sequence << 64 | low_sequence) << 1 | 1) & _MASK_128
+    state = (high_state << 64 | low_state) + increment
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": (state * _PCG64_MULTIPLIER + increment) & _MASK_128, "inc": increment},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def draw_streams(generators: Iterable[np.random.Generator]) -> Iterator[DrawStream]:
     """One :class:`DrawStream` per entry of ``generators``, closed when done.
 
     Consecutive entries that are one generator object (a single shared
-    stream) share one stream; each new generator (the runtime's per-unit
-    child streams) closes the previous stream and opens its own.
+    stream) share one stream; each new generator closes the previous stream
+    and opens its own.  A :class:`ReseatedGenerator` (the runtime's per-unit
+    streams) is one object throughout, so it gets a stream started over on
+    every unit instead (:meth:`ReseatedGenerator.streams`).
     """
+    if isinstance(generators, ReseatedGenerator):
+        yield from generators.streams()
+        return
     stream = None
     try:
         for generator in generators:

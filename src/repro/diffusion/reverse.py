@@ -245,8 +245,9 @@ def _sample_rr_sets_batch(
 
     Byte-identical to one :func:`sample_rr_set` call per generator (one shared
     stream repeated, or one stream per set — the runtime chunk workers'
-    form).  The batch amortizes per-call overhead: one row/CSR unpack, one
-    :class:`DrawStream` per distinct generator, and shared visited/scratch
+    form, a :class:`~repro.diffusion.random_source.ReseatedGenerator`).  The
+    batch amortizes per-call overhead: one row/CSR unpack, one
+    :class:`DrawStream` per distinct generator or unit, and shared visited/scratch
     arrays — the visited array is never cleared, each RR set marks it with
     a fresh stamp value.  Each set is appended to the flat :data:`RRArrays`
     columns (``array('q')``, 8 bytes a member), and the sizes and weights

@@ -11,7 +11,8 @@ The linter reads one optional key via stdlib :mod:`tomllib`:
 Unknown keys — and values of the wrong shape — are **usage errors**
 (:class:`~repro.lint.errors.LintError`, CLI exit code 2), so a typo in the
 config cannot silently disable a contract.  A missing file or a missing
-``[tool.repro-lint]`` table yields the defaults.
+``[tool.repro-lint]`` table yields the defaults; the pyproject found is the
+run's root either way.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class LintConfig:
 
     #: Layer prefix -> allowed import prefixes (stdlib always implied).
     layers: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Path of the pyproject.toml the values came from, if any.
+    #: Path of the nearest pyproject.toml, with or without a table, if any:
+    #: exemptions are matched relative to its directory.
     source: str | None = None
 
 
@@ -88,7 +90,9 @@ def load_config(anchor: Path | None = None) -> LintConfig:
     """Load the linter config for a run.
 
     The nearest pyproject.toml at or above ``anchor`` (default: the current
-    directory) is used; no pyproject at all yields the built-in defaults.
+    directory) is used, and recorded as the source even when it has no
+    ``[tool.repro-lint]`` table; no pyproject at all yields the built-in
+    defaults with no source.
     """
     pyproject = find_pyproject(anchor if anchor is not None else Path.cwd())
     if pyproject is None:
@@ -100,7 +104,7 @@ def load_config(anchor: Path | None = None) -> LintConfig:
         raise LintError(f"cannot read {pyproject}: {error}") from None
     table = data.get("tool", {}).get("repro-lint")
     if table is None:
-        return LintConfig()
+        return LintConfig(source=pyproject.as_posix())
     if not isinstance(table, Mapping):
         raise LintError(f"[tool.repro-lint] in {pyproject} must be a table")
     return _parse_table(table, pyproject)

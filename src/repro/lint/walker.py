@@ -59,7 +59,7 @@ _FIXTURE_FRAGMENT = "lint/fixtures"
 
 
 def _run_root(config: LintConfig) -> Path:
-    """The directory exemptions are relative to: the config's, else the cwd."""
+    """The directory exemptions are relative to: the pyproject's, else the cwd."""
     return Path(config.source).parent if config.source is not None else Path.cwd()
 
 

@@ -11,7 +11,8 @@ three layers:
     ``SeedSequence(entropy, spawn_key=root_key + (i,))``, so the random
     stream of a task depends only on the root seed and the task index —
     never on which worker ran it, how tasks were chunked, or in what order
-    chunks completed.
+    chunks completed.  Chunk workers derive a span's PCG64 states in bulk
+    (``unit_states``) and re-seat one generator per task with them.
 
 ``repro.runtime.chunking``
     Deterministic index-span partitioning used to batch fine-grained tasks

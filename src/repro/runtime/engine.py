@@ -3,11 +3,13 @@
 :func:`run_seeded_tasks` is the one entry point the hot paths use: it splits
 ``count`` seeded tasks into deterministic chunks, ships each chunk (with the
 root seed key and its index span) to the executor for ``jobs``, and returns
-the per-chunk results in chunk order.  Workers derive each task's generator
-from ``(root_key, task_index)`` via
-:func:`repro.runtime.seeding.child_generator`, so the outcome is independent
-of ``jobs`` and of the chunk layout.  ``jobs`` is the only knob: every
-executor is opened and closed inside the call (:func:`executor_scope`).
+the per-chunk results in chunk order.  Workers derive each task's stream
+from ``(root_key, task_index)`` alone — the PCG64 state of
+:func:`repro.runtime.seeding.child_generator`, which
+:func:`~repro.runtime.seeding.unit_states` derives for a whole span — so
+the outcome is independent of ``jobs`` and of the chunk layout.  ``jobs`` is
+the only knob: every executor is opened and closed inside the call
+(:func:`executor_scope`).
 """
 
 from __future__ import annotations
@@ -129,9 +131,10 @@ def run_seeded_tasks(
     ----------
     worker:
         A picklable module-level function ``worker(payload, root_key, start,
-        stop)`` that processes task indices ``start..stop-1``, deriving task
-        ``i``'s generator as ``child_generator(root_key, i)``, and returns
-        one chunk result.
+        stop)`` that processes task indices ``start..stop-1``, drawing task
+        ``i`` from ``child_generator(root_key, i)``'s stream (in bulk:
+        ``unit_states(root_key, start, stop)``), and returns one chunk
+        result.
     count:
         Total number of logical tasks.
     root:

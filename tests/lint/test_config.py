@@ -51,8 +51,10 @@ class TestLoadConfig:
         assert load_config(nested).layers == {"clocky": ()}
 
     def test_pyproject_without_table_gives_defaults(self, tmp_path):
-        _write_pyproject(tmp_path, '[tool.other]\nx = 1\n')
-        assert load_config(tmp_path).layers == {}
+        source = _write_pyproject(tmp_path, '[tool.other]\nx = 1\n')
+        config = load_config(tmp_path)
+        assert config.layers == {}
+        assert config.source == source.as_posix()
 
     def test_unknown_key_is_usage_error(self, tmp_path):
         _write_pyproject(tmp_path, '[tool.repro-lint]\nselct = ["RNG001"]\n')

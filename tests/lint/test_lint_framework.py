@@ -235,6 +235,18 @@ class TestPathSpelling:
         for spelling in ("pkg/mod.py", project / "pkg" / "mod.py"):
             assert [f.rule for f in run_lint([spelling]).findings] == expected
 
+    def test_pyproject_without_table_anchors_the_root(self, tmp_path, monkeypatch):
+        # The nearest pyproject is the root even without a [tool.repro-lint]
+        # table, so linting from above it does not see its "tests/" parent.
+        project = tmp_path / "tests" / "proj"
+        (project / "pkg").mkdir(parents=True)
+        (project / "pyproject.toml").write_text('[project]\nname = "proj"\n', encoding="utf-8")
+        violation = (FIXTURES / "rng001_violation.py").read_text(encoding="utf-8")
+        (project / "pkg" / "mod.py").write_text(violation, encoding="utf-8")
+        for directory, spelling in ((tmp_path, "tests/proj/pkg/mod.py"), (project, "pkg/mod.py")):
+            monkeypatch.chdir(directory)
+            assert len(run_lint([spelling]).findings) == 4
+
     @pytest.mark.parametrize("spelling", ["relative", "absolute"])
     def test_fixtures_fire_under_both_spellings(self, monkeypatch, spelling):
         monkeypatch.chdir(REPO_ROOT)

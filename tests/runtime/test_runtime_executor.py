@@ -67,10 +67,16 @@ class TestParallelExecutor:
         assert os.getpid() not in pids
 
     def test_pool_reused_across_maps(self):
+        # Workers start on demand, so the two maps may run on disjoint
+        # workers; what must be reused is the pool and every worker it has.
         with ParallelExecutor(2) as pool:
             first = set(pool.map(_pid_worker, range(4)))
-            second = set(pool.map(_pid_worker, range(4)))
-        assert first & second
+            started = pool._pool
+            pool.map(_pid_worker, range(4))
+            assert pool._pool is started
+            workers = started._processes  # pid -> process of every started worker
+            assert first <= set(workers)
+            assert all(workers[pid].is_alive() for pid in first)
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(InvalidParameterError):

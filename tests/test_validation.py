@@ -258,10 +258,12 @@ SEED_SURFACES = {
         (), v
     ),
     "oneshot.estimate": lambda g, v: _built(OneshotEstimator(2), g).estimate((), v),
+    "oneshot.update": lambda g, v: _built(OneshotEstimator(2), g).update(v),
     "ris.estimate": lambda g, v: _built(RISEstimator(20), g).estimate((), v),
     "ris.spread": lambda g, v: _built(RISEstimator(20), g).spread([v]),
     "ris.update": lambda g, v: _built(RISEstimator(20), g).update(v),
     "exact.estimate": lambda g, v: _built(ExactEstimator(), g).estimate((), v),
+    "exact.update": lambda g, v: _built(ExactEstimator(), g).update(v),
 }
 
 
