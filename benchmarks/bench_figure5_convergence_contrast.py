@@ -21,9 +21,9 @@ GRID = powers_of_two(12, min_exponent=2)
 SCALE = 0.3  # ~600-vertex proxy
 
 
-def normalised_mean_series(instance_cache, oracle_cache, model: str):
-    graph = instance_cache("ca_grqc", model, scale=SCALE)
-    oracle = oracle_cache("ca_grqc", model, scale=SCALE, pool_size=10_000)
+def normalised_mean_series(instance_cache, oracle_cache, probability: str):
+    graph = instance_cache("ca_grqc", probability, scale=SCALE)
+    oracle = oracle_cache("ca_grqc", probability, scale=SCALE, pool_size=10_000)
     sweep = sweep_sample_numbers(
         graph, 1, estimator_factory("ris"), GRID,
         num_trials=20, oracle=oracle, experiment_seed=51,

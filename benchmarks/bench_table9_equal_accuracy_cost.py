@@ -25,9 +25,9 @@ from .conftest import emit
 TRIALS = 20
 
 
-def equal_accuracy_rows(instance_cache, oracle_cache, dataset, model, scale, grids, seed):
-    graph = instance_cache(dataset, model, scale=scale)
-    oracle = oracle_cache(dataset, model, scale=scale, pool_size=10_000)
+def equal_accuracy_rows(instance_cache, oracle_cache, dataset, probability, scale, grids, seed):
+    graph = instance_cache(dataset, probability, scale=scale)
+    oracle = oracle_cache(dataset, probability, scale=scale, pool_size=10_000)
     sweeps = {
         approach: sweep_sample_numbers(
             graph, 1, estimator_factory(approach), grid,
@@ -52,7 +52,7 @@ def equal_accuracy_rows(instance_cache, oracle_cache, dataset, model, scale, gri
     rows = []
     for cost_row in equal_accuracy_costs(per_sample, ratios):
         rendered = cost_row.as_row()
-        rendered["network"] = f"{dataset} ({model})"
+        rendered["network"] = f"{dataset} ({probability})"
         rows.append(rendered)
     return rows
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Mapping
 
-from ..context import RunContext, _check_unknown_keys, _require_mapping
+from ..context import RunContext, _check_unknown_keys, _require_mapping, _require_seed
 from ..exceptions import SpecValidationError
 from ..graphs import generators
 from ..graphs.datasets import list_datasets
@@ -236,6 +236,8 @@ class GraphSpec(_SpecBase):
                 f"expected one of: {', '.join(DUPLICATE_POLICIES)}"
             )
         _require_positive_number(self.scale, "GraphSpec.scale")
+        _require_seed(self.seed, "GraphSpec.seed")
+        _require_seed(self.probability_seed, "GraphSpec.probability_seed")
         # Reject non-default settings that the chosen source would ignore:
         # a field in the document either takes effect or is an error.
         inapplicable = {

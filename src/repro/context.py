@@ -38,6 +38,16 @@ def _require_mapping(data: Any, spec_name: str) -> None:
         )
 
 
+def _require_seed(value: Any, name: str) -> None:
+    """Reject a spec seed that is not a non-bool int >= 0, naming the field and the value.
+
+    numpy's ``SeedSequence`` refuses a negative seed only once a run draws
+    from it, so a bad document would otherwise fail deep inside a build.
+    """
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise SpecValidationError(f"{name} must be a non-negative int, got {value!r}")
+
+
 def _check_unknown_keys(data: Mapping[str, Any], allowed: set, spec_name: str) -> None:
     """Shared ``from_dict`` guard: reject unknown keys, naming the offender."""
     for key in data:
@@ -96,10 +106,7 @@ class RunContext:
     batch_mode: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise SpecValidationError(
-                f"RunContext.seed must be an int, got {type(self.seed).__name__}"
-            )
+        _require_seed(self.seed, "RunContext.seed")
         if self.jobs is not None and (
             not isinstance(self.jobs, int) or isinstance(self.jobs, bool) or self.jobs < 1
         ):

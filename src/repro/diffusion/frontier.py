@@ -89,13 +89,15 @@ def frontier_edges(
     total = int(degrees.sum())
     if total == 0:
         return _EMPTY_INDEX, degrees, 0
+    return ranges(starts, degrees, total), degrees, total
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray, total: int) -> np.ndarray:
+    """``arange(start, start + length)`` per pair, concatenated (``total = lengths.sum()``)."""
     # Within-group offsets: arange(total) minus each group's cumulative start,
-    # shifted back to the group's CSR start position.
-    group_starts = np.cumsum(degrees) - degrees
-    edge_indices = np.arange(total, dtype=np.int64) + np.repeat(
-        starts - group_starts, degrees
-    )
-    return edge_indices, degrees, total
+    # shifted back to the group's own start.
+    group_starts = np.cumsum(lengths) - lengths
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - group_starts, lengths)
 
 
 def first_hit(candidates: np.ndarray, slot: np.ndarray) -> np.ndarray:

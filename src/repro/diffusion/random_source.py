@@ -17,6 +17,7 @@ level or per RR-set target.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -291,11 +292,13 @@ class ReseatedGenerator:
     (:func:`~repro.runtime.seeding.unit_states`), without a generator each.
     A kernel must be done with one unit before it asks for the next, as
     every kernel's in-order loop is.  ``states`` is consumed once.
-    :func:`draw_streams` serves the units from :meth:`streams`.
+    :func:`draw_streams` serves the units from :meth:`streams`; the
+    split-stream IC RR kernel takes them :meth:`batches` at a time and
+    reads their raw words with :meth:`fill_words` and :meth:`words`.
     """
 
     def __init__(self, states: Iterable[dict]) -> None:
-        self._states = states
+        self._states = iter(states)
         self._generator = np.random.Generator(np.random.PCG64(0))
 
     def __iter__(self) -> Iterator[np.random.Generator]:
@@ -304,17 +307,47 @@ class ReseatedGenerator:
             bit_generator.state = state
             yield self._generator
 
-    def streams(self) -> Iterator[DrawStream]:
+    def streams(self, states: Iterable[dict] | None = None) -> Iterator[DrawStream]:
         """One :class:`DrawStream` per unit, started over on the unit's state.
 
-        The stream takes the state it writes rather than reading it back,
-        fetches a first block of :data:`_FIRST_UNIT_BLOCK` words, and is
-        never closed: the next unit's state overwrites whatever it drew.
+        The units are this generator's own, or ``states`` (some states
+        :meth:`batches` handed out) when given.  The stream takes the state
+        it writes rather than reading it back, fetches a first block of
+        :data:`_FIRST_UNIT_BLOCK` words, and is never closed: the next
+        unit's state overwrites whatever it drew.
         """
         stream = DrawStream(self._generator)
-        for state in self._states:
+        for state in self._states if states is None else states:
             stream._reseat(state)
             yield stream
+
+    def batches(self, size: int) -> Iterator[list[dict]]:
+        """The unit states as lists of ``size`` (the last one may be shorter)."""
+        while batch := list(islice(self._states, size)):
+            yield batch
+
+    def fill_words(self, states: list[dict], out: np.ndarray) -> None:
+        """Write raw words ``0 .. out.shape[1] - 1`` of unit ``i``'s stream into ``out[i]``.
+
+        A raw word is what ``bit_generator.random_raw`` returns, the 64-bit
+        ``w`` behind each of the unit's draws (see :class:`DrawStream`).
+        """
+        bit_generator = self._generator.bit_generator
+        count = out.shape[1]
+        for row, state in zip(out, states):
+            bit_generator.state = state
+            row[:] = bit_generator.random_raw(count)
+
+    def words(self, state: dict, start: int, count: int) -> np.ndarray:
+        """Raw words ``start .. start + count - 1`` of the stream starting at ``state``.
+
+        ``PCG64.advance`` steps past the words before ``start``, so a unit
+        that has read its first ``start`` words fetches only the new ones.
+        """
+        bit_generator = self._generator.bit_generator
+        bit_generator.state = state
+        bit_generator.advance(start)
+        return bit_generator.random_raw(count)
 
 
 def _pcg64_jumps() -> tuple[tuple[tuple[int, int], ...], ...]:

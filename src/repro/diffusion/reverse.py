@@ -33,8 +33,8 @@ from .._validation import normalize_seed_set, require_non_negative_int, require_
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import CsrRows, InfluenceGraph
 from .costs import SampleSize, TraversalCost
-from .frontier import first_hit, frontier_edges, use_scalar_frontier
-from .random_source import DrawStream, RandomSource, draw_streams
+from .frontier import first_hit, frontier_edges, ranges, use_scalar_frontier
+from .random_source import DrawStream, RandomSource, ReseatedGenerator, draw_streams
 
 
 @dataclass(frozen=True)
@@ -244,24 +244,43 @@ def _sample_rr_sets_batch(
     """Batched RR-set generation, one set per generator, with reused scratch buffers.
 
     Byte-identical to one :func:`sample_rr_set` call per generator (one shared
-    stream repeated, or one stream per set — the runtime chunk workers'
-    form, a :class:`~repro.diffusion.random_source.ReseatedGenerator`).  The
-    batch amortizes per-call overhead: one row/CSR unpack, one
-    :class:`DrawStream` per distinct generator or unit, and shared visited/scratch
-    arrays — the visited array is never cleared, each RR set marks it with
-    a fresh stamp value.  Each set is appended to the flat :data:`RRArrays`
-    columns (``array('q')``, 8 bytes a member), and the sizes and weights
-    are added to the accumulators once.
+    stream repeated, or one stream per set).  A shared stream goes through
+    :func:`_scalar_rr_arrays`; the runtime chunk workers' form, a
+    :class:`~repro.diffusion.random_source.ReseatedGenerator` of per-unit
+    streams, goes through the level-synchronous
+    :func:`_split_stream_rr_sets`, which draws the same words into the same
+    sets.  The sizes and weights are added to the accumulators once.
     """
     if graph.num_vertices == 0:
         raise InvalidParameterError("cannot sample an RR set from an empty graph")
+    if isinstance(generators, ReseatedGenerator):
+        arrays = _split_stream_rr_sets(graph, generators)
+    else:
+        arrays = _scalar_rr_arrays(graph, draw_streams(generators))
+    _, _, members, weights = arrays
+    if cost is not None:
+        cost.add_vertices(members.size)
+        cost.add_edges(int(weights.sum()))
+    if sample_size is not None:
+        sample_size.add_vertices(members.size)
+    return arrays
+
+
+def _scalar_rr_arrays(graph: InfluenceGraph, streams: Iterable[DrawStream]) -> RRArrays:
+    """One RR set per entry of ``streams``, each by :func:`_rr_kernel`.
+
+    One row/CSR unpack and shared visited/scratch arrays serve the whole
+    batch: the visited array is never cleared, each RR set marks it with a
+    fresh stamp value.  Each set is appended to the flat :data:`RRArrays`
+    columns (``array('q')``, 8 bytes a member).
+    """
     in_rows = graph.in_rows
     in_csr = graph.in_csr
     num_vertices = graph.num_vertices
     visited_stamp = array("q", bytes(8 * num_vertices))
     slot = np.empty(num_vertices, dtype=np.int64)
     targets, sizes, members, weights = (array("q") for _ in range(4))
-    for stamp, stream in enumerate(draw_streams(generators), start=1):
+    for stamp, stream in enumerate(streams, start=1):
         chosen_target = stream.integers(num_vertices)
         rr_members, weight = _rr_kernel(
             in_rows, in_csr, chosen_target, stream, visited_stamp, stamp, slot
@@ -270,14 +289,219 @@ def _sample_rr_sets_batch(
         sizes.append(len(rr_members))
         members.extend(rr_members)
         weights.append(weight)
-    if cost is not None:
-        cost.add_vertices(len(members))
-        cost.add_edges(sum(weights))
-    if sample_size is not None:
-        sample_size.add_vertices(len(members))
     return tuple(
         np.frombuffer(column, dtype=np.int64) for column in (targets, sizes, members, weights)
     )
+
+
+#: Scratch bytes one batch of :func:`_split_stream_rr_sets` may hold: its
+#: units' visited bitmaps and their windows of raw PCG64 words.
+_LEVEL_BUDGET = 4 << 20
+#: Raw words in a unit's first window; word 0 picks the target.
+_FIRST_WINDOW = 128
+#: A growing window holds at least :data:`_AHEAD` levels like the one
+#: that outgrew it, and multiplies the unit's fetched words by :data:`_GROWTH`.
+_AHEAD = 8
+_GROWTH = 2
+#: A unit whose next level needs more than this share of the pool starts
+#: over on the scalar path, whose numpy levels serve a large level as well.
+_UNIT_SHARE = 16
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+_BITS = np.array([1 << bit for bit in range(8)], dtype=np.uint8)
+
+
+def _split_stream_rr_sets(graph: InfluenceGraph, units: ReseatedGenerator) -> RRArrays:
+    """One RR set per unit of ``units``, a batch of units one BFS level at a time.
+
+    The per-unit scalar path's draw contract, word for word: unit ``i``'s
+    target is ``integers(n)``, numpy's Lemire draw over the low half of its
+    raw word 0, and its edge draws are words 1, 2, ... in BFS level order,
+    vertex then edge; an edge is live when ``(w >> 11) * 2**-53 < p``.  Each
+    level of every unit in a batch is one numpy pass (:func:`_level_batch`).
+    A unit whose target draw would be rejected, or whose next level is too
+    large for the batch's words, takes the per-unit scalar path from its
+    word 0 instead, and its set is spliced back in unit order.
+
+    Units per batch follow from ``n``: each is charged a visited bitmap of
+    ``n`` bits and two first windows of :data:`_FIRST_WINDOW` words, so the
+    batch's scratch stays within :data:`_LEVEL_BUDGET` bytes and at least
+    half of its word pool is left for windows that grow.
+    """
+    num_vertices = graph.num_vertices
+    if not 2 <= num_vertices <= 1 << 32:  # integers(1) draws no word
+        return _scalar_rr_arrays(graph, units.streams())
+    bitmap_bytes = (num_vertices + 7) // 8
+    batch = max(1, _LEVEL_BUDGET // (bitmap_bytes + 16 * _FIRST_WINDOW))
+    pool = np.empty(
+        max(batch * _FIRST_WINDOW, (_LEVEL_BUDGET - batch * bitmap_bytes) // 8), dtype=np.uint64
+    )
+    # (w >> 11) * 2**-53 < p exactly when the integer w >> 11 is below
+    # ceil(p * 2**53), scaling by a power of two being exact; so exactly when
+    # w <= ceil(p * 2**53) * 2**11 - 1, which wraps to 2**64 - 1 for p = 1.
+    limits = (np.ceil(graph.in_csr[2] * 2.0**53).astype(np.uint64) << np.uint64(11)) - np.uint64(1)
+    chunks = [_level_batch(graph, limits, units, states, pool) for states in units.batches(batch)]
+    return concat_rr_arrays(chunks) if chunks else _scalar_rr_arrays(graph, ())
+
+
+def _level_batch(
+    graph: InfluenceGraph,
+    limits: np.ndarray,
+    units: ReseatedGenerator,
+    states: list[dict],
+    pool: np.ndarray,
+) -> RRArrays:
+    """The RR sets of the units with ``states``, every unit's BFS advanced a level at a time.
+
+    ``pool`` holds the units' windows of raw words: unit ``u``'s next
+    undrawn word is ``pool[head[u]]``, followed by ``avail[u] - 1`` more.
+    The first windows come in one pass; a unit whose next level needs more
+    words than its window holds gets a larger one (:func:`_grow_windows`).
+    Visited marks are one bit per ``(unit, vertex)`` key ``unit * n +
+    vertex``; a level's live in-edges keep the first hit per new key, so
+    each unit keeps its discovery order.
+    """
+    indptr, sources, _ = graph.in_csr
+    n = graph.num_vertices
+    count = len(states)
+    units.fill_words(states, pool[: count * _FIRST_WINDOW].reshape(count, _FIRST_WINDOW))
+    scaled = (pool[: count * _FIRST_WINDOW : _FIRST_WINDOW] & _LOW_HALF) * np.uint64(n)
+    rejected = _lemire_rejected(scaled, n)
+    targets = (scaled >> np.uint64(32)).astype(np.int64)
+    head = np.arange(1, count * _FIRST_WINDOW, _FIRST_WINDOW)
+    avail = np.full(count, _FIRST_WINDOW - 1)
+    weights = np.zeros(count, dtype=np.int64)
+    top = count * _FIRST_WINDOW
+    visited = np.zeros((count * n + 7) // 8, dtype=np.uint8)
+    evicted = np.zeros(count, dtype=bool)
+    inside = np.flatnonzero(~rejected)
+    keys = inside * n + targets[inside]
+    _mark(visited, keys)
+    levels = [keys]
+    while keys.size:
+        owners, frontier = np.divmod(keys, n)
+        edges, degrees, total = frontier_edges(indptr, frontier)
+        if not total:
+            break
+        first = np.flatnonzero(np.concatenate(([True], owners[1:] != owners[:-1])))
+        group_units = owners[first]
+        needs = np.add.reduceat(degrees, first)
+        short = needs > avail[group_units]
+        if short.any():
+            top, leaving = _grow_windows(
+                units, states, pool, top, (head, avail, weights), group_units, needs, short
+            )
+            if leaving.size:
+                evicted[leaving] = True
+                keys = keys[~evicted[owners]]
+                continue
+        # A unit's level draws are the next ``needs`` words of its window.
+        draws = pool[ranges(head[group_units], needs, total)]
+        live = np.flatnonzero(draws <= limits[edges])
+        weights[group_units] += needs
+        head[group_units] += needs
+        avail[group_units] -= needs
+        candidates = owners[np.searchsorted(np.cumsum(degrees), live, side="right")] * n
+        candidates += sources[edges[live]]
+        keys = _first_hits(candidates[~_marked(visited, candidates)])
+        _mark(visited, keys)
+        levels.append(keys)
+
+    owners, members = np.divmod(np.concatenate(levels), n)
+    outside = rejected | evicted
+    if outside.any():
+        # These units' sets come whole from the scalar path, each on its own stream.
+        scalar = np.flatnonzero(outside)
+        scalar_targets, scalar_sizes, scalar_members, scalar_weights = _scalar_rr_arrays(
+            graph, units.streams([states[unit] for unit in scalar.tolist()])
+        )
+        targets[scalar], weights[scalar] = scalar_targets, scalar_weights
+        kept = ~outside[owners]
+        owners = np.concatenate((owners[kept], np.repeat(scalar, scalar_sizes)))
+        members = np.concatenate((members[kept], scalar_members))
+    order = np.argsort(owners, kind="stable")
+    return targets, np.bincount(owners, minlength=count), members[order], weights
+
+
+def _grow_windows(
+    units: ReseatedGenerator,
+    states: list[dict],
+    pool: np.ndarray,
+    top: int,
+    windows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    group_units: np.ndarray,
+    needs: np.ndarray,
+    short: np.ndarray,
+) -> tuple[int, np.ndarray]:
+    """Give each short unit a window holding its next level's words; returns ``(top, evicted)``.
+
+    ``windows`` is the batch's ``(head, avail, weights)``.  A unit's new
+    window at least multiplies the words it has fetched by
+    :data:`_GROWTH`; its undrawn words are copied, and only the new ones
+    are fetched (:meth:`ReseatedGenerator.words`).  When the pool's end has
+    no room, the frontier units' undrawn words first move to its front,
+    and each unit gets its level's words and a share of the rest.  A unit
+    whose level needs more than the pool's :data:`_UNIT_SHARE`-th part, or
+    does not fit at all, is evicted.
+    """
+    head, avail, weights = windows
+    large = short & (needs > pool.size // _UNIT_SHARE)
+    evicted = group_units[large]
+    short &= ~large
+    grow, grow_needs = group_units[short], needs[short]
+    have = avail[grow]
+    fetched = 1 + weights[grow] + have
+    sizes = np.maximum(_AHEAD * grow_needs, have + (_GROWTH - 1) * fetched)
+    if top + int(sizes.sum()) > pool.size:
+        staying = group_units[~large]
+        kept = avail[staying]
+        top = int(kept.sum())
+        pool[:top] = pool[ranges(head[staying], kept, top)]
+        head[staying] = np.cumsum(kept) - kept
+        room = pool.size - top
+        if room < int(sizes.sum()):
+            # Each unit's level first, then a share of the rest of the room.
+            fits = np.cumsum(grow_needs) <= room
+            evicted = np.concatenate((evicted, grow[~fits]))
+            grow, grow_needs, have, fetched, sizes = (
+                column[fits] for column in (grow, grow_needs, have, fetched, sizes)
+            )
+            extra = sizes - grow_needs
+            spare = room - int(grow_needs.sum())
+            sizes = grow_needs + extra * spare // max(1, int(extra.sum()))
+    heads = top + np.cumsum(sizes) - sizes
+    for unit, old, kept, start, new, size in zip(
+        *(column.tolist() for column in (grow, head[grow], have, fetched, heads, sizes))
+    ):
+        pool[new : new + kept] = pool[old : old + kept]
+        pool[new + kept : new + size] = units.words(states[unit], start, size - kept)
+    head[grow], avail[grow] = heads, sizes
+    return top + int(sizes.sum()), evicted
+
+
+def _lemire_rejected(scaled: np.ndarray, n: int) -> np.ndarray:
+    """Whether numpy's Lemire draw rejects each ``low * n``: its low half is below ``2**32 % n``."""
+    return (scaled & _LOW_HALF) < np.uint64(((1 << 32) - n) % n)
+
+
+def _first_hits(keys: np.ndarray) -> np.ndarray:
+    """``keys`` without the repeats of a key, each kept where it first occurs."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if not repeats.size:
+        return keys
+    kept = np.ones(keys.size, dtype=bool)
+    kept[repeats] = False
+    return keys[kept]
+
+
+def _marked(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key's bit is set in ``bitmap``."""
+    return (bitmap[keys >> 3] & _BITS[keys & 7]).astype(bool)
+
+
+def _mark(bitmap: np.ndarray, keys: np.ndarray) -> None:
+    """Set each key's bit in ``bitmap``."""
+    np.bitwise_or.at(bitmap, keys >> 3, _BITS[keys & 7])
 
 
 class RRSetCollection:

@@ -21,6 +21,10 @@ states from :func:`unit_states` instead: it runs numpy's own ``SeedSequence``
 hash and PCG64 seeding step over a whole span of task indices at once, and
 the worker re-seats one generator per task with them.  The states equal
 those of :func:`child_generator`, which ``tests/runtime`` pins against numpy.
+A kernel need not finish one task before it starts the next: the IC RR
+kernel reads a batch of tasks' raw words from their states and advances
+them together, one BFS level at a time, drawing the same words in the same
+order as one stream per task would.
 
 Contract: a root passed to the runtime is *owned* by it for the duration of
 the call — do not also call ``.spawn()`` on the same underlying sequence,

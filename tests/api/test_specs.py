@@ -36,7 +36,7 @@ probabilities = st.one_of(
     st.none(), st.sampled_from(["uc0.1", "uc0.01", "iwc", "owc", "trivalency", "uc0.05"])
 )
 positive_ints = st.integers(min_value=1, max_value=10_000)
-seeds = st.integers(min_value=-(2**31), max_value=2**31)
+seeds = st.integers(min_value=0, max_value=2**31)
 
 contexts = st.builds(
     RunContext,
@@ -371,6 +371,44 @@ class TestEagerValidation:
     def test_inapplicable_fields_rejected_not_ignored(self, kwargs, field_name):
         with pytest.raises(SpecValidationError, match=field_name):
             GraphSpec(**kwargs)
+
+
+class TestSeedValidation:
+    """Spec seeds are non-bool ints >= 0, checked when the spec is built."""
+
+    def test_negative_dataset_seed(self):
+        with pytest.raises(SpecValidationError, match=r"GraphSpec\.seed .*got -3"):
+            GraphSpec(dataset="wiki_vote", seed=-3)
+
+    def test_negative_probability_seed(self):
+        with pytest.raises(SpecValidationError, match=r"GraphSpec\.probability_seed .*got -2"):
+            GraphSpec(dataset="karate", probability="trivalency", probability_seed=-2)
+
+    def test_float_seed(self):
+        with pytest.raises(SpecValidationError, match=r"GraphSpec\.seed .*got 1\.5"):
+            GraphSpec(dataset="karate", seed=1.5)
+
+    def test_bool_seed(self):
+        with pytest.raises(SpecValidationError, match=r"GraphSpec\.seed .*got True"):
+            GraphSpec(dataset="karate", seed=True)
+
+    def test_string_probability_seed(self):
+        with pytest.raises(SpecValidationError, match=r"GraphSpec\.probability_seed .*got 'x'"):
+            GraphSpec(dataset="karate", probability="trivalency", probability_seed="x")
+
+    def test_negative_context_seed_in_document(self):
+        document = {
+            "kind": "maximize",
+            "graph": {"dataset": "karate", "probability": "uc0.1"},
+            "context": {"seed": -1},
+        }
+        with pytest.raises(SpecValidationError, match=r"RunContext\.seed .*got -1"):
+            spec_from_dict(document)
+
+    def test_zero_seeds_accepted(self):
+        spec = GraphSpec(dataset="karate", probability="trivalency", probability_seed=0)
+        assert spec.seed == 0
+        assert RunContext(seed=0).seed == 0
 
 
 class TestHashability:
