@@ -18,8 +18,6 @@ from .oneshot import OneshotEstimator
 from .ris import RISEstimator
 from .snapshot import UPDATE_STRATEGIES, SnapshotEstimator
 from .stopping import (
-    AdaptiveRIS,
-    AdaptiveRISResult,
     AdaptiveSampleNumber,
     adaptive_sample_number,
     determine_theta,
@@ -42,8 +40,6 @@ __all__ = [
     "SingleDiscountEstimator",
     "ExactEstimator",
     "exhaustive_optimum",
-    "AdaptiveRIS",
-    "AdaptiveRISResult",
     "AdaptiveSampleNumber",
     "adaptive_sample_number",
     "determine_theta",

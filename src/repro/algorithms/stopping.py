@@ -11,10 +11,6 @@ implements both sides:
   solving the problem first.
 * :func:`determine_theta` — plug the lower bound into the RIS sample-number
   formula to obtain a concrete ``theta`` for a requested ``(eps, delta)``.
-* :class:`AdaptiveRIS` — an OPIM/SSA-flavoured doubling scheme: keep doubling
-  the RR-set collection until the greedy solution's estimated approximation
-  ratio (lower confidence bound of its coverage over an upper confidence
-  bound of the greedy ceiling) exceeds ``1 - 1/e - eps``.
 * :func:`adaptive_sample_number` — the paper's "future work" applied to
   Oneshot and Snapshot: double the sample number until the greedy solution's
   mean influence estimate stabilises within a relative tolerance across two
@@ -38,7 +34,6 @@ from ..estimation.oracle import RRPoolOracle
 from ..exceptions import InvalidParameterError
 from ..graphs.influence_graph import InfluenceGraph
 from .framework import GreedyResult, InfluenceEstimator, greedy_maximize
-from .ris import RISEstimator
 
 
 # --------------------------------------------------------------------------- #
@@ -115,111 +110,6 @@ def determine_theta(
         raise InvalidParameterError("opt_lower_bound must be positive")
     theta = epsilon ** -2 * n * (k * math.log(n) + math.log(1.0 / delta)) / opt_lower_bound
     return max(1, int(math.ceil(theta)))
-
-
-# --------------------------------------------------------------------------- #
-# OPIM-style adaptive RIS (doubling with a stopping condition)
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class AdaptiveRISResult:
-    """Outcome of an adaptive RIS run."""
-
-    result: GreedyResult
-    theta: int
-    approximation_guarantee: float
-    rounds: int
-    trace: tuple[tuple[int, float], ...]
-
-
-class AdaptiveRIS:
-    """Doubling RIS with an empirical stopping condition.
-
-    Starting from ``initial_theta`` RR sets, the scheme runs greedy maximum
-    coverage, computes a pessimistic estimate of the achieved approximation
-    ratio from an independent validation collection of equal size, and doubles
-    ``theta`` until the estimate exceeds ``1 - 1/e - epsilon`` or the budget
-    ``max_theta`` is exhausted (the search-and-verify idea of SSA/OPIM in a
-    deliberately simple form).
-    """
-
-    def __init__(
-        self,
-        epsilon: float = 0.1,
-        *,
-        initial_theta: int = 64,
-        max_theta: int = 1 << 16,
-        model: "str | DiffusionModel | None" = None,
-    ) -> None:
-        self._epsilon = require_fraction(epsilon, "epsilon")
-        self._initial_theta = require_positive_int(initial_theta, "initial_theta")
-        self._max_theta = require_positive_int(max_theta, "max_theta")
-        self._model = resolve_model(model)
-        if self._max_theta < self._initial_theta:
-            raise InvalidParameterError("max_theta must be >= initial_theta")
-
-    def maximize(
-        self, graph: InfluenceGraph, k: int, *, seed: int = 0
-    ) -> AdaptiveRISResult:
-        """Run the doubling scheme and return the final greedy result."""
-        require_positive_int(k, "k")
-        self._model.validate(graph)
-        target = 1.0 - 1.0 / math.e - self._epsilon
-        source = RandomSource(seed)
-        theta = self._initial_theta
-        rounds = 0
-        trace: list[tuple[int, float]] = []
-        best: GreedyResult | None = None
-        guarantee = 0.0
-        while True:
-            rounds += 1
-            greedy_rng, validation_rng = source.spawn(2)
-            estimator = RISEstimator(theta, model=self._model)
-            result = greedy_maximize(graph, k, estimator, seed=greedy_rng)
-            # Validate on an independent collection of the same size: the
-            # coverage of the chosen seed set there is an unbiased estimate of
-            # Inf(S)/n, while the greedy ceiling on the selection collection
-            # (sum of the k largest coverages) upper-bounds what any k-set
-            # could have achieved on that collection.
-            validation = self._model.sample_rr_store(graph, theta, validation_rng)
-            achieved = validation.fraction_covered(result.seed_set)
-            selection_coverage = self._greedy_ceiling(estimator, k)
-            # Greedy covers at least (1 - 1/e) of the best possible coverage
-            # on the selection collection, so selection_coverage / (1 - 1/e)
-            # upper-bounds OPT's coverage there; the achieved validation
-            # coverage is an unbiased estimate of Inf(S)/n.  Their ratio is a
-            # (concentration-free) approximation-ratio estimate.
-            if selection_coverage > 0:
-                guarantee = (1.0 - 1.0 / math.e) * achieved / selection_coverage
-            else:
-                guarantee = 0.0
-            trace.append((theta, guarantee))
-            best = result
-            if guarantee >= target or theta >= self._max_theta:
-                break
-            theta *= 2
-        assert best is not None
-        return AdaptiveRISResult(
-            result=best,
-            theta=theta,
-            approximation_guarantee=guarantee,
-            rounds=rounds,
-            trace=tuple(trace),
-        )
-
-    @staticmethod
-    def _greedy_ceiling(estimator: RISEstimator, k: int) -> float:
-        """Fraction of selection RR sets covered by the greedy solution itself.
-
-        Greedy's own coverage on the selection collection upper-bounds the
-        validation coverage in expectation (selection bias), so the ratio
-        validation/selection is a pessimistic approximation-ratio estimate.
-        """
-        collection = estimator.collection
-        covered = collection.num_total - collection.num_alive
-        del k
-        if collection.num_total == 0:
-            return 0.0
-        return covered / collection.num_total
 
 
 # --------------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ from ..context import RunContext, resolve_context
 from ..diffusion.models import DiffusionModel, resolve_model
 from ..exceptions import ExperimentConfigurationError
 from ..graphs.influence_graph import InfluenceGraph
-from .trials import EstimatorFactory, _greedy_chunk_worker
+from .trials import EstimatorFactory, _greedy_runs
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,13 @@ def traversal_cost_table(
     follows the model bound into each factory).  Every repetition is fixed
     by its own derived seed, so ``jobs`` parallelism (see
     :mod:`repro.runtime`) returns bit-identical rows; the repetitions run
-    through the greedy-run worker shared with
-    :func:`repro.experiments.trials.run_trials`, and under ``jobs`` each
-    approach's worker pool lives for that approach only.  ``telemetry``
-    records the summed raw per-repetition costs as
-    ``traversal.*``/``sample.*`` counters.
+    through the greedy-run dispatcher shared with
+    :func:`repro.experiments.trials.run_trials` (in-process at
+    ``jobs=None``), and under ``jobs`` each approach's worker pool lives
+    for that approach only.  ``telemetry`` records the summed raw
+    per-repetition costs as ``traversal.*``/``sample.*`` counters.
     """
     from ..obs import as_telemetry
-    from ..runtime.chunking import chunk_spans, default_num_chunks
-    from ..runtime.engine import executor_scope, instrumented_map
 
     require_positive_int(num_repetitions, "num_repetitions")
     experiment_seed, jobs, model, telemetry, _ = resolve_context(
@@ -111,21 +109,10 @@ def traversal_cost_table(
     ]
     rows = []
     for label, factory in factories.items():
-        with tel.span("traversal.approach"), executor_scope(jobs) as resolved:
-            spans = chunk_spans(
-                num_repetitions, default_num_chunks(num_repetitions, resolved.jobs)
+        with tel.span("traversal.approach"):
+            results = _greedy_runs(
+                graph, k, factory, num_samples, rep_seeds, jobs=jobs, telemetry=telemetry
             )
-            tasks = [
-                (graph, k, factory, num_samples, rep_seeds[start:stop])
-                for start, stop in spans
-            ]
-            results = [
-                result
-                for chunk in instrumented_map(
-                    resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
-                )
-                for result in chunk
-            ]
         tel.incr("traversal.repetitions", len(results))
         for result in results:
             tel.record_cost(result.cost)

@@ -162,6 +162,37 @@ def _greedy_chunk_worker(
     ]
 
 
+def _greedy_runs(
+    graph: InfluenceGraph,
+    k: int,
+    estimator_factory: EstimatorFactory,
+    num_samples: int,
+    run_seeds: Sequence[int],
+    *,
+    jobs: int | None,
+    telemetry,
+) -> list[GreedyResult]:
+    """One greedy run per seed, in seed order.
+
+    ``jobs=None`` runs them in this process; otherwise they are chunked
+    over an executor whose worker pool lives for this call only, and an
+    enabled ``telemetry`` records the ``runtime.*`` dispatch metrics.
+    """
+    if jobs is None:
+        return _greedy_chunk_worker((graph, k, estimator_factory, num_samples, run_seeds))
+    from ..runtime.chunking import chunk_spans, default_num_chunks
+    from ..runtime.engine import executor_scope, instrumented_map
+
+    with executor_scope(jobs) as resolved:
+        spans = chunk_spans(len(run_seeds), default_num_chunks(len(run_seeds), resolved.jobs))
+        tasks = [
+            (graph, k, estimator_factory, num_samples, run_seeds[start:stop])
+            for start, stop in spans
+        ]
+        chunks = instrumented_map(resolved, _greedy_chunk_worker, tasks, telemetry=telemetry)
+    return [result for chunk in chunks for result in chunk]
+
+
 def run_trials(
     graph: InfluenceGraph,
     k: int,
@@ -264,32 +295,15 @@ def _run_trial_set(
     Also the per-point body of
     :func:`repro.experiments.sweeps.sweep_sample_numbers`, which resolves
     the context and runs :func:`check_trial_setup` once for its whole grid.
-    Under ``jobs`` the worker pool lives for this call only.
     """
     from ..obs import as_telemetry
 
     tel = as_telemetry(telemetry)
     seeds = trial_seeds(experiment_seed, num_trials)
     with tel.span("trials.run"):
-        if jobs is None:
-            results = _greedy_chunk_worker((graph, k, estimator_factory, num_samples, seeds))
-        else:
-            from ..runtime.chunking import chunk_spans, default_num_chunks
-            from ..runtime.engine import executor_scope, instrumented_map
-
-            with executor_scope(jobs) as resolved:
-                spans = chunk_spans(num_trials, default_num_chunks(num_trials, resolved.jobs))
-                tasks = [
-                    (graph, k, estimator_factory, num_samples, seeds[start:stop])
-                    for start, stop in spans
-                ]
-                results = [
-                    result
-                    for chunk in instrumented_map(
-                        resolved, _greedy_chunk_worker, tasks, telemetry=telemetry
-                    )
-                    for result in chunk
-                ]
+        results = _greedy_runs(
+            graph, k, estimator_factory, num_samples, seeds, jobs=jobs, telemetry=telemetry
+        )
 
     tel.incr("trials.count", num_trials)
     label = approach

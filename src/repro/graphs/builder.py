@@ -96,32 +96,37 @@ class GraphBuilder:
         """Add one directed edge ``source -> target``.
 
         ``context`` is an optional provenance string (e.g. ``"line 7"`` from
-        the edge-list reader) woven into duplicate-edge errors so the
-        offending input location is named.
+        the edge-list reader) that prefixes every error this edge raises, so
+        the offending input location is named.
 
         Raises
         ------
         GraphConstructionError
-            If the edge is a self-loop, repeats an existing edge under the
-            ``"error"`` duplicate policy, or has endpoints outside a fixed
-            vertex count.
+            If the edge has a negative endpoint, is a self-loop, repeats an
+            existing edge under the ``"error"`` duplicate policy, or has
+            endpoints outside a fixed vertex count.
+        InvalidParameterError
+            If ``probability`` is not a real number in ``(0, 1]``.
         """
+        where = f"{context}: " if context else ""
         src = int(source)
         dst = int(target)
         if src < 0 or dst < 0:
-            raise GraphConstructionError(f"vertex ids must be non-negative, got ({src}, {dst})")
+            raise GraphConstructionError(
+                f"{where}vertex ids must be non-negative, got ({src}, {dst})"
+            )
         if src == dst:
-            raise GraphConstructionError(f"self-loop ({src}, {dst}) is not supported")
+            raise GraphConstructionError(f"{where}self-loop ({src}, {dst}) is not supported")
         if self._num_vertices is not None and (
             src >= self._num_vertices or dst >= self._num_vertices
         ):
             raise GraphConstructionError(
-                f"edge ({src}, {dst}) exceeds fixed vertex count {self._num_vertices}"
+                f"{where}edge ({src}, {dst}) exceeds fixed vertex count {self._num_vertices}"
             )
         prob = (
             self._default_probability
             if probability is None
-            else require_probability(probability, "probability")
+            else require_probability(probability, f"{where}probability")
         )
         if self._on_duplicate != "allow":
             key = (src, dst)
@@ -129,7 +134,6 @@ class GraphBuilder:
             if earlier is not None:
                 earlier_index, earlier_context = earlier
                 if self._on_duplicate == "error":
-                    where = f"{context}: " if context else ""
                     first_seen = (
                         f" (first listed at {earlier_context})" if earlier_context else ""
                     )

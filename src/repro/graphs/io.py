@@ -90,12 +90,17 @@ def read_edge_list(
     """
     file_path = Path(path)
     builder = GraphBuilder(num_vertices, on_duplicate=on_duplicate)
-    with file_path.open("r", encoding="utf-8") as handle:
-        for line_number, source, target, probability in _iter_records(handle):
-            context = f"line {line_number}"
-            builder.add_edge(source, target, probability, context=context)
-            if not directed:
-                builder.add_edge(target, source, probability, context=context)
+    try:
+        with file_path.open("r", encoding="utf-8") as handle:
+            for line_number, source, target, probability in _iter_records(handle):
+                context = f"line {line_number}"
+                builder.add_edge(source, target, probability, context=context)
+                if not directed:
+                    builder.add_edge(target, source, probability, context=context)
+    except UnicodeDecodeError as error:
+        raise GraphConstructionError(
+            f"{file_path}: not a UTF-8 text edge list ({error.reason})"
+        ) from None
     return builder.build(name=name if name is not None else file_path.stem)
 
 

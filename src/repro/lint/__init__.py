@@ -2,8 +2,10 @@
 
 The test suite checks the determinism contracts *dynamically* — equal
 outputs across seeds, jobs counts, executors.  This package enforces the
-same contracts *statically*: AST rules walk the source and flag code that
-could violate reproducibility even on paths no test exercises.
+same contracts *statically*: each module's syntax tree is walked once into
+an index (:class:`~repro.lint.astutil.ModuleIndex`), and the rules read it to
+flag code that could violate reproducibility even on paths no test
+exercises.
 
 Shipped per-module rules (see :data:`repro.lint.registry.BUILTIN_RULE_IDS`):
 
@@ -16,8 +18,8 @@ IMP001    import crossing the [tool.repro-lint.layers] layer DAG
 ========  ==============================================================
 
 One whole-program rule (:data:`~repro.lint.registry.BUILTIN_PROJECT_RULE_IDS`)
-sees the assembled call graph (:mod:`repro.lint.project`) rather than one
-file at a time:
+sees the call graph (:mod:`repro.lint.project`), assembled from every
+module's index, rather than one file at a time:
 
 ========  ==============================================================
 CTX001    seam kwarg (rng/jobs/telemetry/...) dropped between layers
@@ -34,8 +36,9 @@ of every module resolves, ``tests/test_public_api.py``).
 Findings are silenced line-by-line with ``# repro-lint: allow[RULE-ID]``;
 unused suppressions are themselves reported (``SUP001``).  The rule set is
 fixed: per-module checks subclass :class:`LintRule`, whole-program checks
-subclass :class:`ProjectRule`, and :mod:`repro.lint.rules` registers each
-built-in rule once.
+subclass :class:`ProjectRule` (both share one base for the rule's id,
+severity, exemptions and finding builder), and :mod:`repro.lint.rules`
+registers each built-in rule once.
 
 This package is deliberately stdlib-only (no numpy) so
 ``python -m repro.lint`` runs in a bare interpreter.

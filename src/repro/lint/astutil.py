@@ -41,10 +41,13 @@ class ModuleIndex:
     * ``loops`` (``for`` statements), ``comprehensions``, ``functions``,
       ``assignments`` (``=`` and annotated), ``imports`` and ``names``;
     * ``aliases``: local name -> fully qualified imported name, from every
-      import in the module, the later one winning.  ``import numpy as np``
+      import in the module, the later one winning, except that a plain
+      ``import`` never displaces an earlier binding.  ``import numpy as np``
       maps ``np -> numpy``; ``from numpy.random import default_rng as make``
-      maps ``make -> numpy.random.default_rng``.  Relative imports keep
-      their leading dots so rules can recognise package-local names.
+      maps ``make -> numpy.random.default_rng``.  Relative imports keep one
+      leading dot per level (``from . import core`` maps ``core -> .core``)
+      so rules can recognise package-local names and the call graph can
+      resolve them against the module's package.
     """
 
     def __init__(self, tree: ast.Module) -> None:
@@ -86,14 +89,17 @@ class ModuleIndex:
         for statement, _ in self.imports:
             if isinstance(statement, ast.Import):
                 for item in statement.names:
-                    top = item.name.partition(".")[0]
-                    self.aliases[item.asname or top] = item.name if item.asname else top
+                    if item.asname:
+                        self.aliases[item.asname] = item.name
+                    else:
+                        top = item.name.partition(".")[0]
+                        self.aliases.setdefault(top, top)
             else:
-                prefix = "." * statement.level + (statement.module or "")
+                dots = "." * statement.level
                 for item in statement.names:
                     if item.name != "*":
-                        local = item.asname or item.name
-                        self.aliases[local] = f"{prefix}.{item.name}" if prefix else item.name
+                        target = f"{statement.module}.{item.name}" if statement.module else item.name
+                        self.aliases[item.asname or item.name] = dots + target
         self.calls: list[tuple[ast.Call, str | None, Function | None]] = [
             (node, call_name(node, self.aliases), function) for node, function in calls
         ]

@@ -2,12 +2,14 @@
 
 The per-module rules (:class:`~repro.lint.registry.LintRule`) see one parsed
 file at a time and therefore cannot check *cross-file* contracts such as a
-seam kwarg dropped between layers.  This module parses every collected file
-once into a :class:`ModuleSummary` — a plain-data digest of each module's
-import aliases and function signatures — and assembles the summaries into a
-:class:`ProjectAnalysis`: a conservative **intra-package call graph** keyed
-by qualified names, following import aliases (relative imports resolved
-against the importing module's package) and one-hop re-export chains.
+seam kwarg dropped between layers.  This module digests every collected file
+into a :class:`ModuleSummary` — a plain-data record of each module's import
+aliases, function signatures and call sites, read off the module's
+:class:`~repro.lint.astutil.ModuleIndex` without a walk of its own — and
+assembles the summaries into a :class:`ProjectAnalysis`: a conservative
+**intra-package call graph** keyed by qualified names, following import
+aliases (relative imports resolved against the importing module's package)
+and one-hop re-export chains.
 
 Everything here is best-effort static analysis in the house style of
 :mod:`repro.lint.astutil`: when a construct cannot be resolved the analysis
@@ -20,15 +22,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .astutil import ModuleIndex, dotted_name
+from .astutil import Function, ModuleIndex
 
 __all__ = [
     "CallSite",
     "FunctionInfo",
     "ModuleSummary",
     "ProjectAnalysis",
+    "absolute_name",
     "module_name_for_path",
     "summarize_module",
 ]
@@ -63,8 +66,9 @@ class CallSite:
     #: Dotted callee as written, with the root resolved through the module's
     #: import aliases when possible (e.g. ``repro.runtime.engine.map_chunks``).
     callee: str
-    line: int
-    column: int
+    #: Source position, named like an AST node's so a finding reads either.
+    lineno: int
+    col_offset: int
     num_positional: int
     has_star_args: bool
     keywords: tuple[str, ...]
@@ -84,7 +88,8 @@ class FunctionInfo:
     has_vararg: bool
     has_kwargs: bool
     is_method: bool
-    calls: tuple[CallSite, ...] = ()
+    #: Calls in the function's own body, in breadth-first order.
+    calls: list[CallSite] = field(default_factory=list)
 
     @property
     def parameters(self) -> tuple[str, ...]:
@@ -115,108 +120,50 @@ class ModuleSummary:
 # --------------------------------------------------------------------------- #
 # summary construction
 # --------------------------------------------------------------------------- #
-def _resolve_relative(package: str, level: int, tail: str) -> str:
-    """Absolute target of a level-``level`` relative import from ``package``.
+def absolute_name(name: str, package: str) -> str:
+    """``name`` with its leading-dot relative prefix resolved against ``package``.
 
-    Returns an empty string when the import climbs past the package root.
+    A relative name carries one leading dot per import level, as
+    :class:`~repro.lint.astutil.ModuleIndex` aliases do.  Returns an empty
+    string when the name climbs past the package root.
     """
+    tail = name.lstrip(".")
+    level = len(name) - len(tail)
     if level == 0:
-        return tail
+        return name
     parts = package.split(".") if package else []
-    strip = level - 1
-    if strip > len(parts):
+    if level - 1 > len(parts):
         return ""
-    base = ".".join(parts[: len(parts) - strip] if strip else parts)
-    if not base:
-        return tail
-    return f"{base}.{tail}" if tail else base
+    base = ".".join(parts[: len(parts) - level + 1])
+    return f"{base}.{tail}" if base and tail else base or tail
 
 
-def _iter_top_level(body: list[ast.stmt]) -> Iterator[ast.stmt]:
-    """Module-level statements, descending into if/try/with blocks."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, ast.If):
-            yield from _iter_top_level(stmt.body)
-            yield from _iter_top_level(stmt.orelse)
-        elif isinstance(stmt, ast.Try):
-            yield from _iter_top_level(stmt.body)
-            for handler in stmt.handlers:
-                yield from _iter_top_level(handler.body)
-            yield from _iter_top_level(stmt.orelse)
-            yield from _iter_top_level(stmt.finalbody)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            yield from _iter_top_level(stmt.body)
+#: Statements whose bodies still run at module level.
+_MODULE_LEVEL_BLOCKS = (ast.If, ast.Try, ast.ExceptHandler, ast.With, ast.AsyncWith)
 
 
-class _CallCollector(ast.NodeVisitor):
-    """Collect call sites of one function body, excluding nested scopes."""
-
-    def __init__(self, aliases: Mapping[str, str]) -> None:
-        self._aliases = aliases
-        self.calls: list[CallSite] = []
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return  # nested scope: its calls are not the outer function's
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        return
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        return
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        return
-
-    def visit_Call(self, node: ast.Call) -> None:
-        callee = dotted_name(node.func)
-        if callee is not None:
-            root, _, rest = callee.partition(".")
-            resolved_root = self._aliases.get(root, root)
-            resolved = f"{resolved_root}.{rest}" if rest else resolved_root
-            self.calls.append(
-                CallSite(
-                    callee=resolved,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    num_positional=sum(
-                        1 for arg in node.args if not isinstance(arg, ast.Starred)
-                    ),
-                    has_star_args=any(
-                        isinstance(arg, ast.Starred) for arg in node.args
-                    ),
-                    keywords=tuple(
-                        kw.arg for kw in node.keywords if kw.arg is not None
-                    ),
-                    has_star_kwargs=any(
-                        kw.arg is None for kw in node.keywords
-                    ),
-                )
-            )
-        self.generic_visit(node)
+def _at_module_level(parents: Mapping[ast.AST, ast.AST], node: ast.AST) -> bool:
+    """Whether a statement sits at module level, through if/try/with blocks."""
+    parent = parents[node]
+    while isinstance(parent, _MODULE_LEVEL_BLOCKS):
+        parent = parents[parent]
+    return isinstance(parent, ast.Module)
 
 
-def _function_info(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-    qualname: str,
-    aliases: Mapping[str, str],
-    *,
-    is_method: bool,
-) -> FunctionInfo:
-    args = node.args
-    collector = _CallCollector(aliases)
-    for stmt in node.body:
-        collector.visit(stmt)
-    return FunctionInfo(
-        qualname=qualname,
-        line=node.lineno,
-        positional=tuple(a.arg for a in (*args.posonlyargs, *args.args)),
-        keyword_only=tuple(a.arg for a in args.kwonlyargs),
-        has_vararg=args.vararg is not None,
-        has_kwargs=args.kwarg is not None,
-        is_method=is_method,
-        calls=tuple(collector.calls),
-    )
+def _in_own_body(
+    parents: Mapping[ast.AST, ast.AST], node: ast.AST, function: Function
+) -> bool:
+    """Whether ``node`` runs in ``function``'s body itself.
+
+    A node inside a lambda or a class body, or in the function's own
+    decorators, defaults or annotations, is not the function's.
+    """
+    parent = parents[node]
+    while parent is not function:
+        if isinstance(parent, (ast.Lambda, ast.ClassDef)):
+            return False
+        node, parent = parent, parents[parent]
+    return node in function.body
 
 
 def summarize_module(
@@ -229,9 +176,12 @@ def summarize_module(
 ) -> ModuleSummary:
     """Digest one parsed module into a :class:`ModuleSummary`.
 
-    ``index`` is the :class:`~repro.lint.astutil.ModuleIndex` of ``tree``
-    when the caller already holds one (the walker does); without it one is
-    built here.
+    Everything is read from the module's
+    :class:`~repro.lint.astutil.ModuleIndex` (``index`` when the caller
+    already holds it, as the walker does; else one is built here): its
+    import aliases and call names, made absolute against the module's
+    package, and its top-level functions and one-level methods, the first
+    definition of a name winning.
     """
     if index is None:
         index = ModuleIndex(tree)
@@ -239,46 +189,57 @@ def summarize_module(
         name=module_name, path=display_path, is_package=is_package
     )
     package = summary.package
+    for local, target in index.aliases.items():
+        resolved = absolute_name(target, package)
+        if resolved:
+            summary.aliases[local] = resolved
 
-    # Import aliases, from anywhere in the module (function-local imports
-    # bind names that calls in that function resolve through), in
-    # breadth-first order: a later ``as`` or ``from`` import wins, a plain
-    # ``import`` never displaces an earlier binding.
-    for node, _ in index.imports:
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.asname:
-                    summary.aliases[item.asname] = item.name
-                else:
-                    top = item.name.partition(".")[0]
-                    summary.aliases.setdefault(top, top)
+    parents = index.parents
+    # Source order, so the first definition of a name wins.
+    defined = sorted(
+        (node for node, enclosing in index.functions if enclosing is None),
+        key=lambda node: node.lineno,
+    )
+    infos: dict[ast.AST, FunctionInfo] = {}
+    for node in defined:
+        owner = parents[node]
+        if isinstance(owner, ast.ClassDef) and _at_module_level(parents, owner):
+            qualname = f"{owner.name}.{node.name}"
+        elif _at_module_level(parents, node):
+            qualname = node.name
         else:
-            target = _resolve_relative(package, node.level, node.module or "")
-            if target:
-                for item in node.names:
-                    if item.name != "*":
-                        local = item.asname or item.name
-                        summary.aliases[local] = f"{target}.{item.name}"
+            continue
+        if qualname in summary.functions:
+            continue
+        args = node.args
+        summary.functions[qualname] = infos[node] = FunctionInfo(
+            qualname=qualname,
+            line=node.lineno,
+            positional=tuple(a.arg for a in (*args.posonlyargs, *args.args)),
+            keyword_only=tuple(a.arg for a in args.kwonlyargs),
+            has_vararg=args.vararg is not None,
+            has_kwargs=args.kwarg is not None,
+            is_method=qualname != node.name,
+        )
 
-    # Top-level function and one-level method signatures.
-    for stmt in _iter_top_level(tree.body):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            summary.functions.setdefault(
-                stmt.name,
-                _function_info(
-                    stmt, stmt.name, summary.aliases, is_method=False
-                ),
+    for node, name, function in index.calls:
+        if function is None or function not in infos or name is None:
+            continue
+        callee = absolute_name(name, package)
+        if callee and _in_own_body(parents, node, function):
+            infos[function].calls.append(
+                CallSite(
+                    callee=callee,
+                    lineno=node.lineno,
+                    col_offset=node.col_offset,
+                    num_positional=sum(
+                        not isinstance(arg, ast.Starred) for arg in node.args
+                    ),
+                    has_star_args=any(isinstance(arg, ast.Starred) for arg in node.args),
+                    keywords=tuple(kw.arg for kw in node.keywords if kw.arg is not None),
+                    has_star_kwargs=any(kw.arg is None for kw in node.keywords),
+                )
             )
-        elif isinstance(stmt, ast.ClassDef):
-            for item in stmt.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qualname = f"{stmt.name}.{item.name}"
-                    summary.functions.setdefault(
-                        qualname,
-                        _function_info(
-                            item, qualname, summary.aliases, is_method=True
-                        ),
-                    )
     return summary
 
 

@@ -40,14 +40,13 @@ BUILTIN_PROJECT_RULE_IDS: frozenset[str] = frozenset({"CTX001"})
 FRAMEWORK_RULE_IDS: tuple[str, ...] = ("PAR001", "SUP001")
 
 
-class LintRule(abc.ABC):
-    """Base class for one static contract check.
+class _Rule(abc.ABC):
+    """What both rule kinds share: identity, severity, exemptions, findings.
 
-    Subclasses set the class attributes and implement :meth:`check`, yielding
-    :class:`~repro.lint.findings.Finding` objects for one parsed module.
     ``exempt_fragments`` lists path fragments (posix form, matched against
     ``"/"`` plus the module's path relative to the run's root) where the
     rule never applies — the sanctioned homes of the behaviour it polices.
+    Fixture paths are never exempt.
     """
 
     #: Unique rule id (e.g. ``RNG001``); also the suppression token.
@@ -60,73 +59,50 @@ class LintRule(abc.ABC):
     #: :meth:`repro.lint.walker.SourceModule.matches_fragment`).
     exempt_fragments: tuple[str, ...] = ()
 
-    @abc.abstractmethod
-    def check(self, module: "SourceModule") -> Iterator[Finding]:
-        """Yield findings for ``module`` (already confirmed non-exempt)."""
-
     def finding(
-        self, module: "SourceModule", node: object, message: str
+        self, where: "SourceModule | str", location: object, message: str
     ) -> Finding:
-        """Build a finding for an AST ``node`` (or ``(line, col)`` pair)."""
-        line = getattr(node, "lineno", None)
-        column = getattr(node, "col_offset", None)
-        if line is None:
-            line, column = node  # type: ignore[misc]
+        """Build a finding in a module (or at a display path).
+
+        ``location`` is an AST node or anything else carrying ``lineno``
+        and ``col_offset`` (a :class:`~repro.lint.project.CallSite`).
+        """
         return Finding(
-            path=module.display_path,
-            line=int(line),
-            column=int(column or 0),
+            path=where if isinstance(where, str) else where.display_path,
+            line=int(location.lineno),  # type: ignore[attr-defined]
+            column=int(location.col_offset),  # type: ignore[attr-defined]
             rule=self.rule_id,
             message=message,
             severity=self.severity,
         )
 
 
-class ProjectRule(abc.ABC):
+class LintRule(_Rule):
+    """Base class for one per-module static contract check.
+
+    Subclasses set the class attributes and implement :meth:`check`, yielding
+    :class:`~repro.lint.findings.Finding` objects for one parsed module.
+    """
+
+    @abc.abstractmethod
+    def check(self, module: "SourceModule") -> Iterator[Finding]:
+        """Yield findings for ``module`` (already confirmed non-exempt)."""
+
+
+class ProjectRule(_Rule):
     """Base class for one whole-program (cross-file) contract check.
 
     The second rule kind: where :class:`LintRule` sees one parsed module,
     a ``ProjectRule`` sees the assembled
     :class:`~repro.lint.project.ProjectAnalysis` call graph and yields
-    findings anchored to the file each violation lives in.  Registration, selection (``--rules``), suppression
-    (inline ``allow[...]``), and the exit-code contract are identical to
-    per-module rules.
+    findings anchored to the file each violation lives in.  Registration,
+    selection (``--rules``), exemption, suppression (inline ``allow[...]``)
+    and the exit-code contract are identical to per-module rules.
     """
-
-    #: Unique rule id (e.g. ``CTX001``); also the suppression token.
-    rule_id: str = ""
-    #: One-line description shown by ``repro lint --list-rules``.
-    summary: str = ""
-    #: Severity attached to this rule's findings.
-    severity: str = "error"
-    #: Posix path fragments whose findings are dropped (fixture paths are
-    #: never exempt, mirroring per-module rules).
-    exempt_fragments: tuple[str, ...] = ()
 
     @abc.abstractmethod
     def check(self, project: "ProjectAnalysis") -> Iterator[Finding]:
         """Yield findings for the whole-program ``project`` view."""
-
-    def finding(
-        self, path: str, location: object, message: str
-    ) -> Finding:
-        """Build a finding at ``path`` for a node or ``(line, col)`` pair."""
-        line = getattr(location, "line", None) or getattr(
-            location, "lineno", None
-        )
-        column = getattr(location, "column", None)
-        if column is None:
-            column = getattr(location, "col_offset", None)
-        if line is None:
-            line, column = location  # type: ignore[misc]
-        return Finding(
-            path=path,
-            line=int(line),
-            column=int(column or 0),
-            rule=self.rule_id,
-            message=message,
-            severity=self.severity,
-        )
 
 
 #: Rule id -> rule instance; filled once by :mod:`repro.lint.rules` on import.

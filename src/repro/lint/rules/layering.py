@@ -29,7 +29,7 @@ import sys
 from typing import TYPE_CHECKING, Iterator
 
 from ..findings import Finding
-from ..project import _resolve_relative
+from ..project import absolute_name
 from ..registry import LintRule
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -75,7 +75,7 @@ class ImportLayeringRule(LintRule):
             if isinstance(node, ast.Import):
                 targets = [item.name for item in node.names]
             else:
-                base = _resolve_relative(package, node.level, node.module or "")
+                base = absolute_name("." * node.level + (node.module or ""), package)
                 if not base or permitted(base):
                     continue
                 targets = [

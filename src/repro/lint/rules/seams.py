@@ -54,9 +54,7 @@ class SeamThreadingRule(ProjectRule):
 
     def check(self, project: "ProjectAnalysis") -> Iterator[Finding]:
         for summary in project.modules.values():
-            for info in sorted(
-                summary.functions.values(), key=lambda f: f.line
-            ):
+            for info in summary.functions.values():
                 held = [s for s in SEAMS if s in info.parameters]
                 if not held:
                     continue

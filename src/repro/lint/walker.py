@@ -5,8 +5,11 @@
 1. expands files and directories into a sorted list of ``*.py`` modules
    (directory walks are explicitly sorted — the linter obeys its own
    ordering rule);
-2. parses each module, yielding per-module rule findings *and* a
-   :class:`~repro.lint.project.ModuleSummary` for the call graph;
+2. parses each module and walks its tree once into a
+   :class:`~repro.lint.astutil.ModuleIndex`, from which come both the
+   per-module rule findings *and* the
+   :class:`~repro.lint.project.ModuleSummary` for the call graph; the tree
+   and index are dropped before the next module is parsed;
 3. assembles the summaries into a
    :class:`~repro.lint.project.ProjectAnalysis` and runs the selected
    :class:`~repro.lint.registry.ProjectRule` checks over it;

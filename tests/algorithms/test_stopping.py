@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.stopping import (
-    AdaptiveRIS,
     adaptive_sample_number,
     determine_theta,
     estimate_opt_lower_bound,
@@ -79,41 +78,6 @@ class TestDetermineTheta:
         # thousand RR sets that suffice empirically on Karate.
         theta = determine_theta(karate_uc01, 1, epsilon=0.05, opt_lower_bound=3.4)
         assert theta > 4096
-
-
-class TestAdaptiveRIS:
-    def test_finds_star_centre(self):
-        graph = star(10)
-        outcome = AdaptiveRIS(epsilon=0.2, initial_theta=32, max_theta=2048).maximize(
-            graph, 1, seed=0
-        )
-        assert outcome.result.seed_set == (0,)
-        assert outcome.theta >= 32
-        assert outcome.rounds >= 1
-        assert len(outcome.trace) == outcome.rounds
-
-    def test_respects_max_theta(self, karate_uc01):
-        outcome = AdaptiveRIS(epsilon=0.01, initial_theta=16, max_theta=64).maximize(
-            karate_uc01, 2, seed=1
-        )
-        assert outcome.theta <= 64
-
-    def test_guarantee_reported_in_unit_interval(self, karate_uc01):
-        outcome = AdaptiveRIS(epsilon=0.3, initial_theta=64, max_theta=1024).maximize(
-            karate_uc01, 1, seed=2
-        )
-        assert 0.0 <= outcome.approximation_guarantee <= 1.0 + 1e-9
-
-    def test_solution_quality_on_karate(self, karate_uc01, karate_oracle):
-        outcome = AdaptiveRIS(epsilon=0.2, initial_theta=128, max_theta=8192).maximize(
-            karate_uc01, 1, seed=3
-        )
-        best = karate_oracle.top_vertices(1)[0][1]
-        assert karate_oracle.spread(outcome.result.seed_set) >= 0.85 * best
-
-    def test_invalid_configuration(self):
-        with pytest.raises(InvalidParameterError):
-            AdaptiveRIS(epsilon=0.1, initial_theta=100, max_theta=10)
 
 
 class TestAdaptiveSampleNumber:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import GraphConstructionError
+from repro.exceptions import GraphConstructionError, InvalidParameterError
 from repro.graphs.builder import GraphBuilder
 from repro.graphs.io import read_edge_list, write_edge_list
 from repro.graphs.probability import assign_probabilities
@@ -87,6 +87,28 @@ class TestMalformedInput:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 high\n")
         with pytest.raises(GraphConstructionError):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            ("0 1 nan", InvalidParameterError, r"probability must lie in \(0, 1\], got nan"),
+            ("0 1 1.5", InvalidParameterError, r"probability must lie in \(0, 1\], got 1.5"),
+            ("-1 2 0.5", GraphConstructionError, r"vertex ids must be non-negative"),
+            ("2 2 0.5", GraphConstructionError, r"self-loop \(2, 2\)"),
+            ("0 5 0.5", GraphConstructionError, r"edge \(0, 5\) exceeds fixed vertex count 5"),
+        ],
+    )
+    def test_rejected_record_names_its_line(self, tmp_path, record, error, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n0 1 0.5\n{record}\n")
+        with pytest.raises(error, match=rf"^line 3: {message}"):
+            read_edge_list(path, num_vertices=5)
+
+    def test_undecodable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe0\x00 \x001\x00\n\x00")
+        with pytest.raises(GraphConstructionError, match="utf16.txt: not a UTF-8"):
             read_edge_list(path)
 
     def test_percent_comments_skipped(self, tmp_path):

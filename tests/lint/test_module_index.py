@@ -1,8 +1,8 @@
 """The one-pass module index: walk counts and the scopes ORD001 reads.
 
-Every linted module is expanded once by :class:`repro.lint.astutil.ModuleIndex`
-and at most once more by the call-graph summary; the per-module rules read
-the index instead of walking the tree again.  The scope cases pin which
+Every linted module is expanded once, by :class:`repro.lint.astutil.ModuleIndex`;
+the per-module rules and the call-graph summary read the index instead of
+walking the tree again.  The scope cases pin which
 set-typedness tracker ORD001 consults for nodes inside nested functions,
 lambdas, class bodies and at module level.
 """
@@ -21,7 +21,7 @@ from repro.lint import run_lint
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def test_each_node_is_expanded_at_most_twice_per_run(monkeypatch):
+def test_each_node_is_expanded_once_per_run(monkeypatch):
     # ast.walk expands a node through ast.iter_child_nodes, an
     # ast.NodeVisitor through generic_visit; count both, per node.
     expanded: Counter[ast.AST] = Counter()
@@ -45,7 +45,7 @@ def test_each_node_is_expanded_at_most_twice_per_run(monkeypatch):
     counts = Counter({node: n for node, n in expanded.items() if node._fields})
     assert counts, "run_lint expanded no node"
     worst = counts.most_common(1)[0]
-    assert worst[1] <= 2, ast.dump(worst[0])[:200]
+    assert worst[1] <= 1, ast.dump(worst[0])[:200]
 
 
 _SCOPE_CASES = {

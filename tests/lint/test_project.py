@@ -54,6 +54,36 @@ class TestSummaries:
         assert summary.aliases["other"] == "pkg.other"
         assert summary.aliases["sibling"] == "pkg.sibling"
 
+    def test_relative_imports_resolve_against_the_package(self):
+        summary = _summary(
+            "pkg.sub.mod",
+            "from . import sibling\n"
+            "from .. import uncle\n"
+            "from ..core import emit as send\n"
+            "from .... import beyond\n",
+        )
+        assert summary.aliases == {
+            "sibling": "pkg.sub.sibling",
+            "uncle": "pkg.uncle",
+            "send": "pkg.core.emit",
+        }
+
+    def test_a_plain_import_never_displaces_an_earlier_binding(self):
+        summary = _summary(
+            "pkg.mod",
+            "from pkg.core import engine\n"
+            "import engine\n"
+            "import numpy as np\n"
+            "import np.linalg\n"
+            "import os\n"
+            "import numpy.random as os\n",
+        )
+        assert summary.aliases == {
+            "engine": "pkg.core.engine",
+            "np": "numpy",
+            "os": "numpy.random",
+        }
+
     def test_function_local_imports_are_collected(self):
         summary = _summary(
             "pkg.mod",

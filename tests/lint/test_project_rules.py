@@ -104,6 +104,35 @@ class TestSeamThreading:
         rule = get_rule("CTX001")
         return list(rule.check(analysis))
 
+    def test_drops_in_nested_scopes_are_not_the_callers(self):
+        # Only the function's own body counts: not a nested def, lambda or
+        # class body, nor its decorators or parameter defaults.
+        findings = self._one_file_findings(
+            "@emit(())\n"
+            "def run(values, *, telemetry=None, empty=emit(())):\n"
+            "    def nested():\n"
+            "        return emit(values)\n"
+            "    later = lambda: emit(values)\n"
+            "    class Holder:\n"
+            "        field = emit(values)\n"
+            "    return nested, later, Holder\n"
+        )
+        assert findings == []
+
+    def test_drops_in_a_dict_literal_and_a_ternary_are_each_found(self):
+        findings = self._one_file_findings(
+            "def run(values, *, telemetry=None):\n"
+            "    table = {emit(values): emit(values, telemetry=telemetry), "
+            '"b": emit(values)}\n'
+            "    return emit(values) if table else emit(values)\n"
+        )
+        assert sorted((f.path, f.line, f.column) for f in findings) == [
+            ("pkg/driver.py", 3, 13),
+            ("pkg/driver.py", 3, 67),
+            ("pkg/driver.py", 4, 11),
+            ("pkg/driver.py", 4, 38),
+        ]
+
     def test_positional_forward_counts(self):
         findings = self._one_file_findings(
             "def run(values, telemetry=None):\n"
